@@ -17,10 +17,7 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-
-import numpy as np
 
 from .engine import RunResult, SplitSpec, TraceTooShortError, run_user, split
 from .ingest import (FORMATS, LogParseError, load_traces, read_trace_files,
@@ -57,8 +54,6 @@ def _load_input(path_str: str, fmt: str, strict: bool) -> dict[str, UserTrace]:
     """Accept either an ingested output directory or a raw log file."""
     path = Path(path_str)
     if path.is_dir():
-        if path.name == "traces" and (path / "index.json").exists():
-            path = path.parent
         return read_trace_files(path)
     traces, _ = load_traces(path, fmt=fmt, strict=strict)
     return traces
@@ -85,6 +80,9 @@ def _run_jobs(fn, payloads: list, workers: int) -> list:
     """Order-preserving map, in-process for a single worker."""
     if workers <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
+    # imported here: the pool's modules would add to every command's start-up
+    from concurrent.futures import ProcessPoolExecutor
+
     chunksize = max(1, len(payloads) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, payloads, chunksize=chunksize))
@@ -110,7 +108,7 @@ def cmd_ingest(args) -> int:
         return 1
     kept, outliers = remove_outlier_users(traces)
     out = Path(args.out)
-    traces_dir = write_trace_files(kept, out)
+    store = write_trace_files(kept, out)
     _write_json(out / "ingest_summary.json", {
         "format": REPORT_FORMAT,
         "command": "ingest",
@@ -123,13 +121,15 @@ def cmd_ingest(args) -> int:
           f"non-GET dropped: {summary.dropped_non_get}, malformed: {summary.skipped_malformed}")
     print(f"users: {len(traces)} parsed, {len(kept)} kept "
           f"(outlier fence {outliers.upper_fence:.1f}, floor {outliers.min_request_floor})")
-    print(f"traces written to {traces_dir}")
+    print(f"traces written to {store}")
     return 0
 
 
 # ---------------------------------------------------------------- stats
 
 def cmd_stats(args) -> int:
+    import numpy as np
+
     traces = _load_input(args.input, args.format, args.strict)
     if not traces:
         print("error: no traces in input", file=sys.stderr)
@@ -499,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "held-out requests through a simulated prefetch cache.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="parse a raw log into per-user trace files")
+    p = sub.add_parser("ingest", help="parse a raw log into the trace store traces.json")
     _add_input_opts(p)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_ingest)

@@ -1,4 +1,5 @@
-"""Raw request-log parsing, GET filtering, and outlier-user removal.
+"""Raw request-log parsing, GET filtering, outlier-user removal, and the
+trace store that ``ingest`` writes and the other commands read.
 
 Input formats (declared, not sniffed):
 
@@ -14,14 +15,13 @@ from __future__ import annotations
 
 import csv
 import json
+import statistics
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .traces import Request, UserTrace
+from .traces import Request, UserTrace, parse_domain
 
 FORMATS = ("csv", "jsonl")
 CSV_HEADER = ["user_id", "timestamp_ms", "method", "url"]
@@ -196,19 +196,29 @@ def load_traces(path: str | Path, fmt: str = "csv", strict: bool = False,
     return traces, summary
 
 
+def _quartiles(values: list[int]) -> tuple[float, float]:
+    """First and third quartile of a non-empty list, as remove_outlier_users uses them."""
+    if len(values) == 1:
+        # statistics.quantiles needs two points before Python 3.13
+        return float(values[0]), float(values[0])
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
 def remove_outlier_users(traces: dict[str, UserTrace], min_requests: int = 10,
                          ) -> tuple[dict[str, UserTrace], OutlierReport]:
     """Drop users above the Tukey upper fence or below the request floor.
 
-    Quartiles use linear interpolation between order statistics (numpy's
-    default percentile rule), so fixtures are exactly reproducible. Removal
-    is strict: count > upper fence, or count < min_requests.
+    Quartiles use linear interpolation between order statistics (the
+    "inclusive" method of ``statistics.quantiles``, equal to numpy's default
+    percentile rule), so fixtures are exactly reproducible. A single user is
+    its own q1 and q3. Removal is strict: count > upper fence, or count <
+    min_requests.
     """
     if not traces:
         raise ValueError("remove_outlier_users requires at least one trace")
     counts = {uid: len(t.requests) for uid, t in traces.items()}
-    values = np.array(sorted(counts.values()), dtype=float)
-    q1, q3 = np.percentile(values, [25.0, 75.0])
+    q1, q3 = _quartiles(list(counts.values()))
     iqr = q3 - q1
     upper = q3 + 1.5 * iqr
     lower = q1 - 1.5 * iqr
@@ -216,62 +226,89 @@ def remove_outlier_users(traces: dict[str, UserTrace], min_requests: int = 10,
     removed_set = set(removed)
     kept = {uid: t for uid, t in traces.items() if uid not in removed_set}
     report = OutlierReport(
-        q1=float(q1), q3=float(q3), iqr=float(iqr),
-        lower_fence=float(lower), upper_fence=float(upper),
+        q1=q1, q3=q3, iqr=iqr, lower_fence=lower, upper_fence=upper,
         removed_users=removed, min_request_floor=min_requests,
     )
     return kept, report
 
 
-# --- normalized per-user trace files (ingest output, consumed by the other commands) ---
+# --- the trace store (ingest output, consumed by the other commands) ---
 
-def _safe_filename(user_id: str) -> str:
-    out = []
-    for ch in user_id:
-        if ch.isalnum() or ch in "-_":
-            out.append(ch)
-        else:
-            out.append(f"%{ord(ch):02x}")
-    return "".join(out)
+STORE_NAME = "traces.json"
+STORE_FORMAT = "prefetchlab-traces/v2"
 
 
 def write_trace_files(traces: dict[str, UserTrace], out_dir: str | Path) -> Path:
-    """Write one JSONL file per user plus an index; returns the traces directory.
+    """Write all traces into one columnar JSON store; returns the store's path.
 
-    The per-user files use the same four-field JSONL schema as raw input,
-    so they can be re-loaded with load_traces as well.
+    The store is ``{"format": STORE_FORMAT, "users": {user_id: {"timestamp_ms":
+    [...], "url": [...]}}}`` with each user's columns in trace order. User ids
+    are JSON keys, so any two distinct ids stay distinct.
     """
-    traces_dir = Path(out_dir) / "traces"
-    traces_dir.mkdir(parents=True, exist_ok=True)
-    index = {}
-    for uid in sorted(traces):
-        fname = f"{_safe_filename(uid)}.jsonl"
-        index[uid] = fname
-        with (traces_dir / fname).open("w", encoding="utf-8") as fh:
-            for r in traces[uid].requests:
-                fh.write(json.dumps(
-                    {"user_id": r.user_id, "timestamp_ms": r.timestamp,
-                     "method": "GET", "url": r.url_key},
-                    sort_keys=True) + "\n")
-    with (traces_dir / "index.json").open("w", encoding="utf-8") as fh:
-        json.dump(index, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return traces_dir
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    users = {uid: {"timestamp_ms": [r.timestamp for r in traces[uid].requests],
+                   "url": [r.url_key for r in traces[uid].requests]}
+             for uid in sorted(traces)}
+    path = out / STORE_NAME
+    with path.open("w", encoding="utf-8") as fh:
+        # dumps, not dump: json.dump streams through the pure-Python encoder
+        fh.write(json.dumps({"format": STORE_FORMAT, "users": users},
+                            separators=(",", ":")))
+    return path
+
+
+def _trace_from_columns(user_id: str, columns) -> UserTrace:
+    """One user's store entry as a UserTrace; ValueError names what is wrong."""
+    if not isinstance(columns, dict):
+        raise ValueError(f"user {user_id!r}: entry is not an object")
+    for key in ("timestamp_ms", "url"):
+        if not isinstance(columns.get(key), list):
+            raise ValueError(f"user {user_id!r}: missing or non-list {key!r} column")
+    timestamps, urls = columns["timestamp_ms"], columns["url"]
+    if len(timestamps) != len(urls):
+        raise ValueError(f"user {user_id!r}: {len(timestamps)} timestamps "
+                         f"but {len(urls)} urls")
+    if not timestamps:
+        raise ValueError(f"user {user_id!r}: empty trace")
+    # type(), not isinstance(): JSON true/false load as bool, a subclass of int
+    if not all(type(ts) is int for ts in timestamps):
+        raise ValueError(f"user {user_id!r}: a timestamp_ms is not an integer")
+    if not all(type(url) is str and url for url in urls):
+        raise ValueError(f"user {user_id!r}: a url is empty or not a string")
+    # urls repeat within a trace: keep one string and one parsed domain per
+    # distinct url, which also shrinks the trace in memory and when pickled
+    shared = {url: url for url in urls}
+    domains = {url: parse_domain(url) for url in shared}
+    return UserTrace.build(user_id, [Request(user_id, ts, shared[url], domains[url])
+                                     for ts, url in zip(timestamps, urls)])
 
 
 def read_trace_files(in_dir: str | Path) -> dict[str, UserTrace]:
-    """Load the per-user traces written by write_trace_files."""
-    traces_dir = Path(in_dir) / "traces"
-    index_path = traces_dir / "index.json"
-    if not index_path.exists():
+    """Load the traces written by write_trace_files.
+
+    Raises FileNotFoundError when ``in_dir`` holds no store, and ValueError
+    when the store is not valid JSON or breaks the layout in any way.
+    """
+    path = Path(in_dir) / STORE_NAME
+    if not path.is_file():
         raise FileNotFoundError(
-            f"no ingested traces under {in_dir!s} (expected {index_path!s}; run 'ingest' first)")
-    with index_path.open(encoding="utf-8") as fh:
-        index = json.load(fh)
+            f"no trace store under {in_dir!s} (expected {STORE_NAME}; run 'ingest' first)")
+    try:
+        with path.open(encoding="utf-8") as fh:
+            store = json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: not a readable trace store ({exc})") from None
+    if not isinstance(store, dict) or store.get("format") != STORE_FORMAT:
+        raise ValueError(f"{path}: not a {STORE_FORMAT} store")
+    users = store.get("users")
+    if not isinstance(users, dict):
+        raise ValueError(f"{path}: missing or non-object 'users'")
     traces: dict[str, UserTrace] = {}
-    for uid in sorted(index):
-        loaded, _ = load_traces(traces_dir / index[uid], fmt="jsonl", strict=True)
-        if uid not in loaded:
-            raise ValueError(f"trace file for {uid!r} holds no requests for that user")
-        traces[uid] = loaded[uid]
+    for uid in sorted(users):
+        # pop, so each user's columns are freed once its trace is built
+        try:
+            traces[uid] = _trace_from_columns(uid, users.pop(uid))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return traces

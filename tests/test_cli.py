@@ -28,11 +28,11 @@ def test_ingest_writes_traces_and_summary(tmp_path, capsys):
     log = _make_log(tmp_path)
     out = tmp_path / "ingested"
     assert main(["ingest", "--input", str(log), "--out", str(out)]) == 0
-    assert (out / "traces" / "index.json").exists()
-    index = _read_json(out / "traces" / "index.json")
-    assert len(index) == 4
-    for fname in index.values():
-        assert (out / "traces" / fname).exists()
+    store = _read_json(out / "traces.json")
+    assert store["format"] == "prefetchlab-traces/v2"
+    assert len(store["users"]) == 4
+    for columns in store["users"].values():
+        assert len(columns["timestamp_ms"]) == len(columns["url"]) == 40
     summary = _read_json(out / "ingest_summary.json")
     assert summary["command"] == "ingest"
     assert summary["load"]["kept"] == 4 * 40
@@ -52,7 +52,7 @@ def test_ingest_applies_outlier_removal(tmp_path):
     assert main(["ingest", "--input", str(log), "--out", str(out)]) == 0
     summary = _read_json(out / "ingest_summary.json")
     assert summary["outliers"]["removed_users"] == ["big"]
-    assert "big" not in _read_json(out / "traces" / "index.json")
+    assert sorted(_read_json(out / "traces.json")["users"]) == ["a", "b", "c", "d"]
 
 
 def test_ingest_without_get_rows_fails(tmp_path, capsys):
@@ -76,6 +76,107 @@ def test_missing_input_returns_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_ingest_then_evaluate_keeps_users_with_colliding_escapes(tmp_path):
+    # "a\u2014" (EM DASH) and "a 14" escaped to the same per-user file name in
+    # the former one-file-per-user layout, so one trace overwrote the other
+    rows = [HEADER]
+    for uid in ("a\u2014", "a 14", "u1", "u2"):
+        rows += [f"{uid},{1000 + i},GET,https://x.example/p{i % 3}\n" for i in range(12)]
+    log = tmp_path / "log.csv"
+    log.write_text("".join(rows), encoding="utf-8")
+    out = tmp_path / "ingested"
+    assert main(["ingest", "--input", str(log), "--out", str(out)]) == 0
+    assert main(["evaluate", "--input", str(out), "--out", str(tmp_path / "eval"),
+                 "--workers", "1"]) == 0
+    report = _read_json(tmp_path / "eval" / "report.json")
+    assert report["users"]["evaluated"] == 4
+    assert sorted(report["results"]["naive"]) == sorted(["a\u2014", "a 14", "u1", "u2"])
+
+
+# ---------------------------------------------------------------- trace store
+
+def _valid_store() -> dict:
+    columns = {"timestamp_ms": [1000 + i for i in range(12)],
+               "url": [f"https://x.example/p{i % 3}" for i in range(12)]}
+    return {"format": "prefetchlab-traces/v2",
+            "users": {"u1": dict(columns), "u2": dict(columns)}}
+
+
+def _edit_u1(key, value):
+    def edit(store):
+        store["users"]["u1"][key] = value
+    return edit
+
+
+def _drop(*path):
+    def edit(store):
+        for key in path[:-1]:
+            store = store[key]
+        del store[path[-1]]
+    return edit
+
+
+# each case turns a valid store into a hostile one: a dict edit, or raw text
+HOSTILE_STORES = {
+    "truncated_json": json.dumps(_valid_store())[:-20],
+    "deeply_nested_json": "[" * 100_000 + "]" * 100_000,
+    "wrong_format": lambda store: store.update(format="prefetchlab-traces/v1"),
+    "missing_format": _drop("format"),
+    "missing_users": _drop("users"),
+    "missing_timestamps": _drop("users", "u1", "timestamp_ms"),
+    "missing_urls": _drop("users", "u1", "url"),
+    "unequal_columns": _edit_u1("url", ["https://x.example/p0"] * 11),
+    "empty_trace": lambda store: store["users"].update(u1={"timestamp_ms": [], "url": []}),
+    "string_timestamp": _edit_u1("timestamp_ms", ["1000"] + list(range(1001, 1012))),
+    "float_timestamp": _edit_u1("timestamp_ms", [1000.5] + list(range(1001, 1012))),
+    "bool_timestamp": _edit_u1("timestamp_ms", [True] + list(range(1001, 1012))),
+    "empty_url": _edit_u1("url", [""] + ["https://x.example/p0"] * 11),
+    "non_string_url": _edit_u1("url", [7] + ["https://x.example/p0"] * 11),
+}
+
+STORE_COMMANDS = {
+    "evaluate": ["evaluate", "--workers", "1", "--out"],
+    "sweep": ["sweep", "--workers", "1", "--sizes", "5", "--out"],
+    "stats": ["stats", "--out"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(STORE_COMMANDS))
+@pytest.mark.parametrize("case", sorted(HOSTILE_STORES))
+def test_hostile_store_exits_2_with_error_line(tmp_path, capsys, case, command):
+    hostile = HOSTILE_STORES[case]
+    if isinstance(hostile, str):
+        text = hostile
+    else:
+        store = _valid_store()
+        hostile(store)
+        text = json.dumps(store)
+    store_dir = tmp_path / "ingested"
+    store_dir.mkdir()
+    (store_dir / "traces.json").write_text(text, encoding="utf-8")
+    rc = main([*STORE_COMMANDS[command], str(tmp_path / "out"), "--input", str(store_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "traces.json" in err
+
+
+@pytest.mark.parametrize("command", sorted(STORE_COMMANDS))
+def test_directory_without_store_exits_1(tmp_path, capsys, command):
+    rc = main([*STORE_COMMANDS[command], str(tmp_path / "out"), "--input", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "traces.json" in err and "run 'ingest'" in err
+
+
+def test_valid_store_is_accepted(tmp_path):
+    # the hostile cases above are edits of this store, which every command loads
+    store_dir = tmp_path / "ingested"
+    store_dir.mkdir()
+    (store_dir / "traces.json").write_text(json.dumps(_valid_store()), encoding="utf-8")
+    for command, argv in STORE_COMMANDS.items():
+        assert main([*argv, str(tmp_path / command), "--input", str(store_dir)]) == 0
+
+
 # ---------------------------------------------------------------- stats
 
 def test_stats_prints_and_writes_report(tmp_path, capsys):
@@ -92,13 +193,17 @@ def test_stats_prints_and_writes_report(tmp_path, capsys):
     assert "repeated pct" in stdout
 
 
-def test_stats_accepts_ingested_directory(tmp_path):
+def test_stats_accepts_ingested_directory(tmp_path, capsys):
     log = _make_log(tmp_path)
     out = tmp_path / "ingested"
     assert main(["ingest", "--input", str(log), "--out", str(out)]) == 0
     assert main(["stats", "--input", str(out)]) == 0
-    # handing over the traces/ subdirectory itself also works
-    assert main(["stats", "--input", str(out / "traces")]) == 0
+    # a directory without a store is not an ingest output
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["stats", "--input", str(empty)]) == 1
+    err = capsys.readouterr().err
+    assert "traces.json" in err and "run 'ingest'" in err
 
 
 def test_stats_on_empty_input_fails(tmp_path, capsys):

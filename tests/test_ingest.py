@@ -1,10 +1,17 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from prefetchlab.ingest import (LogParseError, load_traces, read_trace_files,
+import prefetchlab
+from prefetchlab.ingest import (LogParseError, _quartiles, load_traces, read_trace_files,
                                 remove_outlier_users, write_trace_files)
 from prefetchlab.traces import Request, UserTrace
 
@@ -117,6 +124,19 @@ def test_min_request_floor():
     assert "e" not in kept
 
 
+def test_single_user_is_its_own_quartiles():
+    kept, report = remove_outlier_users(_traces_with_counts({"solo": 12}))
+    assert (report.q1, report.q3, report.iqr) == (12.0, 12.0, 0.0)
+    assert sorted(kept) == ["solo"]
+
+
+@given(st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=60))
+def test_quartiles_equal_numpy_percentile(counts):
+    # numpy's default (linear) percentile rule is the reference the fences were pinned with
+    expected = tuple(float(q) for q in np.percentile(np.array(counts, dtype=float), [25, 75]))
+    assert _quartiles(counts) == expected
+
+
 def test_remove_outliers_requires_users():
     with pytest.raises(ValueError):
         remove_outlier_users({})
@@ -136,3 +156,24 @@ def test_trace_files_round_trip(tmp_path):
 def test_read_trace_files_missing_dir(tmp_path):
     with pytest.raises(FileNotFoundError):
         read_trace_files(tmp_path / "nowhere")
+
+
+def test_trace_store_keeps_users_with_colliding_escapes(tmp_path):
+    # "a\u2014" (EM DASH) and "a 14" escaped to the same per-user file name in
+    # the former one-file-per-user layout, so one trace overwrote the other
+    traces = _traces_with_counts({"a\u2014": 10, "a 14": 12, "plain": 11, "other": 13})
+    write_trace_files(traces, tmp_path)
+    loaded = read_trace_files(tmp_path)
+    assert sorted(loaded) == sorted(traces)
+    for uid, trace in traces.items():
+        assert loaded[uid] == trace
+
+
+def test_cli_import_leaves_numpy_and_process_pool_unloaded():
+    # every command pays for what importing the CLI pulls in
+    src = str(Path(prefetchlab.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import prefetchlab.cli; "
+            "print(sorted(m for m in ('numpy', 'concurrent.futures') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
