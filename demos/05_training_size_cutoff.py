@@ -2,8 +2,9 @@
 How much training data is enough?
 =================================
 
-Slide a fixed-size window along each trace, train a fresh model per
-window, and average the scores per window size. Means rise while extra
+Slide a fixed-size window along each trace, score one model per window
+(slid along with the window, and equal to one trained afresh on it), and
+average the scores per window size. Means rise while extra
 history still teaches the model something new, then flatten; the size
 where they settle is the training cut-off point.
 """

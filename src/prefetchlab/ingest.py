@@ -185,13 +185,17 @@ def load_traces(path: str | Path, fmt: str = "csv", strict: bool = False,
     """
     summary = LoadSummary()
     per_user: dict[str, list[Request]] = defaultdict(list)
+    domains: dict[str, str] = {}  # urls repeat heavily: parse each domain once
     for record in iter_log_records(path, fmt=fmt, strict=strict, summary=summary):
         if record.method != "GET":
             summary.dropped_non_get += 1
             continue
         summary.kept += 1
+        domain = domains.get(record.url)
+        if domain is None:
+            domain = domains[record.url] = parse_domain(record.url)
         per_user[record.user_id].append(
-            Request.build(record.user_id, record.timestamp_ms, record.url))
+            Request(record.user_id, record.timestamp_ms, record.url, domain))
     traces = {uid: UserTrace.build(uid, reqs) for uid, reqs in per_user.items()}
     return traces, summary
 

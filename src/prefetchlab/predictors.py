@@ -1,14 +1,19 @@
 """The four prediction engines: DG, PPM, MP, and the Naive baseline.
 
-All four share the same life cycle: ``train(config, sequence)`` builds a
-model, ``model.predict(context)`` ranks candidate next requests, and
-``model.update(key)`` feeds one more observed request into the model (the
-dynamic update the replay engine performs after scoring each test request).
+All four share the same life cycle: ``model.update(key)`` feeds one more
+observed request into the model (the dynamic update the replay engine
+performs after scoring each test request), ``model.predict(context)`` ranks
+candidate next requests, and ``train(config, sequence)`` is nothing more
+than ``update`` folded over the sequence from an empty model, so there is
+one update path.
 
-Training is implemented as a direct batch pass over the sequence, while
-updates are incremental; the two are required to land on bit-identical
-model state (train == fold(update) from an empty model), which the test
-suite checks by comparing canonical serializations.
+``model.forget(stream, count)`` is the exact inverse of folding a prefix:
+given the key sequence the model was folded over, oldest first, it removes
+the contribution of the first ``count`` keys and leaves the state that
+training on ``stream[count:]`` would build. Counts that reach zero are
+deleted rather than kept at zero, so the canonical serializations of the
+two models are equal; the sliding-window sweep relies on this to move a
+model forward instead of retraining it.
 
 Ranking is deterministic everywhere: candidates sort by score descending,
 then lexicographically by url_key. The Naive baseline is the exception by
@@ -87,6 +92,46 @@ def _ranked(scored: dict[str, float], threshold: float | None = None) -> list[st
     return [k for k, _ in sorted(items, key=lambda kv: (-kv[1], kv[0]))]
 
 
+def _add_arcs(arcs: dict[str, dict[str, int]], sources: Iterable[str], target: str) -> None:
+    """Count one arc from each of ``sources`` to ``target``."""
+    for source in sources:
+        targets = arcs.get(source)
+        if targets is None:
+            arcs[source] = {target: 1}
+        else:
+            targets[target] = targets.get(target, 0) + 1
+
+
+def _forget_arcs(arcs: dict[str, dict[str, int]], stream: Sequence[str],
+                 count: int, window: int) -> None:
+    """Undo the arcs from each of the first ``count`` keys to the ``window`` keys after it."""
+    for position in range(count):
+        successors = stream[position + 1:position + 1 + window]
+        if not successors:
+            continue
+        source = stream[position]
+        targets = arcs[source]
+        for target in successors:
+            _decrement(targets, target)
+        if not targets:
+            del arcs[source]
+
+
+def _decrement(counts: dict[str, int], key: str) -> None:
+    """Take one from ``counts[key]``, deleting the entry when it reaches zero."""
+    left = counts[key] - 1
+    if left:
+        counts[key] = left
+    else:
+        del counts[key]
+
+
+def _trim(recent: deque[str], length: int) -> None:
+    """Keep at most the last ``length`` keys: a shorter stream leaves a shorter window."""
+    while len(recent) > length:
+        recent.popleft()
+
+
 class DGModel:
     """Directed dependency graph: arc (a, b) counts how often b followed a
     within the lookahead window; arc weight is count / occurrences(a)."""
@@ -100,11 +145,15 @@ class DGModel:
         self.pending_window: deque[str] = deque(maxlen=config.lookahead_window)
 
     def update(self, key: str) -> None:
-        for source in self.pending_window:
-            targets = self.arc_counts.setdefault(source, {})
-            targets[key] = targets.get(key, 0) + 1
+        _add_arcs(self.arc_counts, self.pending_window, key)
         self.node_counts[key] = self.node_counts.get(key, 0) + 1
         self.pending_window.append(key)
+
+    def forget(self, stream: Sequence[str], count: int) -> None:
+        _forget_arcs(self.arc_counts, stream, count, self.config.lookahead_window)
+        for key in stream[:count]:
+            _decrement(self.node_counts, key)
+        _trim(self.pending_window, len(stream) - count)
 
     def predict(self, context: Sequence[str]) -> list[str]:
         if not context:
@@ -141,8 +190,7 @@ class PPMModel:
     the trie; a node's count is the number of occurrences of its path.
     Prediction matches the longest trailing context suffix whose node has
     children, falling back to shorter suffixes when a node is missing or
-    childless. The match length of the last prediction is kept on
-    ``last_match_length`` for analysis.
+    childless.
     """
 
     algorithm = "ppm"
@@ -151,19 +199,37 @@ class PPMModel:
         self.config = config
         self.root = _TrieNode()
         self.recent_context: deque[str] = deque(maxlen=config.ppm_order)
-        self.last_match_length = 0
 
     def update(self, key: str) -> None:
         self.root.count += 1
-        context = list(self.recent_context)
+        path = list(self.recent_context)
+        path.append(key)
         # paths of length 1..order+1, all ending at `key`
-        for start in range(len(context), -1, -1):
+        for start in range(len(path) - 1, -1, -1):
             node = self.root
-            for ctx_key in context[start:]:
-                node = node.children.setdefault(ctx_key, _TrieNode())
-            child = node.children.setdefault(key, _TrieNode())
-            child.count += 1
+            for path_key in path[start:]:
+                child = node.children.get(path_key)
+                if child is None:
+                    child = node.children[path_key] = _TrieNode()
+                node = child
+            node.count += 1
         self.recent_context.append(key)
+
+    def forget(self, stream: Sequence[str], count: int) -> None:
+        depth = self.config.ppm_order + 1
+        for start in range(count):
+            # the paths of length 1..order+1 that begin at `start`
+            node = self.root
+            for key in stream[start:start + depth]:
+                child = node.children[key]
+                if child.count == 1:
+                    # every longer path through this node began here too
+                    del node.children[key]
+                    break
+                child.count -= 1
+                node = child
+        self.root.count -= count
+        _trim(self.recent_context, len(stream) - count)
 
     def _lookup(self, path: Sequence[str]) -> _TrieNode | None:
         node = self.root
@@ -179,10 +245,8 @@ class PPMModel:
             node = self._lookup(tail[-length:])
             if node is None or not node.children:
                 continue
-            self.last_match_length = length
             probs = {key: child.count / node.count for key, child in node.children.items()}
             return _ranked(probs, self.config.effective_threshold)
-        self.last_match_length = 0
         return []
 
     def state_dict(self) -> dict:
@@ -208,10 +272,12 @@ class MPModel:
         self.pending_window: deque[str] = deque(maxlen=config.lookahead_window)
 
     def update(self, key: str) -> None:
-        for source in self.pending_window:
-            successors = self.successor_lists.setdefault(source, {})
-            successors[key] = successors.get(key, 0) + 1
+        _add_arcs(self.successor_lists, self.pending_window, key)
         self.pending_window.append(key)
+
+    def forget(self, stream: Sequence[str], count: int) -> None:
+        _forget_arcs(self.successor_lists, stream, count, self.config.lookahead_window)
+        _trim(self.pending_window, len(stream) - count)
 
     def predict(self, context: Sequence[str]) -> list[str]:
         if not context:
@@ -242,6 +308,10 @@ class NaiveModel:
     def update(self, key: str) -> None:
         self.seen.setdefault(key, None)
 
+    def forget(self, stream: Sequence[str], count: int) -> None:
+        # first-seen order is part of the state, so rebuild it
+        self.seen = dict.fromkeys(stream[count:])
+
     def predict(self, context: Sequence[str]) -> list[str]:
         return list(self.seen)
 
@@ -259,38 +329,10 @@ def empty_model(config: PredictorConfig) -> PredictionModel:
 
 
 def train(config: PredictorConfig, training: Iterable[str]) -> PredictionModel:
-    """Build a model from a (possibly empty) training sequence in one batch pass."""
-    sequence = list(training)
+    """Fold ``update`` over a (possibly empty) training sequence from an empty model."""
     model = empty_model(config)
-    if config.algorithm == "dg":
-        window = config.lookahead_window
-        for i, key in enumerate(sequence):
-            for source in sequence[max(0, i - window):i]:
-                targets = model.arc_counts.setdefault(source, {})
-                targets[key] = targets.get(key, 0) + 1
-            model.node_counts[key] = model.node_counts.get(key, 0) + 1
-        model.pending_window.extend(sequence[-window:])
-    elif config.algorithm == "mp":
-        window = config.lookahead_window
-        for i, key in enumerate(sequence):
-            for source in sequence[max(0, i - window):i]:
-                successors = model.successor_lists.setdefault(source, {})
-                successors[key] = successors.get(key, 0) + 1
-        model.pending_window.extend(sequence[-window:])
-    elif config.algorithm == "ppm":
-        order = config.ppm_order
-        model.root.count = len(sequence)
-        for i, key in enumerate(sequence):
-            for start in range(max(0, i - order), i + 1):
-                node = model.root
-                for ctx_key in sequence[start:i]:
-                    node = node.children.setdefault(ctx_key, _TrieNode())
-                child = node.children.setdefault(key, _TrieNode())
-                child.count += 1
-        model.recent_context.extend(sequence[-order:])
-    else:
-        for key in sequence:
-            model.seen.setdefault(key, None)
+    for key in training:
+        model.update(key)
     return model
 
 

@@ -3,7 +3,8 @@
 Each check fuzzes one load-bearing equivalence on freshly generated traces:
 
 * the fast replay engine against the brute-force reference,
-* batch training against folding single-request updates,
+* training against folding single-request updates (one update path),
+* ``forget`` of a prefix against fresh training on what remains,
 * the baseline's guaranteed dominance over every other predictor,
 * the normalization identity (a run normalized against itself is 1).
 
@@ -83,6 +84,30 @@ def check_train_fold(seed: int, sequence_count: int, max_length: int = 60,
     return CheckResult("train-equals-fold", True, cases)
 
 
+def check_forget_equals_fresh(seed: int, sequence_count: int, max_length: int = 60,
+                              max_alphabet: int = 10) -> CheckResult:
+    """train(seq) then forget(seq, count) must serialize as train(seq[count:])."""
+    rng = random.Random(seed)
+    cases = 0
+    for index in range(sequence_count):
+        length = rng.randint(1, max_length)
+        pool = url_pool(rng.randint(2, max_alphabet))
+        keys = [rng.choice(pool) for _ in range(length)]
+        # every other case keeps at most 6 keys, fewer than a long window holds
+        count = rng.randint(max(0, length - 6), length) if index % 2 else rng.randint(0, length)
+        for algorithm in ALGORITHMS:
+            config = random_config(rng, algorithm)
+            slid = train(config, keys)
+            slid.forget(keys, count)
+            cases += 1
+            if model_to_json(slid) != model_to_json(train(config, keys[count:])):
+                return CheckResult(
+                    "forget-equals-fresh", False, cases,
+                    f"seed={seed} sequence={index} algorithm={algorithm} "
+                    f"length={length} count={count}")
+    return CheckResult("forget-equals-fresh", True, cases)
+
+
 def check_naive_dominance(seed: int, trace_count: int) -> CheckResult:
     """Naive recalls bound every algorithm; its hits = previously-seen count."""
     rng = random.Random(seed)
@@ -157,4 +182,5 @@ def run_selftest(seed: int = 0, trace_count: int = 200,
         check_train_fold(seed + 1, sequence_count),
         check_naive_dominance(seed + 2, trace_count),
         check_normalization_identity(seed + 3, trace_count),
+        check_forget_equals_fresh(seed + 4, sequence_count),
     ]

@@ -1,6 +1,6 @@
 """Sliding-window evaluation: many fixed-size models per user across time.
 
-A window of x consecutive requests is split by the training ratio, a fresh
+A window of x consecutive requests is split by the training ratio, the
 model is trained on the front slice, and the back slice is replayed through
 the test engine. The window then slides forward and the process repeats, so
 every model has the same training size and the per-size means reveal where
@@ -8,7 +8,12 @@ additional training data stops paying off (the cut-off point).
 
 The default sliding distance ("auto") equals the test-slice length, so each
 window's test requests fall inside the next window's training slice and no
-request is ever tested twice at the same size.
+request is ever tested twice at the same size. It also means the next
+model need not be trained: replaying a window folds its test slice into the
+model, which then holds the whole window, and forgetting the window's first
+test-slice-length requests leaves exactly the model that training on the
+next window's front slice would build. Only the first window of each size
+is trained; an explicit sliding distance trains every window afresh.
 """
 
 from __future__ import annotations
@@ -113,14 +118,22 @@ class SweepResult:
 
 
 def sweep_user(trace: UserTrace, config: PredictorConfig, spec: SlidingWindowSpec) -> UserSweep:
-    """Evaluate every window of every size on one trace; models never carry over."""
+    """Evaluate every window of every size on one trace.
+
+    Under ``sliding_distance="auto"`` one model per size slides along the
+    trace (see the module docstring); its records equal those of a fresh
+    model per window. A window's ``elapsed_s`` covers train and replay, or
+    for a slid window ``forget`` and replay.
+    """
     keys = trace.url_keys
     n = len(keys)
     trigger_depth = SplitSpec(training_ratio=spec.training_ratio).resolve_trigger_depth(config)
+    slide = spec.sliding_distance == "auto"
     records: list[WindowRecord] = []
     skipped: list[int] = []
     for size in spec.window_sizes:
-        windows = enumerate_windows(n, size, spec.distance_for(size))
+        distance = spec.distance_for(size)
+        windows = enumerate_windows(n, size, distance)
         if not windows:
             skipped.append(size)
             continue
@@ -129,7 +142,11 @@ def sweep_user(trace: UserTrace, config: PredictorConfig, spec: SlidingWindowSpe
             training = keys[start:start + cut]
             test = keys[start + cut:end]
             started = time.perf_counter()
-            model = train(config, training)
+            if slide and index:
+                # the model holds the previous window, which began `distance` earlier
+                model.forget(keys[start - distance:end - distance], distance)
+            else:
+                model = train(config, training)
             outcome = run_test_engine(model, test, training[-trigger_depth:], trigger_depth)
             elapsed = time.perf_counter() - started
             records.append(WindowRecord(

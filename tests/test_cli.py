@@ -391,8 +391,9 @@ def test_selftest_passes_and_writes_report(tmp_path, capsys):
     assert main(["selftest", "--seed", "0", "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     lines = [l for l in stdout.splitlines() if l.strip()]
-    assert len(lines) == 4
+    assert len(lines) == 5
     assert all(l.startswith("ok") for l in lines)
     report = _read_json(out / "selftest.json")
     assert report["command"] == "selftest"
-    assert [c["passed"] for c in report["checks"]] == [True] * 4
+    assert [c["passed"] for c in report["checks"]] == [True] * 5
+    assert "forget-equals-fresh" in [c["name"] for c in report["checks"]]

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from prefetchlab.engine import run_test_engine
 from prefetchlab.predictors import (ALGORITHMS, PredictorConfig, empty_model,
                                     model_to_json, predict, train, update_model)
 
@@ -206,3 +209,77 @@ def test_serialization_is_canonical():
     again = train(_config("dg"), [C, A, B, A])
     assert model_to_json(model) == model_to_json(again)
     assert '"format"' in model_to_json(model)
+
+
+# ---------------------------------------------------------------- forget
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_forget_everything_leaves_an_empty_model(algorithm):
+    config = _config(algorithm)
+    keys = [A, B, A, C, A, B]
+    model = train(config, keys)
+    model.forget(keys, len(keys))
+    assert model_to_json(model) == model_to_json(empty_model(config))
+
+
+def test_dg_forget_trims_window_to_retained_stream():
+    # 4-key window, 1 key retained: a fresh model on [C] remembers only C
+    model = train(_config("dg", lookahead_window=4), [A, B, C])
+    model.forget([A, B, C], 2)
+    assert list(model.pending_window) == [C]
+    assert model.node_counts == {C: 1}
+    assert model.arc_counts == {}
+
+
+def test_mp_forget_drops_emptied_successor_lists():
+    model = train(_config("mp", lookahead_window=2), [A, B, C, B])
+    model.forget([A, B, C, B], 1)
+    assert model.successor_lists == {B: {C: 1, B: 1}, C: {B: 1}}
+    assert list(model.pending_window) == [C, B]
+
+
+def test_ppm_forget_removes_paths_that_began_in_the_prefix():
+    model = train(_config("ppm", ppm_order=2), [A, B, A, C])
+    model.forget([A, B, A, C], 1)
+    assert model_to_json(model) == model_to_json(train(_config("ppm", ppm_order=2), [B, A, C]))
+    assert model.root.count == 3
+    assert B not in model.root.children[A].children  # [A,B] began only at 0
+    assert list(model.recent_context) == [A, C]
+
+
+def test_naive_forget_rebuilds_first_seen_order():
+    model = train(_config("naive"), [A, B, C, A])
+    model.forget([A, B, C, A], 1)
+    assert list(model.seen) == [B, C, A]
+
+
+@st.composite
+def sliding_cases(draw):
+    alphabet = draw(st.integers(1, 6))
+    keys = draw(st.lists(st.sampled_from(KEYS[:alphabet]), min_size=2, max_size=60))
+    size = draw(st.integers(2, len(keys)))
+    return (keys, size, draw(st.floats(0.5, 0.9)),
+            draw(st.integers(1, 5)), draw(st.integers(1, 4)))
+
+
+@given(sliding_cases())
+def test_sliding_with_forget_equals_fresh_training(case):
+    # the sweep's "auto" protocol: replaying window k folds its test slice
+    # into the model, and forgetting one test slice gives window k+1's model
+    keys, size, ratio, window, order = case
+    cut = math.floor(ratio * size)
+    distance = size - cut
+    for algorithm in ALGORITHMS:
+        config = _config(algorithm, lookahead_window=window, ppm_order=order)
+        depth = order if algorithm == "ppm" else 1
+        slid = None
+        for start in range(0, len(keys) - size + 1, distance):
+            training, test = keys[start:start + cut], keys[start + cut:start + size]
+            fresh = train(config, training)
+            if slid is None:
+                slid = train(config, training)
+            else:
+                slid.forget(keys[start - distance:start - distance + size], distance)
+            assert model_to_json(slid) == model_to_json(fresh)
+            assert (run_test_engine(slid, test, training[-depth:], depth)
+                    == run_test_engine(fresh, test, training[-depth:], depth))

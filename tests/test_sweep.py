@@ -121,6 +121,24 @@ def test_sweep_user_records_match_fresh_per_window_models():
     assert record.outcome == expected
 
 
+@pytest.mark.parametrize("algorithm", ["dg", "ppm", "mp", "naive"])
+def test_auto_distance_records_equal_fresh_training_at_that_distance(algorithm):
+    # "auto" slides one model per size; an explicit distance trains every
+    # window afresh, so at the same distance it is the slid path's oracle
+    trace = _trace("u1", [f"https://site.example/p{(i * i + i // 3) % 7}" for i in range(60)])
+    config = PredictorConfig(algorithm=algorithm, lookahead_window=3, ppm_order=3)
+    auto = SlidingWindowSpec(window_sizes=(3, 5, 12, 40), training_ratio=0.7)
+    slid = sweep_user(trace, config, auto)
+    assert slid.records
+    for size in auto.window_sizes:
+        fixed = SlidingWindowSpec(window_sizes=(size,), training_ratio=0.7,
+                                  sliding_distance=auto.distance_for(size))
+        fresh = sweep_user(trace, config, fixed)
+        got = [(r.window_index, r.outcome, r.metrics)
+               for r in slid.records if r.window_size == size]
+        assert got == [(r.window_index, r.outcome, r.metrics) for r in fresh.records]
+
+
 def test_sweep_user_skips_sizes_longer_than_trace():
     trace = _trace("u1", _urls(6))
     spec = SlidingWindowSpec(window_sizes=(5, 50))
