@@ -15,7 +15,7 @@ from .metrics import (MetricsReport, aggregate_reports, dynamic_recall, metrics_
                       normalize_against_naive, static_precision, static_recall,
                       static_recall_strict)
 from .predictors import (ALGORITHMS, PredictionModel, PredictorConfig, empty_model,
-                         model_to_dict, model_to_json, predict, train, update_model)
+                         model_to_dict, model_to_json, train)
 from .pruning import PruneResult, PruneSpec, STRATEGIES, domain_cutoff_filter, prune
 from .sweep import (SlidingWindowSpec, SweepResult, WindowRecord, cutoff_scan,
                     enumerate_windows, run_sweep, sweep_user)
@@ -62,7 +62,6 @@ __all__ = [
     "model_to_json",
     "normalize_against_naive",
     "parse_domain",
-    "predict",
     "prune",
     "read_trace_files",
     "remove_outlier_users",
@@ -78,7 +77,6 @@ __all__ = [
     "train",
     "uniform_trace",
     "uniform_traces",
-    "update_model",
     "url_pool",
     "write_log",
     "write_trace_files",

@@ -6,13 +6,19 @@ the worker count are the only nondeterministic values, so they live in a
 dedicated "runtime" section (JSON) or column (CSV) that consumers and
 golden-file comparisons can drop.
 
-Parallel runs use a process pool over per-user jobs with an order-preserving
-map, so the worker count never changes any output outside "runtime".
+The unit of work is the user. ``evaluate`` and ``sweep`` make one job per
+user that runs every algorithm on that user's trace (for ``evaluate
+--prune``, both unpruned and pruned), and map the jobs in order over at most
+one process pool per command, so the worker count never changes any output
+outside "runtime". ``evaluate()`` is the library form of the evaluate
+command: it returns the report.json dict, and ``cmd_evaluate`` only loads
+the input and writes the files.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -22,14 +28,15 @@ from pathlib import Path
 from .engine import RunResult, SplitSpec, TraceTooShortError, run_user, split
 from .ingest import (FORMATS, LogParseError, load_traces, read_trace_files,
                      remove_outlier_users, write_trace_files)
-from .metrics import (METRIC_NAMES, NORMALIZED_NAMES, MetricsReport, aggregate_reports,
-                      metrics_report, normalize_against_naive)
+from .metrics import (METRIC_NAMES, NORMALIZED_NAMES, aggregate_reports, metrics_report,
+                      normalize_against_naive)
 from .predictors import (ALGORITHMS, DEFAULT_LOOKAHEAD_WINDOW, DEFAULT_PPM_ORDER,
                          DEFAULT_TOP_N, PredictorConfig)
 from .pruning import STRATEGIES, PruneSpec, domain_cutoff_filter
 from .selftest import run_selftest
 from .sweep import (DEFAULT_CUTOFF_EPSILON, DEFAULT_WINDOW_SIZES, SWEEP_METRICS,
-                    SlidingWindowSpec, build_sweep_result, cutoff_scan, sweep_user)
+                    SlidingWindowSpec, UserSweep, build_sweep_result, cutoff_scan,
+                    sweep_user)
 from .traces import UserTrace, repetition_stats
 
 REPORT_FORMAT = "prefetchlab-report/v1"
@@ -167,35 +174,49 @@ def cmd_stats(args) -> int:
 
 # ---------------------------------------------------------------- evaluate
 
-def _evaluate_job(payload) -> RunResult:
-    config, spec, prune_spec, trace = payload
-    return run_user(trace, config, spec, prune_spec)
+def _evaluate_job(payload) -> list[list[RunResult]]:
+    """One user's runs: per prune regime (unpruned first), one per config."""
+    trace, configs, spec, prune_specs = payload
+    return [[run_user(trace, config, spec, prune_spec) for config in configs]
+            for prune_spec in prune_specs]
 
 
-def _normalized(reports: dict[tuple[str, str], MetricsReport],
-                algorithms: list[str], users: list[str]) -> dict:
-    if "naive" not in algorithms:
-        return dict(reports)
-    return {
-        (a, uid): normalize_against_naive(reports[(a, uid)], reports[("naive", uid)])
-        for a in algorithms for uid in users
-    }
+def _score(runs: dict[str, dict[str, RunResult]]) -> tuple[dict, dict]:
+    """Per-run metrics and per-algorithm aggregates of one regime's runs[algorithm][user].
+
+    Recalls are normalised against the same user's naive run when naive ran.
+    """
+    reports = {a: {uid: metrics_report(uid, a, rr.outcome) for uid, rr in per_user.items()}
+               for a, per_user in runs.items()}
+    if "naive" in reports:
+        naive = reports["naive"]
+        reports = {a: {uid: normalize_against_naive(r, naive[uid]) for uid, r in per_user.items()}
+                   for a, per_user in reports.items()}
+    aggregates = {a: aggregate_reports(per_user.values()) for a, per_user in reports.items()}
+    return reports, aggregates
 
 
-def cmd_evaluate(args) -> int:
+def evaluate(traces: dict[str, UserTrace], configs: list[PredictorConfig], spec: SplitSpec,
+             prune_spec: PruneSpec | None = None, domain_cutoff: float | None = None,
+             workers: int = 1) -> dict:
+    """Train, replay and score every user under every config; returns report.json.
+
+    Users whose trace empties under ``domain_cutoff`` or is too short to
+    split are skipped with a reason. Each remaining user is one job that runs
+    every config, unpruned and, with a ``prune_spec``, pruned; the pruned
+    runs are then the primary results and the unpruned ones the baseline.
+    """
     started = time.perf_counter()
-    traces = _load_input(args.input, args.format, args.strict)
-    algorithms = _algo_list(args)
-    spec = SplitSpec(training_ratio=args.ratio)
-    configs = {a: _predictor_config(args, a) for a in algorithms}
-    prune_spec = PruneSpec(args.prune, args.keep_fraction) if args.prune else None
+    algorithms = [c.algorithm for c in configs]
+    if len(set(algorithms)) != len(algorithms):
+        raise ValueError(f"one config per algorithm, got {algorithms}")
 
     eligible: dict[str, UserTrace] = {}
     skips: dict[str, str] = {}
     for uid in sorted(traces):
         trace = traces[uid]
-        if args.domain_cutoff is not None:
-            trace = domain_cutoff_filter(trace, args.domain_cutoff)
+        if domain_cutoff is not None:
+            trace = domain_cutoff_filter(trace, domain_cutoff)
             if len(trace) == 0:
                 skips[uid] = "all domains below repeated-request cut-off"
                 continue
@@ -205,55 +226,37 @@ def cmd_evaluate(args) -> int:
             skips[uid] = "too short to split"
             continue
         eligible[uid] = trace
-    users = sorted(eligible)
+    users = list(eligible)
 
-    jobs: list[tuple[str, str, bool]] = []
-    payloads: list[tuple] = []
-    regimes = [(False, None)] + ([(True, prune_spec)] if prune_spec else [])
-    for pruned, pspec in regimes:
-        for a in algorithms:
-            for uid in users:
-                jobs.append((a, uid, pruned))
-                payloads.append((configs[a], spec, pspec, eligible[uid]))
-    outcomes = _run_jobs(_evaluate_job, payloads, args.workers)
+    regimes = [None, prune_spec] if prune_spec else [None]
+    jobs = _run_jobs(_evaluate_job, [(eligible[uid], configs, spec, regimes) for uid in users],
+                     workers)
+    # runs[regime][algorithm][user]
+    runs = [{a: {} for a in algorithms} for _ in regimes]
+    for uid, user_runs in zip(users, jobs):
+        for regime_runs, config_runs in zip(runs, user_runs):
+            for a, rr in zip(algorithms, config_runs):
+                regime_runs[a][uid] = rr
+    primary = runs[-1]
+    reports, aggregates = _score(primary)
 
-    base_runs: dict[tuple[str, str], RunResult] = {}
-    pruned_runs: dict[tuple[str, str], RunResult] = {}
-    for (a, uid, pruned), rr in zip(jobs, outcomes):
-        (pruned_runs if pruned else base_runs)[(a, uid)] = rr
-
-    primary = pruned_runs if prune_spec else base_runs
-    reports = _normalized(
-        {key: metrics_report(key[1], key[0], rr.outcome) for key, rr in primary.items()},
-        algorithms, users)
-    aggregates = {a: aggregate_reports([reports[(a, uid)] for uid in users])
-                  for a in algorithms}
-
-    results_section: dict[str, dict] = {}
+    results = {}
     for a in algorithms:
-        per_user = {}
+        results[a] = {}
         for uid in users:
-            entry = {
-                "outcome": primary[(a, uid)].outcome.to_dict(),
-                "metrics": reports[(a, uid)].to_dict(),
-            }
+            entry = {"outcome": primary[a][uid].outcome.to_dict(),
+                     "metrics": reports[a][uid].to_dict()}
             if prune_spec:
-                prune_result = primary[(a, uid)].prune_result
+                prune_result = primary[a][uid].prune_result
                 entry["prune"] = prune_result.to_dict() if prune_result else None
-            per_user[uid] = entry
-        results_section[a] = per_user
+            results[a][uid] = entry
 
     pruning_section = None
     if prune_spec:
-        base_reports = _normalized(
-            {key: metrics_report(key[1], key[0], rr.outcome) for key, rr in base_runs.items()},
-            algorithms, users)
-        base_aggregates = {a: aggregate_reports([base_reports[(a, uid)] for uid in users])
-                           for a in algorithms}
+        _, base_aggregates = _score(runs[0])
         # the prune result depends only on (training, spec): identical across algorithms
-        reductions = [primary[(algorithms[0], uid)].prune_result.size_reduction
-                      for uid in users
-                      if primary[(algorithms[0], uid)].prune_result is not None]
+        reductions = [rr.prune_result.size_reduction for rr in primary[algorithms[0]].values()
+                      if rr.prune_result is not None]
         delta_means = {}
         for a in algorithms:
             deltas = {}
@@ -274,64 +277,62 @@ def cmd_evaluate(args) -> int:
             "delta_means": delta_means,
         }
 
-    per_model_ms = {}
-    for a in algorithms:
-        samples = [rr.elapsed_s * 1000 for (alg, _uid), rr in sorted(base_runs.items())
-                   if alg == a]
-        samples += [rr.elapsed_s * 1000 for (alg, _uid), rr in sorted(pruned_runs.items())
-                    if alg == a]
-        per_model_ms[a] = _timing_summary(samples)
-
-    report = {
+    per_model_ms = {a: _timing_summary([regime_runs[a][uid].elapsed_s * 1000
+                                        for regime_runs in runs for uid in users])
+                    for a in algorithms}
+    return {
         "format": REPORT_FORMAT,
         "command": "evaluate",
         "config": {
             "algorithms": algorithms,
             "split": spec.to_dict(),
-            "predictors": {a: configs[a].to_dict() for a in algorithms},
+            "predictors": {c.algorithm: c.to_dict() for c in configs},
             "prune": (None if not prune_spec
                       else {"strategy": prune_spec.strategy,
                             "keep_fraction": prune_spec.keep_fraction}),
-            "domain_cutoff": args.domain_cutoff,
+            "domain_cutoff": domain_cutoff,
         },
         "users": {"loaded": len(traces), "evaluated": len(users), "skipped": skips},
-        "results": results_section,
+        "results": results,
         "aggregates": aggregates,
         "pruning": pruning_section,
         "runtime": {
-            "workers": args.workers,
+            "workers": workers,
             "elapsed_s": time.perf_counter() - started,
             "per_model_ms": per_model_ms,
         },
     }
+
+
+def cmd_evaluate(args) -> int:
+    traces = _load_input(args.input, args.format, args.strict)
+    spec = SplitSpec(training_ratio=args.ratio)
+    configs = [_predictor_config(args, a) for a in _algo_list(args)]
+    prune_spec = PruneSpec(args.prune, args.keep_fraction) if args.prune else None
+    report = evaluate(traces, configs, spec, prune_spec, args.domain_cutoff, args.workers)
     out = Path(args.out)
     _write_json(out / "report.json", report)
-    _write_metrics_csv(out / "metrics.csv", reports, algorithms, users)
+    _write_metrics_csv(out / "metrics.csv", report)
 
-    print(f"users: {len(users)} evaluated, {len(skips)} skipped")
-    for a in algorithms:
+    users = report["users"]
+    print(f"users: {users['evaluated']} evaluated, {len(users['skipped'])} skipped")
+    for a, aggregate in report["aggregates"].items():
         cells = []
         for name, label in (("static_precision", "SP"), ("static_recall", "SR"),
                             ("dynamic_recall", "DR")):
-            mean = aggregates[a][name]["mean"]
+            mean = aggregate[name]["mean"]
             cells.append(f"{label} {'n/a' if mean is None else f'{mean:.3f}'}")
         print(f"{a:<6} {'  '.join(cells)}")
     print(f"report: {out / 'report.json'}")
     return 0
 
 
-def _write_metrics_csv(path: Path, reports: dict[tuple[str, str], MetricsReport],
-                       algorithms: list[str], users: list[str]) -> None:
-    import csv
-
+def _write_metrics_csv(path: Path, report: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for a in algorithms:
-        for uid in users:
-            r = reports[(a, uid)]
-            for name in ALL_METRIC_NAMES:
-                rows.append((uid, a, name, _fmt(getattr(r, name))))
-    rows.sort()
+    rows = sorted((uid, a, name, _fmt(entry["metrics"][name]))
+                  for a, per_user in report["results"].items()
+                  for uid, entry in per_user.items()
+                  for name in ALL_METRIC_NAMES)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["user_id", "algorithm", "metric", "value"])
@@ -340,29 +341,30 @@ def _write_metrics_csv(path: Path, reports: dict[tuple[str, str], MetricsReport]
 
 # ---------------------------------------------------------------- sweep
 
-def _sweep_job(payload):
-    config, swspec, trace = payload
-    return sweep_user(trace, config, swspec)
+def _sweep_job(payload) -> list[UserSweep]:
+    """One user's sweep under each config."""
+    trace, configs, swspec = payload
+    return [sweep_user(trace, config, swspec) for config in configs]
 
 
 def cmd_sweep(args) -> int:
     started = time.perf_counter()
     traces = _load_input(args.input, args.format, args.strict)
-    algorithms = _algo_list(args)
     swspec = SlidingWindowSpec(
         window_sizes=tuple(args.sizes) if args.sizes else DEFAULT_WINDOW_SIZES,
         training_ratio=args.ratio,
     )
+    configs = [_predictor_config(args, a) for a in _algo_list(args)]
     users = sorted(traces)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    jobs = _run_jobs(_sweep_job, [(traces[uid], configs, swspec) for uid in users],
+                     args.workers)
     algo_sections = {}
-    for a in algorithms:
-        config = _predictor_config(args, a)
-        payloads = [(config, swspec, traces[uid]) for uid in users]
-        per_user = _run_jobs(_sweep_job, payloads, args.workers)
-        result = build_sweep_result(a, per_user, swspec)
+    for i, config in enumerate(configs):
+        a = config.algorithm
+        result = build_sweep_result(a, [user_sweeps[i] for user_sweeps in jobs], swspec)
 
         _write_sweep_rows_csv(out / f"sweep_{a}.csv", result)
         _write_sweep_means_csv(out / f"sweep_{a}_means.csv", result, swspec)
@@ -389,9 +391,9 @@ def cmd_sweep(args) -> int:
         "format": SWEEP_FORMAT,
         "command": "sweep",
         "config": {
-            "algorithms": algorithms,
+            "algorithms": [c.algorithm for c in configs],
             "window": swspec.to_dict(),
-            "predictors": {a: _predictor_config(args, a).to_dict() for a in algorithms},
+            "predictors": {c.algorithm: c.to_dict() for c in configs},
         },
         "users": len(users),
         "algorithms_results": algo_sections,
@@ -402,8 +404,6 @@ def cmd_sweep(args) -> int:
 
 
 def _write_sweep_rows_csv(path: Path, result) -> None:
-    import csv
-
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["window_size", "window_index", "user_id", "static_precision",
@@ -419,8 +419,6 @@ def _write_sweep_rows_csv(path: Path, result) -> None:
 
 
 def _write_sweep_means_csv(path: Path, result, swspec: SlidingWindowSpec) -> None:
-    import csv
-
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["window_size", "metric", "mean", "count"])

@@ -4,7 +4,9 @@ trace store that ``ingest`` writes and the other commands read.
 Input formats (declared, not sniffed):
 
 * csv   — header ``user_id,timestamp_ms,method,url``, UTF-8, RFC-4180 quoting
-* jsonl — one object per line with the same four fields
+* jsonl — one object per line with the same four fields: ``user_id`` a
+  string or an integer, ``method`` and ``url`` strings, ``timestamp_ms`` an
+  integer, an integer-valued number or an integer string (as in CSV)
 
 Rows with a non-GET method are dropped (counted, not an error). Malformed
 rows are a per-row error carrying the line number; in the default lenient
@@ -19,7 +21,7 @@ import statistics
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .traces import Request, UserTrace, parse_domain
 
@@ -92,11 +94,6 @@ class OutlierReport:
         }
 
 
-def filter_get(records: Iterable[RawLogRecord]) -> list[RawLogRecord]:
-    """Keep only GET records, order preserved. Methods are already uppercased."""
-    return [r for r in records if r.method == "GET"]
-
-
 def _parse_csv_row(line_no: int, row: list[str]) -> RawLogRecord:
     if len(row) != 4:
         raise LogParseError(line_no, f"expected 4 fields, got {len(row)}")
@@ -114,7 +111,17 @@ def _parse_jsonl_row(line_no: int, line: str) -> RawLogRecord:
     missing = [k for k in CSV_HEADER if k not in obj]
     if missing:
         raise LogParseError(line_no, f"missing fields: {', '.join(missing)}")
-    return _build_record(line_no, str(obj["user_id"]), obj["timestamp_ms"], str(obj["method"]), str(obj["url"]))
+    # type(), not isinstance(): JSON true/false load as bool, a subclass of int
+    for key in ("user_id", "method", "url"):
+        value = obj[key]
+        if not (type(value) is str or (key == "user_id" and type(value) is int)):
+            raise LogParseError(line_no, f"{key} is not a string: {value!r}")
+    ts = obj["timestamp_ms"]
+    if type(ts) is float and ts.is_integer():
+        ts = int(ts)
+    elif type(ts) not in (int, str):  # a string goes through int() as CSV text does
+        raise LogParseError(line_no, f"timestamp_ms is not an integer: {ts!r}")
+    return _build_record(line_no, str(obj["user_id"]), ts, obj["method"], obj["url"])
 
 
 def _build_record(line_no: int, user_id: str, ts_raw, method: str, url: str) -> RawLogRecord:

@@ -336,17 +336,6 @@ def train(config: PredictorConfig, training: Iterable[str]) -> PredictionModel:
     return model
 
 
-def predict(model: PredictionModel, context: Sequence[str]) -> list[str]:
-    """Rank candidate next requests given the most-recent-last context."""
-    return model.predict(context)
-
-
-def update_model(model: PredictionModel, key: str) -> PredictionModel:
-    """Feed one more request into the model (in place); returns the model."""
-    model.update(key)
-    return model
-
-
 def model_to_dict(model: PredictionModel) -> dict:
     """Versioned, JSON-ready snapshot of the full model state."""
     return {

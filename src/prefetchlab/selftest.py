@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .engine import SplitSpec, run_user, split
 from .metrics import metrics_report, normalize_against_naive
 from .oracle import count_previously_seen, oracle_run
-from .predictors import ALGORITHMS, PredictorConfig, empty_model, model_to_json, train, update_model
+from .predictors import ALGORITHMS, PredictorConfig, empty_model, model_to_json, train
 from .synth import random_config, uniform_trace, url_pool
 from .traces import Request, UserTrace
 
@@ -63,7 +63,7 @@ def check_oracle_equivalence(seed: int, trace_count: int, max_length: int = 100,
 
 def check_train_fold(seed: int, sequence_count: int, max_length: int = 60,
                      max_alphabet: int = 10) -> CheckResult:
-    """train(seq) and folding update_model over seq must serialize identically."""
+    """train(seq) and folding model.update over seq must serialize identically."""
     rng = random.Random(seed)
     cases = 0
     for index in range(sequence_count):
@@ -75,7 +75,7 @@ def check_train_fold(seed: int, sequence_count: int, max_length: int = 60,
             batch = train(config, keys)
             folded = empty_model(config)
             for key in keys:
-                update_model(folded, key)
+                folded.update(key)
             cases += 1
             if model_to_json(batch) != model_to_json(folded):
                 return CheckResult(

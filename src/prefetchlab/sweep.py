@@ -31,7 +31,6 @@ from .traces import UserTrace
 DEFAULT_WINDOW_SIZES = (50, 100, 200, 300, 400, 500, 600, 700, 800, 900, 1000)
 DEFAULT_CUTOFF_EPSILON = 0.005
 SWEEP_METRICS = ("static_precision", "static_recall", "dynamic_recall")
-TRENDS = ("positive", "negative", "flat")
 
 
 @dataclass(frozen=True)

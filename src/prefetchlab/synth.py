@@ -18,7 +18,7 @@ import random
 from pathlib import Path
 from typing import Iterable
 
-from .predictors import ALGORITHMS, PredictorConfig
+from .predictors import PredictorConfig
 from .traces import Request, UserTrace
 
 _BASE_TS = 1_600_000_000_000  # fixed epoch so fixtures stay stable
@@ -101,10 +101,6 @@ def random_config(rng: random.Random, algorithm: str) -> PredictorConfig:
         ppm_order=rng.randint(1, 3),
         top_n=rng.randint(1, 6),
     )
-
-
-def random_configs(rng: random.Random) -> list[PredictorConfig]:
-    return [random_config(rng, algorithm) for algorithm in ALGORITHMS]
 
 
 def write_log(traces: Iterable[UserTrace] | dict[str, UserTrace], path: str | Path,

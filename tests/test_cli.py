@@ -1,11 +1,17 @@
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import json
 
 import pytest
 
-from prefetchlab.cli import main
+from prefetchlab.cli import evaluate, main
+from prefetchlab.engine import SplitSpec
+from prefetchlab.ingest import load_traces
+from prefetchlab.predictors import ALGORITHMS, PredictorConfig
+from prefetchlab.pruning import PruneSpec
 from prefetchlab.synth import bursty_traces, write_log
 
 HEADER = "user_id,timestamp_ms,method,url\n"
@@ -382,6 +388,126 @@ def test_sweep_rejects_bad_size_list(tmp_path, capsys):
         main(["sweep", "--input", str(log), "--out", str(tmp_path / "o"),
               "--sizes", "5,banana", "--workers", "1"])
     assert "bad size list" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- golden digests
+
+# SHA-256 of every output of one seeded run per command, with the wall-clock
+# parts dropped (report "runtime", sweep "runtime" and the "elapsed_ms"
+# column). Recorded before evaluate and sweep moved to per-user jobs; any
+# change to a number, a key or the layout of these files changes a digest.
+GOLDEN_DIGESTS = {
+    "evaluate-cutoff": {
+        "metrics.csv":
+            "c9f3ee0e8ae578b42237543abf15fcd04fa6f9ea7f3d74b0f495852fc2dbef5d",
+        "report.json":
+            "ca014382b1ef98d393760673f45c0c74a9991bde3afea9aa81e3611346ffc38e",
+    },
+    "evaluate-prune": {
+        "metrics.csv":
+            "6121f8632be9d47cb1951b4a1dc38d72ef0766c7b85c595f3a61e258946d4bd5",
+        "report.json":
+            "06c3dc56d8e60e0ed75138cfcf1886fa04fe52996c933c9c6c7c088e439274b2",
+    },
+    "sweep": {
+        "sweep_dg.csv":
+            "bf60890a53969e2794540a7004bc3e69f461365c199ccc3e9975033adbf965c3",
+        "sweep_dg_means.csv":
+            "56da3974f13b42e51769cd1b4846c941ed4fd141ad53dd7d21d30f09b6652e8d",
+        "sweep_mp.csv":
+            "2841b4fa69d9671aea5cb261d172eab5c5d7c85afbb8aae2b07d3436008a0095",
+        "sweep_mp_means.csv":
+            "3b6409d34c4b4f987fdd02575dd02a96626e59ed9ab90327a95f7d01851caddd",
+        "sweep_naive.csv":
+            "67de0a95a5b4223bccdfdaa75c35ce8542ac032823d764db028e87c6bb0e030b",
+        "sweep_naive_means.csv":
+            "03c0555b5b9ec01a60b2d1b1d6fdae599b5bdfba1311187b3d10f707fe629010",
+        "sweep_ppm.csv":
+            "a59406f2d1dcf96c5efdccd646c66e3035e923103ca0014a80c310c28da599a4",
+        "sweep_ppm_means.csv":
+            "3eb190292e0fa468422ea2e925437a8597db7ddb14961f61df56ba8fe3dd4863",
+        "sweep_summary.json":
+            "07e614e8db04c6c70373e2adeb2514836e273a35abfc13e689ba1a5bba5911c8",
+    },
+}
+
+
+def _golden_log(tmp_path):
+    traces = bursty_traces(seed=11, count=6, min_length=60, max_length=140,
+                           repertoire_size=12, noise_rate=0.15)
+    log = write_log(traces, tmp_path / "golden.csv")
+    with log.open("a", encoding="utf-8") as fh:  # a user every evaluate run skips
+        fh.write("short,1600000000000,GET,https://one.example/x\n")
+    return log
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _json_digest(path) -> str:
+    obj = _read_json(path)
+    obj.pop("runtime")
+    return _sha(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode())
+
+
+def _rows_digest_without_elapsed(path) -> str:
+    with path.open(encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][-1] == "elapsed_ms"
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(row[:-1] for row in rows)
+    return _sha(buf.getvalue().encode())
+
+
+def _output_digests(out) -> dict[str, str]:
+    digests = {}
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".json":
+            digests[path.name] = _json_digest(path)
+        elif path.name.endswith("_means.csv") or path.name == "metrics.csv":
+            digests[path.name] = _sha(path.read_bytes())
+        else:
+            digests[path.name] = _rows_digest_without_elapsed(path)
+    return digests
+
+
+GOLDEN_RUNS = {
+    "evaluate-prune": ["evaluate", "--prune", "mor"],
+    "evaluate-cutoff": ["evaluate", "--domain-cutoff", "0.1"],
+    "sweep": ["sweep", "--sizes", "10,20,40"],
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("run", sorted(GOLDEN_RUNS))
+def test_outputs_match_recorded_digests(tmp_path, run, workers):
+    log = _golden_log(tmp_path)
+    out = tmp_path / "out"
+    argv = GOLDEN_RUNS[run] + ["--input", str(log), "--out", str(out), "--workers", workers]
+    assert main(argv) == 0
+    assert _output_digests(out) == GOLDEN_DIGESTS[run]
+
+
+def test_library_evaluate_returns_the_report_the_command_writes(tmp_path):
+    log = _golden_log(tmp_path)
+    out = tmp_path / "out"
+    assert main(["evaluate", "--input", str(log), "--out", str(out), "--workers", "1",
+                 "--prune", "mor", "--domain-cutoff", "0.1"]) == 0
+    written = _read_json(out / "report.json")
+    traces, _ = load_traces(log)
+    report = evaluate(traces, [PredictorConfig(a) for a in ALGORITHMS],
+                      SplitSpec(training_ratio=0.8), PruneSpec("mor", 0.2), domain_cutoff=0.1)
+    assert report["runtime"]["workers"] == 1
+    written.pop("runtime")
+    report.pop("runtime")
+    assert report == written
+
+
+def test_library_evaluate_rejects_two_configs_for_one_algorithm():
+    traces = bursty_traces(seed=3, count=2, min_length=20, max_length=20)
+    with pytest.raises(ValueError, match="one config per algorithm"):
+        evaluate(traces, [PredictorConfig("dg"), PredictorConfig("dg", top_n=2)], SplitSpec())
 
 
 # ---------------------------------------------------------------- selftest

@@ -52,6 +52,51 @@ def test_load_jsonl(tmp_path):
     assert summary.kept == 2
 
 
+GOOD_JSONL_ROW = {"user_id": "u1", "timestamp_ms": 1, "method": "GET",
+                  "url": "https://a.example/x"}
+
+# JSON values that str()/int() would coerce into a plausible field
+HOSTILE_JSONL_FIELDS = [
+    ("user_id", None), ("user_id", True), ("user_id", 1.5), ("user_id", ["u1"]),
+    ("user_id", {"id": "u1"}),
+    ("url", None), ("url", False), ("url", 3), ("url", ["https://a.example/y"]), ("url", {}),
+    ("method", None), ("method", True), ("method", ["GET"]),
+    ("timestamp_ms", None), ("timestamp_ms", True), ("timestamp_ms", 1.9),
+    ("timestamp_ms", [2]), ("timestamp_ms", {}), ("timestamp_ms", float("inf")),
+    ("timestamp_ms", float("nan")),
+]
+
+
+def _jsonl_with(tmp_path, field, value):
+    bad = dict(GOOD_JSONL_ROW, timestamp_ms=2)
+    bad[field] = value
+    return _write(tmp_path, "log.jsonl",
+                  json.dumps(GOOD_JSONL_ROW) + "\n" + json.dumps(bad) + "\n")
+
+
+@pytest.mark.parametrize(("field", "value"), HOSTILE_JSONL_FIELDS)
+def test_jsonl_field_of_wrong_type_is_malformed(tmp_path, field, value):
+    path = _jsonl_with(tmp_path, field, value)
+    traces, summary = load_traces(path, fmt="jsonl")
+    assert summary.skipped_malformed == 1
+    assert summary.errors[0].startswith(f"line 2: {field}")
+    assert list(traces) == ["u1"] and traces["u1"].url_keys == ["https://a.example/x"]
+    with pytest.raises(LogParseError) as err:
+        load_traces(path, fmt="jsonl", strict=True)
+    assert err.value.line_no == 2
+
+
+def test_jsonl_accepts_integer_user_ids_and_integer_valued_timestamps(tmp_path):
+    rows = [dict(GOOD_JSONL_ROW, user_id=7, timestamp_ms=5.0),
+            dict(GOOD_JSONL_ROW, user_id=7, timestamp_ms="6"),
+            dict(GOOD_JSONL_ROW, user_id=7, timestamp_ms=4)]
+    path = _write(tmp_path, "log.jsonl", "\n".join(json.dumps(r) for r in rows) + "\n")
+    traces, summary = load_traces(path, fmt="jsonl", strict=True)
+    assert summary.skipped_malformed == 0
+    assert [r.timestamp for r in traces["7"].requests] == [4, 5, 6]
+    assert all(type(r.timestamp) is int for r in traces["7"].requests)
+
+
 def test_lenient_mode_counts_malformed_rows(tmp_path):
     path = _write(tmp_path, "log.csv", CSV_HEADER + "\n".join([
         "u1,100,GET,https://a.example/1",

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from prefetchlab.engine import run_test_engine
 from prefetchlab.predictors import (ALGORITHMS, PredictorConfig, empty_model,
-                                    model_to_json, predict, train, update_model)
+                                    model_to_json, train)
 
 KEYS = [f"https://k{i}.example/p" for i in range(6)]
 A, B, C = "A", "B", "C"
@@ -50,7 +50,7 @@ def test_dg_train_window_2_abc():
 
 def test_dg_predict_ties_break_lexicographically():
     model = train(_config("dg", lookahead_window=2), [A, B, C])
-    assert predict(model, [A]) == [B, C]  # both weight 1.0
+    assert model.predict([A]) == [B, C]  # both weight 1.0
 
 
 def test_dg_weight_can_exceed_one():
@@ -58,28 +58,28 @@ def test_dg_weight_can_exceed_one():
     model = train(_config("dg", lookahead_window=2), [A, B, B])
     assert model.arc_counts[A][B] == 2
     assert model.node_counts[A] == 1  # weight A->B = 2.0
-    assert predict(model, [A]) == [B]
+    assert model.predict([A]) == [B]
 
 
 def test_dg_threshold_filters():
     # weights from A: B=2/3, C=1/3
     model = train(_config("dg", lookahead_window=1, confidence_threshold=0.5),
                   [A, B, A, B, A, C])
-    assert predict(model, [A]) == [B]
+    assert model.predict([A]) == [B]
     at_third = train(_config("dg", lookahead_window=1, confidence_threshold=1 / 3),
                      [A, B, A, B, A, C])
-    assert predict(at_third, [A]) == [B, C]  # threshold comparison is inclusive
+    assert at_third.predict([A]) == [B, C]  # threshold comparison is inclusive
 
 
 def test_dg_unknown_context_predicts_nothing():
     model = train(_config("dg"), [A, B])
-    assert predict(model, ["never-seen"]) == []
-    assert predict(model, []) == []
+    assert model.predict(["never-seen"]) == []
+    assert model.predict([]) == []
 
 
 def test_dg_update_adds_arcs_from_window():
     model = train(_config("dg", lookahead_window=2), [A, B])
-    update_model(model, C)
+    model.update(C)
     assert model.arc_counts[A] == {B: 1, C: 1}
     assert model.arc_counts[B] == {C: 1}
 
@@ -104,12 +104,12 @@ def test_mp_train_window_2():
 
 def test_mp_top_n_and_tie_break():
     model = train(_config("mp", lookahead_window=2, top_n=1), [A, B, A, B, A])
-    assert predict(model, [A]) == [A]  # A ties B at 2; lexicographic
+    assert model.predict([A]) == [A]  # A ties B at 2; lexicographic
 
 
 def test_mp_never_exceeds_top_n():
     model = train(_config("mp", lookahead_window=4, top_n=2), [A, B, C, A, B, C, A])
-    assert len(predict(model, [A])) <= 2
+    assert len(model.predict([A])) <= 2
 
 
 # ---------------------------------------------------------------- ppm
@@ -120,14 +120,14 @@ def test_ppm_order_1_deterministic_successor():
     assert root.count == 4
     assert root.children[A].count == 2
     assert root.children[A].children[B].count == 2  # P(B|A) = 1.0
-    assert predict(model, [A]) == [B]
+    assert model.predict([A]) == [B]
 
 
 def test_ppm_update_extends_all_context_paths():
     # order 2: train [A], then feed B and A
     model = train(_config("ppm", ppm_order=2), [A])
-    update_model(model, B)
-    update_model(model, A)
+    model.update(B)
+    model.update(A)
     state = model.state_dict()
     trie = state["trie"]
     assert trie["count"] == 3
@@ -141,17 +141,17 @@ def test_ppm_update_extends_all_context_paths():
 def test_ppm_longest_suffix_wins():
     # context [B, A]: suffix [B,A] is always followed by C, bare [A] mostly by B
     model = train(_config("ppm", ppm_order=2), [B, A, C, A, B, A, C])
-    assert predict(model, [B, A]) == [C]
+    assert model.predict([B, A]) == [C]
 
 
 def test_ppm_falls_back_on_unknown_prefix():
     model = train(_config("ppm", ppm_order=2), [A, B, A, B])
-    assert predict(model, ["never-seen", A]) == [B]
+    assert model.predict(["never-seen", A]) == [B]
 
 
 def test_ppm_childless_suffix_falls_through_to_empty():
     model = train(_config("ppm", ppm_order=1), [A, B])
-    assert predict(model, [B]) == []  # B only ever ends the sequence
+    assert model.predict([B]) == []  # B only ever ends the sequence
 
 
 def test_ppm_probabilities_at_most_one():
@@ -169,9 +169,9 @@ def test_ppm_probabilities_at_most_one():
 
 def test_naive_first_seen_order():
     model = train(_config("naive"), [B, A, B, C, A])
-    assert predict(model, []) == [B, A, C]
-    update_model(model, "D")
-    assert predict(model, [A]) == [B, A, C, "D"]
+    assert model.predict([]) == [B, A, C]
+    model.update("D")
+    assert model.predict([A]) == [B, A, C, "D"]
 
 
 def test_naive_train_example():
@@ -190,7 +190,7 @@ def test_train_equals_folded_updates(keys, algorithm):
     batch = train(config, keys)
     folded = empty_model(config)
     for key in keys:
-        update_model(folded, key)
+        folded.update(key)
     assert model_to_json(batch) == model_to_json(folded)
 
 
@@ -199,9 +199,9 @@ def test_predictions_unique_and_deterministic(keys, algorithm):
     config = _config(algorithm)
     model = train(config, keys)
     context = keys[-config.ppm_order:] if keys else []
-    first = predict(model, context)
+    first = model.predict(context)
     assert len(first) == len(set(first))
-    assert first == predict(model, context)
+    assert first == model.predict(context)
 
 
 def test_serialization_is_canonical():
