@@ -10,14 +10,14 @@ so late test requests benefit from earlier ones.
 """
 
 from prefetchlab import (PredictorConfig, SplitSpec, metrics_report, run_user,
-                         Request, UserTrace)
+                         UserTrace)
 
 pages = [f"https://wiki.example/page/{name}" for name in
          ("start", "setup", "api", "start", "setup", "api",
           "start", "setup", "api", "faq")]
-trace = UserTrace.build("demo", [
-    Request.build("demo", 1_700_000_000_000 + i * 1000, url)
-    for i, url in enumerate(pages)])
+# a trace is two parallel columns: timestamps (ms) and url keys
+trace = UserTrace.build("demo", [1_700_000_000_000 + i * 1000 for i in range(len(pages))],
+                        pages)
 
 config = PredictorConfig(algorithm="dg", lookahead_window=2)
 result = run_user(trace, config, SplitSpec(training_ratio=0.8))

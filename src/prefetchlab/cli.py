@@ -210,6 +210,8 @@ def evaluate(traces: dict[str, UserTrace], configs: list[PredictorConfig], spec:
     algorithms = [c.algorithm for c in configs]
     if len(set(algorithms)) != len(algorithms):
         raise ValueError(f"one config per algorithm, got {algorithms}")
+    if domain_cutoff is not None and not 0.0 <= domain_cutoff <= 1.0:  # False for nan
+        raise ValueError(f"domain_cutoff must lie in [0, 1], got {domain_cutoff}")
 
     eligible: dict[str, UserTrace] = {}
     skips: dict[str, str] = {}

@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .predictors import PredictorConfig, PredictionModel, train
 from .pruning import PruneSpec, PruneResult, prune
-from .traces import Request, UserTrace
+from .traces import UserTrace
 
 
 class TraceTooShortError(Exception):
@@ -82,18 +82,18 @@ class TestOutcome:
         }
 
 
-def split(trace: UserTrace, spec: SplitSpec) -> tuple[list[Request], list[Request]]:
-    """First floor(ratio * n) requests train, the rest test.
+def split(trace: UserTrace, spec: SplitSpec) -> tuple[list[str], list[str]]:
+    """First floor(ratio * n) url_keys train, the rest test.
 
     Raises TraceTooShortError when the trace cannot produce both a
     non-empty test slice and at least one preceding request.
     """
-    n = len(trace.requests)
+    n = len(trace)
     if n < 2:
         raise TraceTooShortError(f"trace of length {n} cannot be split")
     cut = math.floor(spec.training_ratio * n)
-    training = list(trace.requests[:cut])
-    test = list(trace.requests[cut:])
+    training = trace.url_keys[:cut]
+    test = trace.url_keys[cut:]
     if not test:  # unreachable for 0 < ratio < 1, kept as a guard
         raise TraceTooShortError("empty test slice")
     return training, test
@@ -152,19 +152,17 @@ def run_user(trace: UserTrace, config: PredictorConfig, spec: SplitSpec,
     and the test slice is never touched.
     """
     training, test = split(trace, spec)
-    training_keys = [r.url_key for r in training]
-    test_keys = [r.url_key for r in test]
     trigger_depth = spec.resolve_trigger_depth(config)
-    pre_context = training_keys[-trigger_depth:]
+    pre_context = training[-trigger_depth:]
 
     prune_result = None
-    model_input = training_keys
-    if prune_spec is not None and training_keys:
-        prune_result = prune(training_keys, prune_spec)
+    model_input = training
+    if prune_spec is not None and training:
+        prune_result = prune(training, prune_spec)
         model_input = prune_result.kept_training
 
     started = time.perf_counter()
     model = train(config, model_input)
-    outcome = run_test_engine(model, test_keys, pre_context, trigger_depth)
+    outcome = run_test_engine(model, test, pre_context, trigger_depth)
     elapsed = time.perf_counter() - started
     return RunResult(outcome=outcome, elapsed_s=elapsed, prune_result=prune_result)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .traces import Request, UserTrace, parse_domain
+from .traces import UserTrace
 
 FORMATS = ("csv", "jsonl")
 CSV_HEADER = ["user_id", "timestamp_ms", "method", "url"]
@@ -38,14 +38,6 @@ class LogParseError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
-
-
-@dataclass(frozen=True)
-class RawLogRecord:
-    user_id: str
-    timestamp_ms: int
-    method: str  # normalized uppercase
-    url: str
 
 
 @dataclass
@@ -94,14 +86,17 @@ class OutlierReport:
         }
 
 
-def _parse_csv_row(line_no: int, row: list[str]) -> RawLogRecord:
+Record = tuple[str, int, str, str]  # (user_id, timestamp_ms, method uppercased, url)
+
+
+def _parse_csv_row(line_no: int, row: list[str]) -> Record:
     if len(row) != 4:
         raise LogParseError(line_no, f"expected 4 fields, got {len(row)}")
-    user_id, ts_raw, method, url = (f.strip() for f in row)
-    return _build_record(line_no, user_id, ts_raw, method, url)
+    user_id, ts_raw, method, url = row
+    return _build_record(line_no, user_id.strip(), ts_raw.strip(), method.strip(), url.strip())
 
 
-def _parse_jsonl_row(line_no: int, line: str) -> RawLogRecord:
+def _parse_jsonl_row(line_no: int, line: str) -> Record:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -124,7 +119,7 @@ def _parse_jsonl_row(line_no: int, line: str) -> RawLogRecord:
     return _build_record(line_no, str(obj["user_id"]), ts, obj["method"], obj["url"])
 
 
-def _build_record(line_no: int, user_id: str, ts_raw, method: str, url: str) -> RawLogRecord:
+def _build_record(line_no: int, user_id: str, ts_raw, method: str, url: str) -> Record:
     if not user_id:
         raise LogParseError(line_no, "empty user_id")
     try:
@@ -133,12 +128,12 @@ def _build_record(line_no: int, user_id: str, ts_raw, method: str, url: str) -> 
         raise LogParseError(line_no, f"timestamp_ms is not an integer: {ts_raw!r}") from None
     if not url:
         raise LogParseError(line_no, "empty url")
-    return RawLogRecord(user_id, timestamp, method.upper(), url)
+    return user_id, timestamp, method.upper(), url
 
 
 def iter_log_records(path: str | Path, fmt: str = "csv", strict: bool = False,
-                     summary: LoadSummary | None = None) -> Iterable[RawLogRecord]:
-    """Yield parsed records from a log file, applying the lenient/strict policy."""
+                     summary: LoadSummary | None = None) -> Iterable[Record]:
+    """Yield (user_id, timestamp_ms, method, url) tuples, applying the lenient/strict policy."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
     summary = summary if summary is not None else LoadSummary()
@@ -191,19 +186,17 @@ def load_traces(path: str | Path, fmt: str = "csv", strict: bool = False,
     returned traces reproduces exactly the GET subset of the input.
     """
     summary = LoadSummary()
-    per_user: dict[str, list[Request]] = defaultdict(list)
-    domains: dict[str, str] = {}  # urls repeat heavily: parse each domain once
-    for record in iter_log_records(path, fmt=fmt, strict=strict, summary=summary):
-        if record.method != "GET":
+    timestamps: dict[str, list[int]] = defaultdict(list)
+    urls: dict[str, list[str]] = defaultdict(list)
+    for user_id, timestamp, method, url in iter_log_records(path, fmt=fmt, strict=strict,
+                                                            summary=summary):
+        if method != "GET":
             summary.dropped_non_get += 1
             continue
         summary.kept += 1
-        domain = domains.get(record.url)
-        if domain is None:
-            domain = domains[record.url] = parse_domain(record.url)
-        per_user[record.user_id].append(
-            Request(record.user_id, record.timestamp_ms, record.url, domain))
-    traces = {uid: UserTrace.build(uid, reqs) for uid, reqs in per_user.items()}
+        timestamps[user_id].append(timestamp)
+        urls[user_id].append(url)
+    traces = {uid: UserTrace.build(uid, ts, urls[uid]) for uid, ts in timestamps.items()}
     return traces, summary
 
 
@@ -228,7 +221,7 @@ def remove_outlier_users(traces: dict[str, UserTrace], min_requests: int = 10,
     """
     if not traces:
         raise ValueError("remove_outlier_users requires at least one trace")
-    counts = {uid: len(t.requests) for uid, t in traces.items()}
+    counts = {uid: len(t) for uid, t in traces.items()}
     q1, q3 = _quartiles(list(counts.values()))
     iqr = q3 - q1
     upper = q3 + 1.5 * iqr
@@ -258,8 +251,7 @@ def write_trace_files(traces: dict[str, UserTrace], out_dir: str | Path) -> Path
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    users = {uid: {"timestamp_ms": [r.timestamp for r in traces[uid].requests],
-                   "url": [r.url_key for r in traces[uid].requests]}
+    users = {uid: {"timestamp_ms": traces[uid].timestamps, "url": traces[uid].url_keys}
              for uid in sorted(traces)}
     path = out / STORE_NAME
     with path.open("w", encoding="utf-8") as fh:
@@ -287,12 +279,10 @@ def _trace_from_columns(user_id: str, columns) -> UserTrace:
         raise ValueError(f"user {user_id!r}: a timestamp_ms is not an integer")
     if not all(type(url) is str and url for url in urls):
         raise ValueError(f"user {user_id!r}: a url is empty or not a string")
-    # urls repeat within a trace: keep one string and one parsed domain per
-    # distinct url, which also shrinks the trace in memory and when pickled
+    # urls repeat within a trace: keep one string per distinct url, which
+    # shrinks the trace in memory and when pickled
     shared = {url: url for url in urls}
-    domains = {url: parse_domain(url) for url in shared}
-    return UserTrace.build(user_id, [Request(user_id, ts, shared[url], domains[url])
-                                     for ts, url in zip(timestamps, urls)])
+    return UserTrace.build(user_id, timestamps, [shared[url] for url in urls])
 
 
 def read_trace_files(in_dir: str | Path) -> dict[str, UserTrace]:

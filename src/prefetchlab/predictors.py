@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 ALGORITHMS = ("dg", "ppm", "mp", "naive")

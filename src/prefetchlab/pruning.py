@@ -61,7 +61,8 @@ def _group_metrics(training: Sequence[str], strategy: str) -> tuple[list[str], d
     if strategy == "mor":
         keys = list(training)
         return keys, {k: float(n) for k, n in Counter(keys).items()}
-    domains = [parse_domain(url) for url in training]
+    domain_of = {url: parse_domain(url) for url in set(training)}  # urls repeat: parse once
+    domains = [domain_of[url] for url in training]
     if strategy == "mad":
         return domains, {d: float(n) for d, n in Counter(domains).items()}
     # msd: proportion of repeated requests within each domain
@@ -102,13 +103,7 @@ def domain_cutoff_filter(trace: UserTrace, min_repeated_pct: float = 0.10) -> Us
     below the cut-off are removed wholesale; callers treat an emptied
     trace as an excluded user.
     """
-    per_domain: dict[str, Counter] = {}
-    for r in trace.requests:
-        per_domain.setdefault(r.domain, Counter())[r.url_key] += 1
-    keep_domain = {}
-    for domain, counts in per_domain.items():
-        total = sum(counts.values())
-        repeated = sum(n for n in counts.values() if n >= 2)
-        keep_domain[domain] = (repeated / total) >= min_repeated_pct
-    kept = tuple(r for r in trace.requests if keep_domain[r.domain])
-    return UserTrace(trace.user_id, kept)
+    domains, repeated_share = _group_metrics(trace.url_keys, "msd")  # msd ranks by this share
+    kept = [i for i, domain in enumerate(domains) if repeated_share[domain] >= min_repeated_pct]
+    return UserTrace(trace.user_id, [trace.timestamps[i] for i in kept],
+                     [trace.url_keys[i] for i in kept])

@@ -22,7 +22,7 @@ from .metrics import metrics_report, normalize_against_naive
 from .oracle import count_previously_seen, oracle_run
 from .predictors import ALGORITHMS, PredictorConfig, empty_model, model_to_json, train
 from .synth import random_config, uniform_trace, url_pool
-from .traces import Request, UserTrace
+from .traces import UserTrace
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,7 @@ def check_oracle_equivalence(seed: int, trace_count: int, max_length: int = 100,
         for algorithm in ALGORITHMS:
             config = random_config(rng, algorithm)
             training, test = split(trace, spec)
-            expected = oracle_run(config, [r.url_key for r in training],
-                                  [r.url_key for r in test])
+            expected = oracle_run(config, training, test)
             actual = run_user(trace, config, spec).outcome
             cases += 1
             if actual != expected:
@@ -116,11 +115,9 @@ def check_naive_dominance(seed: int, trace_count: int) -> CheckResult:
         trace = uniform_trace(rng, f"u{index}", rng.randint(4, 80), rng.randint(2, 12))
         spec = SplitSpec(training_ratio=_random_ratio(rng))
         training, test = split(trace, spec)
-        training_keys = [r.url_key for r in training]
-        test_keys = [r.url_key for r in test]
 
         naive_outcome = run_user(trace, PredictorConfig("naive"), spec).outcome
-        expected_hits = count_previously_seen(training_keys, test_keys)
+        expected_hits = count_previously_seen(training, test)
         if naive_outcome.hit_count != expected_hits:
             return CheckResult(
                 "naive-dominance", False, cases,
@@ -151,9 +148,8 @@ def check_normalization_identity(seed: int, trace_count: int) -> CheckResult:
         # mix repeat-heavy traces with all-unique ones (raw recall 0)
         if index % 3 == 0:
             keys = [f"https://one-shot.example/{index}/{i}" for i in range(rng.randint(2, 30))]
-            trace = UserTrace.build(f"u{index}", [
-                Request.build(f"u{index}", 1_600_000_000_000 + i, k)
-                for i, k in enumerate(keys)])
+            timestamps = [1_600_000_000_000 + i for i in range(len(keys))]
+            trace = UserTrace.build(f"u{index}", timestamps, keys)
         else:
             trace = uniform_trace(rng, f"u{index}", rng.randint(2, 60), rng.randint(2, 10))
         spec = SplitSpec(training_ratio=_random_ratio(rng))

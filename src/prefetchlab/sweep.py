@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .engine import SplitSpec, TestOutcome, run_test_engine
 from .metrics import MetricsReport, aggregate_reports, metrics_report

@@ -19,9 +19,14 @@ from pathlib import Path
 from typing import Iterable
 
 from .predictors import PredictorConfig
-from .traces import Request, UserTrace
+from .traces import UserTrace
 
 _BASE_TS = 1_600_000_000_000  # fixed epoch so fixtures stay stable
+
+
+def _timestamps(length: int) -> list[int]:
+    """One request per second from the fixed epoch."""
+    return [_BASE_TS + i * 1000 for i in range(length)]
 
 
 def url_pool(size: int, domains: int = 3) -> list[str]:
@@ -43,11 +48,8 @@ def url_pool(size: int, domains: int = 3) -> list[str]:
 def uniform_trace(rng: random.Random, user_id: str, length: int,
                   alphabet_size: int) -> UserTrace:
     pool = url_pool(alphabet_size)
-    requests = [
-        Request.build(user_id, _BASE_TS + i * 1000, rng.choice(pool))
-        for i in range(length)
-    ]
-    return UserTrace.build(user_id, requests)
+    keys = [rng.choice(pool) for _ in range(length)]
+    return UserTrace.build(user_id, _timestamps(length), keys)
 
 
 def bursty_trace(rng: random.Random, user_id: str, length: int,
@@ -66,9 +68,7 @@ def bursty_trace(rng: random.Random, user_id: str, length: int,
         else:
             page = rng.choice(repertoire)
             keys.extend([page] * rng.randint(1, burst_max))
-    keys = keys[:length]
-    requests = [Request.build(user_id, _BASE_TS + i * 1000, k) for i, k in enumerate(keys)]
-    return UserTrace.build(user_id, requests)
+    return UserTrace.build(user_id, _timestamps(length), keys[:length])
 
 
 def uniform_traces(seed: int, count: int, max_length: int = 100,
@@ -119,11 +119,11 @@ def write_log(traces: Iterable[UserTrace] | dict[str, UserTrace], path: str | Pa
     rng = rng or random.Random(0)
     rows = []
     for trace in traces:
-        for r in trace.requests:
-            rows.append((r.timestamp, r.user_id, "GET", r.url_key))
+        uid = trace.user_id
+        for ts, url in zip(trace.timestamps, trace.url_keys):
+            rows.append((ts, uid, "GET", url))
             if non_get_rate and rng.random() < non_get_rate:
-                rows.append((r.timestamp + 1, r.user_id, "POST",
-                             f"https://forms.example.net/{r.user_id}/submit"))
+                rows.append((ts + 1, uid, "POST", f"https://forms.example.net/{uid}/submit"))
     rows.sort(key=lambda row: (row[0], row[1]))
 
     path = Path(path)

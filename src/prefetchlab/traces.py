@@ -1,4 +1,10 @@
-"""Core domain types: requests, per-user traces, and repetition statistics.
+"""Core domain types: per-user traces and repetition statistics.
+
+A :class:`UserTrace` holds one user's requests as two parallel columns,
+``timestamps`` and ``url_keys``, sorted by timestamp; every layer from
+ingest to replay reads the columns. ``UserTrace.requests`` yields the same
+data as ``Request(timestamp, url_key)`` rows; it is a read-only view kept
+only for the benchmark's output checks, and no library code uses it.
 
 Request identity throughout the library is exact byte equality of the full
 URL string (query string included). Nothing is canonicalized: no percent
@@ -10,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 
 class InvalidURLError(ValueError):
@@ -38,46 +45,41 @@ def parse_domain(url_key: str) -> str:
     return rest.lower()
 
 
-@dataclass(frozen=True)
-class Request:
-    """One HTTP GET record.
+class Request(NamedTuple):
+    """One row of a trace, as the read-only :attr:`UserTrace.requests` view yields it."""
 
-    ``domain`` is derived from ``url_key`` via :func:`parse_domain`; use
-    :meth:`build` unless you already have a consistent value in hand.
-    """
-
-    user_id: str
     timestamp: int  # milliseconds since epoch
     url_key: str    # full URL including query string
-    domain: str
-
-    @classmethod
-    def build(cls, user_id: str, timestamp: int, url_key: str) -> "Request":
-        return cls(user_id, timestamp, url_key, parse_domain(url_key))
 
 
 @dataclass(frozen=True)
 class UserTrace:
-    """Time-ordered request sequence for one user; the unit of model building."""
+    """One user's time-ordered requests as two parallel columns; the unit of model building.
+
+    Readers get the stored lists, not copies: treat them as read-only.
+    """
 
     user_id: str
-    requests: tuple[Request, ...]
+    timestamps: list[int]  # milliseconds since epoch, non-decreasing
+    url_keys: list[str]    # full URLs including query string
 
     @classmethod
-    def build(cls, user_id: str, requests: list[Request] | tuple[Request, ...]) -> "UserTrace":
-        """Sort requests by timestamp (stable: input order breaks ties)."""
-        for r in requests:
-            if r.user_id != user_id:
-                raise ValueError(f"request user_id {r.user_id!r} does not match trace {user_id!r}")
-        ordered = sorted(requests, key=lambda r: r.timestamp)
-        return cls(user_id, tuple(ordered))
+    def build(cls, user_id: str, timestamps: Sequence[int],
+              url_keys: Sequence[str]) -> "UserTrace":
+        """Sort both columns by timestamp (stable: input order breaks ties)."""
+        if len(timestamps) != len(url_keys):
+            raise ValueError(f"trace {user_id!r}: {len(timestamps)} timestamps "
+                             f"but {len(url_keys)} url_keys")
+        order = sorted(range(len(timestamps)), key=timestamps.__getitem__)
+        return cls(user_id, [timestamps[i] for i in order], [url_keys[i] for i in order])
 
     def __len__(self) -> int:
-        return len(self.requests)
+        return len(self.url_keys)
 
     @property
-    def url_keys(self) -> list[str]:
-        return [r.url_key for r in self.requests]
+    def requests(self) -> list[Request]:
+        """The columns as rows, for the benchmark's checks; library code reads the columns."""
+        return [Request(ts, url) for ts, url in zip(self.timestamps, self.url_keys)]
 
 
 @dataclass(frozen=True)
@@ -108,8 +110,8 @@ def repetition_stats(trace: UserTrace) -> RepetitionStats:
 
     Order-insensitive; an empty trace yields all-zero stats.
     """
-    counts = Counter(r.url_key for r in trace.requests)
-    total = len(trace.requests)
+    counts = Counter(trace.url_keys)
+    total = len(trace)
     histogram = {key: n for key, n in counts.items() if n >= 2}
     repeated = sum(histogram.values())
     return RepetitionStats(

@@ -27,7 +27,7 @@ from prefetchlab.sweep import (DEFAULT_CUTOFF_EPSILON, DEFAULT_WINDOW_SIZES,
                                SlidingWindowSpec, cutoff_scan, enumerate_windows,
                                run_sweep)
 from prefetchlab.synth import bursty_traces, uniform_traces, write_log
-from prefetchlab.traces import Request, UserTrace
+from prefetchlab.traces import UserTrace
 
 
 @contextmanager
@@ -41,7 +41,7 @@ def criterion(number: int, label: str):
 
 
 def _trace(user_id, keys):
-    return UserTrace.build(user_id, [Request.build(user_id, i, k) for i, k in enumerate(keys)])
+    return UserTrace.build(user_id, list(range(len(keys))), keys)
 
 
 # ------------------------------------------------------------------ 1

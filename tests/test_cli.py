@@ -338,6 +338,26 @@ def test_evaluate_rejects_bad_ratio_with_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cutoff", ["2", "-0.1", "nan", "inf"])
+def test_evaluate_rejects_domain_cutoff_outside_unit_interval(tmp_path, capsys, cutoff):
+    log = _make_log(tmp_path, count=2)
+    out = tmp_path / "o"
+    rc = main(["evaluate", "--input", str(log), "--out", str(out),
+               "--domain-cutoff", cutoff, "--workers", "1"])
+    assert rc == 2
+    assert "domain_cutoff" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("cutoff", ["0", "1"])
+def test_evaluate_accepts_domain_cutoff_at_the_bounds(tmp_path, cutoff):
+    log = _make_log(tmp_path, count=2)
+    out = tmp_path / "o"
+    assert main(["evaluate", "--input", str(log), "--out", str(out),
+                 "--domain-cutoff", cutoff, "--workers", "1"]) == 0
+    assert _read_json(out / "report.json")["config"]["domain_cutoff"] == float(cutoff)
+
+
 # ---------------------------------------------------------------- sweep
 
 def test_sweep_writes_csvs_and_summary(tmp_path, capsys):

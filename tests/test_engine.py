@@ -8,13 +8,13 @@ from prefetchlab.engine import (SplitSpec, TestOutcome, TraceTooShortError,
                                 run_test_engine, run_user, split)
 from prefetchlab.oracle import oracle_run
 from prefetchlab.predictors import ALGORITHMS, PredictorConfig, train
-from prefetchlab.traces import Request, UserTrace
+from prefetchlab.traces import UserTrace
 
 A, B, C = "A", "B", "C"
 
 
 def _trace(keys):
-    return UserTrace.build("u", [Request.build("u", i, k) for i, k in enumerate(keys)])
+    return UserTrace.build("u", list(range(len(keys))), keys)
 
 
 # ---------------------------------------------------------------- split
@@ -28,7 +28,7 @@ def test_split_keeps_order_and_concatenation():
     trace = _trace([A, B, C, A, B])
     training, test = split(trace, SplitSpec(training_ratio=0.8))
     assert len(training) == 4 and len(test) == 1
-    assert [r.url_key for r in training + test] == trace.url_keys
+    assert training + test == trace.url_keys
 
 
 def test_split_too_short_raises():
@@ -121,7 +121,7 @@ def test_counts_match_test_slice_length(keys, algorithm):
     _, test = split(trace, SplitSpec())
     outcome = run_user(trace, PredictorConfig(algorithm), SplitSpec()).outcome
     assert outcome.hit_count + outcome.miss_count == len(test)
-    assert outcome.hit_set <= frozenset(k.url_key for k in test)
+    assert outcome.hit_set <= frozenset(test)
 
 
 @given(keys_st, algo_st)
@@ -131,14 +131,10 @@ def test_replay_prefix_consistency(keys, algorithm):
     config = PredictorConfig(algorithm)
     trace = _trace(keys)
     training, test = split(trace, SplitSpec())
-    training_keys = [r.url_key for r in training]
-    test_keys = [r.url_key for r in test]
     depth = SplitSpec().resolve_trigger_depth(config)
 
-    full = run_test_engine(train(config, training_keys), test_keys,
-                           training_keys[-depth:], depth)
-    prefix = run_test_engine(train(config, training_keys), test_keys[:-1],
-                             training_keys[-depth:], depth)
+    full = run_test_engine(train(config, training), test, training[-depth:], depth)
+    prefix = run_test_engine(train(config, training), test[:-1], training[-depth:], depth)
     assert prefix.hit_count <= full.hit_count
     assert prefix.miss_count <= full.miss_count
     assert prefix.prefetch_count <= full.prefetch_count
@@ -152,6 +148,5 @@ def test_engine_matches_reference_replay(keys, algorithm):
     config = PredictorConfig(algorithm)
     trace = _trace(keys)
     training, test = split(trace, SplitSpec())
-    expected = oracle_run(config, [r.url_key for r in training],
-                          [r.url_key for r in test])
+    expected = oracle_run(config, training, test)
     assert run_user(trace, config, SplitSpec()).outcome == expected

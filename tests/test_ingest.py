@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import prefetchlab
 from prefetchlab.ingest import (LogParseError, _quartiles, load_traces, read_trace_files,
                                 remove_outlier_users, write_trace_files)
-from prefetchlab.traces import Request, UserTrace
+from prefetchlab.traces import UserTrace
 
 CSV_HEADER = "user_id,timestamp_ms,method,url\n"
 
@@ -93,8 +93,8 @@ def test_jsonl_accepts_integer_user_ids_and_integer_valued_timestamps(tmp_path):
     path = _write(tmp_path, "log.jsonl", "\n".join(json.dumps(r) for r in rows) + "\n")
     traces, summary = load_traces(path, fmt="jsonl", strict=True)
     assert summary.skipped_malformed == 0
-    assert [r.timestamp for r in traces["7"].requests] == [4, 5, 6]
-    assert all(type(r.timestamp) is int for r in traces["7"].requests)
+    assert traces["7"].timestamps == [4, 5, 6]
+    assert all(type(ts) is int for ts in traces["7"].timestamps)
 
 
 def test_lenient_mode_counts_malformed_rows(tmp_path):
@@ -139,8 +139,8 @@ def test_unknown_format_rejected(tmp_path):
 def _traces_with_counts(counts: dict[str, int]) -> dict[str, UserTrace]:
     out = {}
     for uid, n in counts.items():
-        reqs = [Request.build(uid, i, f"https://h.example/{uid}/{i}") for i in range(n)]
-        out[uid] = UserTrace.build(uid, reqs)
+        out[uid] = UserTrace.build(uid, list(range(n)),
+                                   [f"https://h.example/{uid}/{i}" for i in range(n)])
     return out
 
 
@@ -193,9 +193,7 @@ def test_trace_files_round_trip(tmp_path):
     loaded = read_trace_files(tmp_path)
     assert sorted(loaded) == sorted(traces)
     for uid in traces:
-        assert loaded[uid].url_keys == traces[uid].url_keys
-        assert [r.timestamp for r in loaded[uid].requests] == \
-               [r.timestamp for r in traces[uid].requests]
+        assert loaded[uid] == traces[uid]
 
 
 def test_read_trace_files_missing_dir(tmp_path):

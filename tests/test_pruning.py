@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from prefetchlab.pruning import PruneSpec, prune, domain_cutoff_filter
-from prefetchlab.traces import Request, UserTrace
+from prefetchlab.traces import UserTrace, parse_domain
 
 
 def _urls(domain_paths):
@@ -111,13 +111,13 @@ def test_keep_fraction_one_is_identity(training, strategy):
 # ---------------------------------------------------------------- domain cut-off
 
 def _trace(urls):
-    return UserTrace.build("u", [Request.build("u", i, u) for i, u in enumerate(urls)])
+    return UserTrace.build("u", list(range(len(urls))), urls)
 
 
 def test_cutoff_removes_no_repeat_domain():
     urls = _urls([("keep.example", "a")] * 4 + [("drop.example", f"u{i}") for i in range(3)])
     filtered = domain_cutoff_filter(_trace(urls), min_repeated_pct=0.10)
-    assert all(r.domain == "keep.example" for r in filtered.requests)
+    assert all(parse_domain(url) == "keep.example" for url in filtered.url_keys)
     assert len(filtered) == 4
 
 
@@ -139,5 +139,28 @@ def test_cutoff_preserves_request_order():
     urls = _urls([("a.example", "x"), ("b.example", "y"), ("a.example", "x"),
                   ("b.example", "y"), ("a.example", "z")])
     filtered = domain_cutoff_filter(_trace(urls), min_repeated_pct=0.4)
-    assert [r.url_key for r in filtered.requests] == \
-        [u for u in urls]  # both domains repeat enough
+    assert filtered.url_keys == urls  # both domains repeat enough
+
+
+# hosts that parse_domain folds together (case, scheme) next to distinct ones
+CUTOFF_HOSTS = ("https://a.example", "https://A.EXAMPLE", "a.example", "http://b.example",
+                "c.example:8080")
+
+
+@given(st.lists(st.tuples(st.integers(0, 20), st.sampled_from(CUTOFF_HOSTS), st.integers(0, 3)),
+                max_size=40),
+       st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0)))
+def test_cutoff_matches_per_request_definition(rows, cutoff):
+    trace = UserTrace.build("u", [ts for ts, _, _ in rows],
+                            [f"{host}/p{page}" for _, host, page in rows])
+    domains = [parse_domain(url) for url in trace.url_keys]
+
+    def repeated_share(domain):
+        in_domain = [url for url, d in zip(trace.url_keys, domains) if d == domain]
+        return sum(in_domain.count(url) >= 2 for url in in_domain) / len(in_domain)
+
+    expected = [(ts, url) for ts, url, domain in zip(trace.timestamps, trace.url_keys, domains)
+                if repeated_share(domain) >= cutoff]
+    filtered = domain_cutoff_filter(trace, cutoff)
+    assert filtered.user_id == "u"
+    assert list(zip(filtered.timestamps, filtered.url_keys)) == expected

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,11 +15,11 @@ from prefetchlab.sweep import (
     run_sweep,
     sweep_user,
 )
-from prefetchlab.traces import Request, UserTrace
+from prefetchlab.traces import UserTrace
 
 
 def _trace(user_id, urls):
-    return UserTrace.build(user_id, [Request.build(user_id, i, u) for i, u in enumerate(urls)])
+    return UserTrace.build(user_id, list(range(len(urls))), urls)
 
 
 def _urls(n, distinct=4):

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from prefetchlab.traces import (InvalidURLError, Request, UserTrace, parse_domain,
-                                repetition_stats)
+from prefetchlab.traces import InvalidURLError, UserTrace, parse_domain, repetition_stats
 
 
 def test_parse_domain_strips_scheme_path_query_fragment():
@@ -41,20 +40,14 @@ def test_parse_domain_idempotent(url):
         assert parse_domain(once) == once
 
 
-def test_request_build_derives_domain():
-    r = Request.build("u1", 1000, "https://shop.example/cart?id=2")
-    assert r.domain == "shop.example"
-    assert r.url_key == "https://shop.example/cart?id=2"
-
-
 def test_user_trace_build_sorts_by_timestamp_stably():
-    reqs = [
-        Request.build("u1", 300, "https://a.example/3"),
-        Request.build("u1", 100, "https://a.example/1"),
-        Request.build("u1", 300, "https://a.example/3b"),  # tie: keeps input order
-        Request.build("u1", 200, "https://a.example/2"),
-    ]
-    trace = UserTrace.build("u1", reqs)
+    trace = UserTrace.build("u1", [300, 100, 300, 200], [
+        "https://a.example/3",
+        "https://a.example/1",
+        "https://a.example/3b",  # tie: keeps input order
+        "https://a.example/2",
+    ])
+    assert trace.timestamps == [100, 200, 300, 300]
     assert trace.url_keys == [
         "https://a.example/1",
         "https://a.example/2",
@@ -63,13 +56,20 @@ def test_user_trace_build_sorts_by_timestamp_stably():
     ]
 
 
-def test_user_trace_build_rejects_foreign_requests():
-    with pytest.raises(ValueError):
-        UserTrace.build("u1", [Request.build("u2", 1, "https://a.example/")])
+def test_user_trace_build_rejects_unequal_columns():
+    with pytest.raises(ValueError, match="2 timestamps but 1 url_keys"):
+        UserTrace.build("u1", [1, 2], ["https://a.example/"])
+
+
+def test_requests_view_pairs_the_columns():
+    trace = UserTrace.build("u1", [2, 1], ["https://a.example/2", "https://a.example/1"])
+    assert len(trace) == 2
+    assert [(r.timestamp, r.url_key) for r in trace.requests] == [
+        (1, "https://a.example/1"), (2, "https://a.example/2")]
 
 
 def _trace(keys: list[str]) -> UserTrace:
-    return UserTrace.build("u", [Request.build("u", i, k) for i, k in enumerate(keys)])
+    return UserTrace.build("u", list(range(len(keys))), keys)
 
 
 def test_repetition_stats_counts_every_occurrence_of_repeated_keys():
@@ -88,7 +88,7 @@ def test_repetition_stats_all_unique():
 
 
 def test_repetition_stats_empty_trace():
-    stats = repetition_stats(UserTrace("u", ()))
+    stats = repetition_stats(UserTrace("u", [], []))
     assert stats.unique_count == 0 and stats.repeated_pct == 0.0
 
 
