@@ -95,6 +95,11 @@ def _run_jobs(fn, payloads: list, workers: int) -> list:
         return list(pool.map(fn, payloads, chunksize=chunksize))
 
 
+def _check_domain_cutoff(domain_cutoff: float | None) -> None:
+    if domain_cutoff is not None and not 0.0 <= domain_cutoff <= 1.0:  # False for nan
+        raise ValueError(f"domain_cutoff must lie in [0, 1], got {domain_cutoff}")
+
+
 def _timing_summary(samples_ms: list[float]) -> dict | None:
     if not samples_ms:
         return None
@@ -210,8 +215,7 @@ def evaluate(traces: dict[str, UserTrace], configs: list[PredictorConfig], spec:
     algorithms = [c.algorithm for c in configs]
     if len(set(algorithms)) != len(algorithms):
         raise ValueError(f"one config per algorithm, got {algorithms}")
-    if domain_cutoff is not None and not 0.0 <= domain_cutoff <= 1.0:  # False for nan
-        raise ValueError(f"domain_cutoff must lie in [0, 1], got {domain_cutoff}")
+    _check_domain_cutoff(domain_cutoff)
 
     eligible: dict[str, UserTrace] = {}
     skips: dict[str, str] = {}
@@ -307,10 +311,12 @@ def evaluate(traces: dict[str, UserTrace], configs: list[PredictorConfig], spec:
 
 
 def cmd_evaluate(args) -> int:
-    traces = _load_input(args.input, args.format, args.strict)
+    # every option is checked before the input, which may be large, is read
     spec = SplitSpec(training_ratio=args.ratio)
     configs = [_predictor_config(args, a) for a in _algo_list(args)]
     prune_spec = PruneSpec(args.prune, args.keep_fraction) if args.prune else None
+    _check_domain_cutoff(args.domain_cutoff)
+    traces = _load_input(args.input, args.format, args.strict)
     report = evaluate(traces, configs, spec, prune_spec, args.domain_cutoff, args.workers)
     out = Path(args.out)
     _write_json(out / "report.json", report)
@@ -351,12 +357,12 @@ def _sweep_job(payload) -> list[UserSweep]:
 
 def cmd_sweep(args) -> int:
     started = time.perf_counter()
-    traces = _load_input(args.input, args.format, args.strict)
     swspec = SlidingWindowSpec(
         window_sizes=tuple(args.sizes) if args.sizes else DEFAULT_WINDOW_SIZES,
         training_ratio=args.ratio,
     )
     configs = [_predictor_config(args, a) for a in _algo_list(args)]
+    traces = _load_input(args.input, args.format, args.strict)
     users = sorted(traces)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -3,16 +3,17 @@
 The replay loop is deliberately literal. For each test request, in order:
 
 1. predict candidates from the trailing previous requests,
-2. prefetch every candidate not already cached (cache insert, no I/O),
+2. prefetch every candidate not yet cached, in one ``set.update`` (no I/O),
 3. score the current request as hit or miss against the cache,
 4. feed the current request into the model (dynamic update).
 
 The cache is unbounded and never evicts or expires, so the number of
-prefetches always equals the final cache size. Because the hit check runs
-after this step's prefetch, a model that predicts the current request from
-its predecessor scores the hit in the same step. A url_key can appear in
-both miss_set and hit_set (first occurrence missed, a later one hit); the
-metrics module documents both readings.
+prefetches always equals the final cache size: ``prefetch_count`` is
+``len(cache)``. Because the hit check runs after this step's prefetch, a
+model that predicts the current request from its predecessor scores the hit
+in the same step. A url_key can appear in both miss_set and hit_set (first
+occurrence missed, a later one hit); the metrics module documents both
+readings.
 """
 
 from __future__ import annotations
@@ -109,14 +110,11 @@ def run_test_engine(model: PredictionModel, test: Sequence[str],
     cache: set[str] = set()
     hit_set: set[str] = set()
     miss_set: set[str] = set()
-    prefetch_count = hit_count = miss_count = 0
+    hit_count = miss_count = 0
     context: deque[str] = deque(pre_context, maxlen=trigger_depth)
 
     for current in test:
-        for candidate in model.predict(context):
-            if candidate not in cache:
-                cache.add(candidate)
-                prefetch_count += 1
+        cache.update(model.predict(context))
         if current in cache:
             hit_count += 1
             hit_set.add(current)
@@ -130,7 +128,7 @@ def run_test_engine(model: PredictionModel, test: Sequence[str],
         cache_size=len(cache),
         hit_set=frozenset(hit_set),
         miss_set=frozenset(miss_set),
-        prefetch_count=prefetch_count,
+        prefetch_count=len(cache),
         hit_count=hit_count,
         miss_count=miss_count,
     )

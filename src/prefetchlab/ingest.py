@@ -8,6 +8,9 @@ Input formats (declared, not sniffed):
   string or an integer, ``method`` and ``url`` strings, ``timestamp_ms`` an
   integer, an integer-valued number or an integer string (as in CSV)
 
+An integer string is an optional sign and ASCII digits, surrounding
+whitespace ignored; ``int()`` alone would also take ``1_000`` or ``١٢٣``.
+
 Rows with a non-GET method are dropped (counted, not an error). Malformed
 rows are a per-row error carrying the line number; in the default lenient
 mode they are skipped and counted, in strict mode the first one aborts.
@@ -124,6 +127,9 @@ def _build_record(line_no: int, user_id: str, ts_raw, method: str, url: str) -> 
         raise LogParseError(line_no, "empty user_id")
     try:
         timestamp = int(ts_raw)
+        # int() also takes "_" separators and non-ASCII digits
+        if type(ts_raw) is str and ("_" in ts_raw or not ts_raw.strip().isascii()):
+            raise ValueError
     except (TypeError, ValueError):
         raise LogParseError(line_no, f"timestamp_ms is not an integer: {ts_raw!r}") from None
     if not url:
@@ -149,19 +155,31 @@ def iter_log_records(path: str | Path, fmt: str = "csv", strict: bool = False,
     with path.open(newline="", encoding="utf-8") as fh:
         if fmt == "csv":
             reader = csv.reader(fh)
-            header = next(reader, None)
+            try:
+                header = next(reader, None)
+            except csv.Error as exc:
+                raise LogParseError(1, f"unreadable header: {exc}") from None
             if header is None:
                 raise LogParseError(1, "empty file")
             if [h.strip() for h in header] != CSV_HEADER:
                 raise LogParseError(1, f"bad header {header!r}, expected {CSV_HEADER}")
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                summary.rows_read += 1
+            line_no = 1
+            while True:
                 try:
-                    yield _parse_csv_row(line_no, row)
-                except LogParseError as exc:
-                    handle(exc)
+                    for line_no, row in enumerate(reader, start=line_no + 1):
+                        if not row:
+                            continue
+                        summary.rows_read += 1
+                        try:
+                            yield _parse_csv_row(line_no, row)
+                        except LogParseError as exc:
+                            handle(exc)
+                    break
+                except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+                    # the reader moves on to the next row; enumerate starts again after it
+                    line_no += 1
+                    summary.rows_read += 1
+                    handle(LogParseError(line_no, f"unreadable row: {exc}"))
         else:
             any_line = False
             for line_no, line in enumerate(fh, start=1):

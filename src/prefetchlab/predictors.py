@@ -15,9 +15,10 @@ deleted rather than kept at zero, so the canonical serializations of the
 two models are equal; the sliding-window sweep relies on this to move a
 model forward instead of retraining it.
 
-Ranking is deterministic everywhere: candidates sort by score descending,
-then lexicographically by url_key. The Naive baseline is the exception by
-definition: it predicts every previously seen key in first-seen order.
+Ranking is deterministic: candidates sort by score descending, then
+lexicographically by url_key; DG and PPM rank by the integer count, the same
+order as by the weight count / total. By definition the Naive baseline instead
+predicts every previously seen key in first-seen order.
 """
 
 from __future__ import annotations
@@ -84,12 +85,11 @@ class PredictorConfig:
         }
 
 
-def _ranked(scored: dict[str, float], threshold: float | None = None) -> list[str]:
-    """Scores -> url_keys, score descending then lexicographic."""
-    items = scored.items()
-    if threshold is not None:
-        items = [(k, s) for k, s in items if s >= threshold]
-    return [k for k, _ in sorted(items, key=lambda kv: (-kv[1], kv[0]))]
+def _ranked(counts: dict[str, int]) -> list[str]:
+    """Counts -> url_keys, count descending then lexicographic (reverse=True sorts stably)."""
+    keys = sorted(counts)
+    keys.sort(key=counts.__getitem__, reverse=True)
+    return keys
 
 
 def _add_arcs(arcs: dict[str, dict[str, int]], sources: Iterable[str], target: str) -> None:
@@ -163,8 +163,8 @@ class DGModel:
         occurrences = self.node_counts.get(source)
         if not targets or not occurrences:
             return []
-        weights = {t: n / occurrences for t, n in targets.items()}
-        return _ranked(weights, self.config.effective_threshold)
+        threshold = self.config.effective_threshold
+        return _ranked({t: n for t, n in targets.items() if n / occurrences >= threshold})
 
     def state_dict(self) -> dict:
         return {
@@ -199,20 +199,20 @@ class PPMModel:
         self.config = config
         self.root = _TrieNode()
         self.recent_context: deque[str] = deque(maxlen=config.ppm_order)
+        self._suffixes = [self.root]  # nodes of recent_context's suffixes, root first
 
     def update(self, key: str) -> None:
         self.root.count += 1
-        path = list(self.recent_context)
-        path.append(key)
         # paths of length 1..order+1, all ending at `key`
-        for start in range(len(path) - 1, -1, -1):
-            node = self.root
-            for path_key in path[start:]:
-                child = node.children.get(path_key)
-                if child is None:
-                    child = node.children[path_key] = _TrieNode()
-                node = child
-            node.count += 1
+        suffixes = [self.root]
+        for node in self._suffixes:
+            child = node.children.get(key)
+            if child is None:
+                child = node.children[key] = _TrieNode()
+            child.count += 1
+            suffixes.append(child)
+        del suffixes[self.config.ppm_order + 1:]
+        self._suffixes = suffixes
         self.recent_context.append(key)
 
     def forget(self, stream: Sequence[str], count: int) -> None:
@@ -230,6 +230,8 @@ class PPMModel:
                 node = child
         self.root.count -= count
         _trim(self.recent_context, len(stream) - count)
+        context = list(self.recent_context)
+        self._suffixes = [self._lookup(context[i:]) for i in range(len(context), -1, -1)]
 
     def _lookup(self, path: Sequence[str]) -> _TrieNode | None:
         node = self.root
@@ -245,8 +247,9 @@ class PPMModel:
             node = self._lookup(tail[-length:])
             if node is None or not node.children:
                 continue
-            probs = {key: child.count / node.count for key, child in node.children.items()}
-            return _ranked(probs, self.config.effective_threshold)
+            total, threshold = node.count, self.config.effective_threshold
+            return _ranked({key: child.count for key, child in node.children.items()
+                            if child.count / total >= threshold})
         return []
 
     def state_dict(self) -> dict:
@@ -285,8 +288,7 @@ class MPModel:
         successors = self.successor_lists.get(context[-1])
         if not successors:
             return []
-        counts = {k: float(n) for k, n in successors.items()}
-        return _ranked(counts)[: self.config.top_n]
+        return _ranked(successors)[: self.config.top_n]
 
     def state_dict(self) -> dict:
         return {

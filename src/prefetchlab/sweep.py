@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .engine import SplitSpec, TestOutcome, run_test_engine
+from .engine import SplitSpec, run_test_engine
 from .metrics import MetricsReport, aggregate_reports, metrics_report
 from .predictors import PredictorConfig, train
 from .traces import UserTrace
@@ -86,12 +86,15 @@ def enumerate_windows(n: int, x: int, y: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class WindowRecord:
-    """One model: its window coordinates, replay outcome, metrics, and timing."""
+    """One model: its window coordinates, metrics, and timing.
+
+    The replay outcome is reduced to its metrics at once, so no window's
+    hit and miss sets stay alive until the per-size means are taken.
+    """
 
     user_id: str
     window_size: int
     window_index: int
-    outcome: TestOutcome
     metrics: MetricsReport
     elapsed_s: float
 
@@ -152,7 +155,6 @@ def sweep_user(trace: UserTrace, config: PredictorConfig, spec: SlidingWindowSpe
                 user_id=trace.user_id,
                 window_size=size,
                 window_index=index,
-                outcome=outcome,
                 metrics=metrics_report(trace.user_id, config.algorithm, outcome),
                 elapsed_s=elapsed,
             ))

@@ -349,6 +349,18 @@ def test_evaluate_rejects_domain_cutoff_outside_unit_interval(tmp_path, capsys, 
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("args", [["evaluate", "--ratio", "1.5"],
+                                  ["evaluate", "--domain-cutoff", "nan"],
+                                  ["evaluate", "--prune", "mor", "--keep-fraction", "2"],
+                                  ["sweep", "--sizes", "1"]])
+def test_bad_option_exits_2_before_the_input_is_read(tmp_path, capsys, args):
+    missing = tmp_path / "nope.csv"
+    rc = main(args + ["--input", str(missing), "--out", str(tmp_path / "o"), "--workers", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nope.csv" not in err
+
+
 @pytest.mark.parametrize("cutoff", ["0", "1"])
 def test_evaluate_accepts_domain_cutoff_at_the_bounds(tmp_path, cutoff):
     log = _make_log(tmp_path, count=2)

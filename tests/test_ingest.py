@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import prefetchlab
+from prefetchlab.cli import main
 from prefetchlab.ingest import (LogParseError, _quartiles, load_traces, read_trace_files,
                                 remove_outlier_users, write_trace_files)
 from prefetchlab.traces import UserTrace
@@ -116,6 +117,69 @@ def test_strict_mode_raises_with_line_number(tmp_path):
     with pytest.raises(LogParseError) as err:
         load_traces(path, fmt="csv", strict=True)
     assert err.value.line_no == 2
+
+
+# one over csv.field_size_limit(), which the csv module raises on as csv.Error
+OVERSIZED = "x" * 131_073
+
+
+@pytest.mark.parametrize("row", [f"u1,200,GET,https://a.example/{OVERSIZED}",
+                                 f'u1,200,GET,"https://a.example/{OVERSIZED}"',
+                                 f"u1,{OVERSIZED},GET,https://a.example/2"],
+                         ids=["url", "quoted-url", "timestamp"])
+def test_oversized_csv_field_is_a_malformed_row(tmp_path, capsys, row):
+    path = _write(tmp_path, "log.csv", CSV_HEADER + "\n".join([
+        "u1,100,GET,https://a.example/1", row, "u1,300,GET,https://a.example/3",
+        "u1,notatime,GET,https://a.example/4"]) + "\n")
+    traces, summary = load_traces(path, fmt="csv")
+    assert summary.rows_read == 4 and summary.skipped_malformed == 2
+    # reading resumes at the next row, and line numbers stay in step
+    assert [e.split(":")[0] for e in summary.errors] == ["line 3", "line 5"]
+    assert traces["u1"].url_keys == ["https://a.example/1", "https://a.example/3"]
+    with pytest.raises(LogParseError) as err:
+        load_traces(path, fmt="csv", strict=True)
+    assert err.value.line_no == 3
+    rc = main(["ingest", "--input", str(path), "--strict", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith("error: line 3:")
+
+
+def test_oversized_csv_header_is_rejected(tmp_path):
+    path = _write(tmp_path, "log.csv", f"user_id,timestamp_ms,method,{OVERSIZED}\n")
+    with pytest.raises(LogParseError) as err:
+        load_traces(path, fmt="csv")
+    assert err.value.line_no == 1
+
+
+@pytest.mark.parametrize("ts", ["1_000", "١٢٣", "12²", "+-5", "--5", "- 5", "0x10", "",
+                                "٠"])
+def test_timestamp_text_must_be_ascii_digits(tmp_path, ts):
+    path = _write(tmp_path, "log.csv", CSV_HEADER + "\n".join([
+        "u1,100,GET,https://a.example/1", f"u1,{ts},GET,https://a.example/2"]) + "\n")
+    traces, summary = load_traces(path, fmt="csv")
+    assert summary.skipped_malformed == 1
+    assert summary.errors[0].startswith("line 3: timestamp_ms")
+    assert traces["u1"].url_keys == ["https://a.example/1"]
+    jsonl = _write(tmp_path, "log.jsonl", json.dumps(dict(GOOD_JSONL_ROW, timestamp_ms=ts)) + "\n")
+    with pytest.raises(LogParseError) as err:
+        load_traces(jsonl, fmt="jsonl", strict=True)
+    assert err.value.line_no == 1
+
+
+def test_timestamp_text_accepts_a_sign_and_surrounding_space(tmp_path):
+    path = _write(tmp_path, "log.csv", CSV_HEADER + "\n".join([
+        "u1, 7 ,GET,https://a.example/1", "u1,+8,GET,https://a.example/2",
+        "u1,-9,GET,https://a.example/3", "u1,0010,GET,https://a.example/4"]) + "\n")
+    traces, summary = load_traces(path, fmt="csv", strict=True)
+    assert traces["u1"].timestamps == [-9, 7, 8, 10]
+    # JSONL strings are not stripped beforehand; any whitespace int() skips is ignored
+    rows = [dict(GOOD_JSONL_ROW, timestamp_ms=" 12 "), dict(GOOD_JSONL_ROW, timestamp_ms="-3"),
+            dict(GOOD_JSONL_ROW, timestamp_ms="\u00a05\u2003"),
+            dict(GOOD_JSONL_ROW, timestamp_ms=2 ** 70)]
+    path = _write(tmp_path, "log.jsonl", "\n".join(json.dumps(r) for r in rows) + "\n")
+    traces, _ = load_traces(path, fmt="jsonl", strict=True)
+    assert traces["u1"].timestamps == [-3, 5, 12, 2 ** 70]
 
 
 def test_bad_header_rejected(tmp_path):

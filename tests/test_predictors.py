@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from prefetchlab.engine import run_test_engine
-from prefetchlab.predictors import (ALGORITHMS, PredictorConfig, empty_model,
+from prefetchlab.predictors import (ALGORITHMS, PredictorConfig, _ranked, empty_model,
                                     model_to_json, train)
 
 KEYS = [f"https://k{i}.example/p" for i in range(6)]
@@ -204,6 +204,12 @@ def test_predictions_unique_and_deterministic(keys, algorithm):
     assert first == model.predict(context)
 
 
+@given(st.dictionaries(st.text("abAB/.", max_size=4), st.integers(1, 3), max_size=30))
+def test_ranked_is_count_descending_then_lexicographic(counts):
+    # few distinct counts over many keys: most keys tie with another
+    assert _ranked(counts) == [k for k, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))]
+
+
 def test_serialization_is_canonical():
     model = train(_config("dg"), [C, A, B, A])
     again = train(_config("dg"), [C, A, B, A])
@@ -253,6 +259,21 @@ def test_naive_forget_rebuilds_first_seen_order():
     assert list(model.seen) == [B, C, A]
 
 
+@given(sequences, st.data(), st.lists(st.sampled_from(KEYS), max_size=20),
+       st.sampled_from(ALGORITHMS), st.integers(1, 4), st.integers(1, 4))
+def test_forget_then_update_equals_training_on_what_is_left(keys, data, more, algorithm,
+                                                             order, window):
+    # forget leaves a model that keeps learning as a fresh one would: for
+    # PPM this checks the context suffix nodes that forget rebuilds
+    count = data.draw(st.integers(0, len(keys)))
+    config = _config(algorithm, ppm_order=order, lookahead_window=window)
+    model = train(config, keys)
+    model.forget(keys, count)
+    for key in more:
+        model.update(key)
+    assert model_to_json(model) == model_to_json(train(config, keys[count:] + more))
+
+
 @st.composite
 def sliding_cases(draw):
     alphabet = draw(st.integers(1, 6))
@@ -283,3 +304,4 @@ def test_sliding_with_forget_equals_fresh_training(case):
             assert model_to_json(slid) == model_to_json(fresh)
             assert (run_test_engine(slid, test, training[-depth:], depth)
                     == run_test_engine(fresh, test, training[-depth:], depth))
+            assert model_to_json(slid) == model_to_json(fresh)

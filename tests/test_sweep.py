@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from prefetchlab.predictors import PredictorConfig, train
 from prefetchlab.engine import run_test_engine
+from prefetchlab.metrics import metrics_report
 from prefetchlab.sweep import (
     DEFAULT_WINDOW_SIZES,
     SlidingWindowSpec,
@@ -116,7 +117,7 @@ def test_sweep_user_records_match_fresh_per_window_models():
     training, test = keys[start:start + cut], keys[start + cut:start + 5]
     model = train(config, training)
     expected = run_test_engine(model, test, training[-1:], 1)
-    assert record.outcome == expected
+    assert record.metrics == metrics_report("u1", "dg", expected)
 
 
 @pytest.mark.parametrize("algorithm", ["dg", "ppm", "mp", "naive"])
@@ -132,9 +133,8 @@ def test_auto_distance_records_equal_fresh_training_at_that_distance(algorithm):
         fixed = SlidingWindowSpec(window_sizes=(size,), training_ratio=0.7,
                                   sliding_distance=auto.distance_for(size))
         fresh = sweep_user(trace, config, fixed)
-        got = [(r.window_index, r.outcome, r.metrics)
-               for r in slid.records if r.window_size == size]
-        assert got == [(r.window_index, r.outcome, r.metrics) for r in fresh.records]
+        got = [(r.window_index, r.metrics) for r in slid.records if r.window_size == size]
+        assert got == [(r.window_index, r.metrics) for r in fresh.records]
 
 
 def test_sweep_user_skips_sizes_longer_than_trace():
