@@ -10,8 +10,8 @@ makes training cheaper; the question is what it costs in accuracy.
 
 import random
 
-from prefetchlab import (PredictorConfig, PruneSpec, SplitSpec, bursty_trace,
-                         metrics_report, prune, run_user)
+from prefetchlab import PredictorConfig, PruneSpec, SplitSpec, metrics_report, prune, run_user
+from prefetchlab.synth import bursty_trace
 
 rng = random.Random(5)
 trace = bursty_trace(rng, "demo", 400, repertoire_size=12, noise_rate=0.15)

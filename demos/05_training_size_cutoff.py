@@ -9,8 +9,8 @@ history still teaches the model something new, then flatten; the size
 where they settle is the training cut-off point.
 """
 
-from prefetchlab import (PredictorConfig, SlidingWindowSpec, bursty_traces,
-                         cutoff_scan, run_sweep)
+from prefetchlab import PredictorConfig, SlidingWindowSpec, cutoff_scan, run_sweep
+from prefetchlab.synth import bursty_traces
 
 traces = bursty_traces(seed=42, count=40, min_length=520, max_length=600,
                        repertoire_size=25, noise_rate=0.1)

@@ -19,8 +19,6 @@ from .predictors import (ALGORITHMS, PredictionModel, PredictorConfig, empty_mod
 from .pruning import PruneResult, PruneSpec, STRATEGIES, domain_cutoff_filter, prune
 from .sweep import (SlidingWindowSpec, SweepResult, WindowRecord, cutoff_scan,
                     enumerate_windows, run_sweep, sweep_user)
-from .synth import (bursty_trace, bursty_traces, uniform_trace, uniform_traces,
-                    url_pool, write_log)
 from .traces import (InvalidURLError, RepetitionStats, Request, UserTrace,
                      parse_domain, repetition_stats)
 
@@ -49,8 +47,6 @@ __all__ = [
     "UserTrace",
     "WindowRecord",
     "aggregate_reports",
-    "bursty_trace",
-    "bursty_traces",
     "cutoff_scan",
     "domain_cutoff_filter",
     "dynamic_recall",
@@ -75,9 +71,5 @@ __all__ = [
     "static_recall_strict",
     "sweep_user",
     "train",
-    "uniform_trace",
-    "uniform_traces",
-    "url_pool",
-    "write_log",
     "write_trace_files",
 ]

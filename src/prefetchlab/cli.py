@@ -33,7 +33,6 @@ from .metrics import (METRIC_NAMES, NORMALIZED_NAMES, aggregate_reports, metrics
 from .predictors import (ALGORITHMS, DEFAULT_LOOKAHEAD_WINDOW, DEFAULT_PPM_ORDER,
                          DEFAULT_TOP_N, PredictorConfig)
 from .pruning import STRATEGIES, PruneSpec, domain_cutoff_filter
-from .selftest import run_selftest
 from .sweep import (DEFAULT_CUTOFF_EPSILON, DEFAULT_WINDOW_SIZES, SWEEP_METRICS,
                     SlidingWindowSpec, UserSweep, build_sweep_result, cutoff_scan,
                     sweep_user)
@@ -439,6 +438,9 @@ def _write_sweep_means_csv(path: Path, result, swspec: SlidingWindowSpec) -> Non
 # ---------------------------------------------------------------- selftest
 
 def cmd_selftest(args) -> int:
+    # imported here: selftest, oracle and synth would add to every command's start-up
+    from .selftest import run_selftest
+
     results = run_selftest(seed=args.seed)
     for r in results:
         status = "ok" if r.passed else "FAIL"

@@ -22,7 +22,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .predictors import PredictorConfig, PredictionModel, train
 from .pruning import PruneSpec, PruneResult, prune
@@ -59,8 +59,7 @@ class SplitSpec:
         return {"training_ratio": self.training_ratio, "trigger_depth": self.trigger_depth}
 
 
-@dataclass(frozen=True)
-class TestOutcome:
+class TestOutcome(NamedTuple):
     """The six replay outputs: cache size, hit/miss sets, and the three counters."""
 
     __test__ = False  # not a pytest class, despite the name
@@ -134,8 +133,7 @@ def run_test_engine(model: PredictionModel, test: Sequence[str],
     )
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     outcome: TestOutcome
     elapsed_s: float
     prune_result: PruneResult | None = None

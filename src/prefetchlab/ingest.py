@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import csv
 import json
-import statistics
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .traces import UserTrace
 
@@ -61,8 +60,7 @@ class LoadSummary:
         }
 
 
-@dataclass
-class OutlierReport:
+class OutlierReport(NamedTuple):
     """Tukey fences over per-user request counts plus the removal list.
 
     Only the upper fence triggers removal; the low end is handled by the
@@ -102,8 +100,9 @@ def _parse_csv_row(line_no: int, row: list[str]) -> Record:
 def _parse_jsonl_row(line_no: int, line: str) -> Record:
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise LogParseError(line_no, f"invalid JSON: {exc}") from exc
+    # ValueError: also an integer over the int() digit limit; RecursionError: deep nesting
+    except (ValueError, RecursionError) as exc:
+        raise LogParseError(line_no, f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise LogParseError(line_no, "row is not a JSON object")
     missing = [k for k in CSV_HEADER if k not in obj]
@@ -119,7 +118,16 @@ def _parse_jsonl_row(line_no: int, line: str) -> Record:
         ts = int(ts)
     elif type(ts) not in (int, str):  # a string goes through int() as CSV text does
         raise LogParseError(line_no, f"timestamp_ms is not an integer: {ts!r}")
-    return _build_record(line_no, str(obj["user_id"]), ts, obj["method"], obj["url"])
+    user_id, url = str(obj["user_id"]), obj["url"]
+    # a "\ud800" escape loads as a lone surrogate, which no UTF-8 output can hold;
+    # the file is decoded as UTF-8, so only an escape can make one
+    if "\\u" in line:
+        for key, value in (("user_id", user_id), ("url", url)):
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise LogParseError(line_no, f"{key} is not valid UTF-8: {value!r}") from None
+    return _build_record(line_no, user_id, ts, obj["method"], url)
 
 
 def _build_record(line_no: int, user_id: str, ts_raw, method: str, url: str) -> Record:
@@ -163,23 +171,23 @@ def iter_log_records(path: str | Path, fmt: str = "csv", strict: bool = False,
                 raise LogParseError(1, "empty file")
             if [h.strip() for h in header] != CSV_HEADER:
                 raise LogParseError(1, f"bad header {header!r}, expected {CSV_HEADER}")
-            line_no = 1
+            # reader.line_num counts physical lines, which a quoted field may span:
+            # a row is named by the line it ends on
             while True:
                 try:
-                    for line_no, row in enumerate(reader, start=line_no + 1):
+                    for row in reader:
                         if not row:
                             continue
                         summary.rows_read += 1
                         try:
-                            yield _parse_csv_row(line_no, row)
+                            yield _parse_csv_row(reader.line_num, row)
                         except LogParseError as exc:
                             handle(exc)
                     break
                 except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-                    # the reader moves on to the next row; enumerate starts again after it
-                    line_no += 1
+                    # the reader moves on to the next row; the for loop starts again there
                     summary.rows_read += 1
-                    handle(LogParseError(line_no, f"unreadable row: {exc}"))
+                    handle(LogParseError(reader.line_num, f"unreadable row: {exc}"))
         else:
             any_line = False
             for line_no, line in enumerate(fh, start=1):
@@ -223,6 +231,8 @@ def _quartiles(values: list[int]) -> tuple[float, float]:
     if len(values) == 1:
         # statistics.quantiles needs two points before Python 3.13
         return float(values[0]), float(values[0])
+    import statistics  # here: it pulls fractions and decimal into every command's start-up
+
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q3
 
@@ -297,10 +307,7 @@ def _trace_from_columns(user_id: str, columns) -> UserTrace:
         raise ValueError(f"user {user_id!r}: a timestamp_ms is not an integer")
     if not all(type(url) is str and url for url in urls):
         raise ValueError(f"user {user_id!r}: a url is empty or not a string")
-    # urls repeat within a trace: keep one string per distinct url, which
-    # shrinks the trace in memory and when pickled
-    shared = {url: url for url in urls}
-    return UserTrace.build(user_id, timestamps, [shared[url] for url in urls])
+    return UserTrace.build(user_id, timestamps, urls)
 
 
 def read_trace_files(in_dir: str | Path) -> dict[str, UserTrace]:

@@ -16,8 +16,7 @@ request would wash out the penalty for any number of useless prefetches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .engine import TestOutcome
 
@@ -57,8 +56,7 @@ def dynamic_recall(o: TestOutcome) -> float | None:
     return o.hit_count / total
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     """Per-run metric values plus enough identity to pair runs for normalization."""
 
     user_id: str
@@ -110,8 +108,7 @@ def normalize_against_naive(target: MetricsReport, naive: MetricsReport) -> Metr
         raise ValueError(f"baseline report is for {naive.algorithm!r}, expected the naive run")
     if target.user_id != naive.user_id:
         raise ValueError(f"run identity mismatch: {target.user_id!r} vs {naive.user_id!r}")
-    return replace(
-        target,
+    return target._replace(
         normalized_static_recall=_ratio(target.static_recall, naive.static_recall),
         normalized_dynamic_recall=_ratio(target.dynamic_recall, naive.dynamic_recall),
     )

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .traces import UserTrace, parse_domain
 
@@ -40,8 +40,7 @@ class PruneSpec:
         return {"strategy": self.strategy, "keep_fraction": self.keep_fraction}
 
 
-@dataclass(frozen=True)
-class PruneResult:
+class PruneResult(NamedTuple):
     kept_training: list[str]  # subsequence of the input, original order
     size_reduction: float
     groups_total: int

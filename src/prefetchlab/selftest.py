@@ -15,7 +15,7 @@ so a deployment can be validated without a test framework installed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import SplitSpec, run_user, split
 from .metrics import metrics_report, normalize_against_naive
@@ -25,8 +25,7 @@ from .synth import random_config, uniform_trace, url_pool
 from .traces import UserTrace
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     cases: int

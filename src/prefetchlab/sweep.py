@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .engine import SplitSpec, run_test_engine
 from .metrics import MetricsReport, aggregate_reports, metrics_report
@@ -84,8 +84,7 @@ def enumerate_windows(n: int, x: int, y: int) -> list[tuple[int, int]]:
     return [(start, start + x) for start in range(0, n - x + 1, y)]
 
 
-@dataclass(frozen=True)
-class WindowRecord:
+class WindowRecord(NamedTuple):
     """One model: its window coordinates, metrics, and timing.
 
     The replay outcome is reduced to its metrics at once, so no window's
@@ -102,15 +101,13 @@ class WindowRecord:
         return (self.window_size, self.user_id, self.window_index)
 
 
-@dataclass(frozen=True)
-class UserSweep:
+class UserSweep(NamedTuple):
     user_id: str
     records: tuple[WindowRecord, ...]
     skipped_sizes: tuple[int, ...]  # sizes this trace is too short for
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     algorithm: str
     records: tuple[WindowRecord, ...]
     # window_size -> metric name -> {"mean": float|None, "count": int, "excluded": int}

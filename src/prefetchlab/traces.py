@@ -15,7 +15,7 @@ requests are "the same" iff their ``url_key`` strings compare equal.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 
@@ -66,12 +66,18 @@ class UserTrace:
     @classmethod
     def build(cls, user_id: str, timestamps: Sequence[int],
               url_keys: Sequence[str]) -> "UserTrace":
-        """Sort both columns by timestamp (stable: input order breaks ties)."""
+        """Sort both columns by timestamp (stable: input order breaks ties).
+
+        urls repeat within a trace, so the trace keeps one string per distinct
+        url, which shrinks it in memory and when pickled.
+        """
         if len(timestamps) != len(url_keys):
             raise ValueError(f"trace {user_id!r}: {len(timestamps)} timestamps "
                              f"but {len(url_keys)} url_keys")
         order = sorted(range(len(timestamps)), key=timestamps.__getitem__)
-        return cls(user_id, [timestamps[i] for i in order], [url_keys[i] for i in order])
+        shared = {url: url for url in url_keys}
+        return cls(user_id, [timestamps[i] for i in order],
+                   [shared[url_keys[i]] for i in order])
 
     def __len__(self) -> int:
         return len(self.url_keys)
@@ -82,8 +88,7 @@ class UserTrace:
         return [Request(ts, url) for ts, url in zip(self.timestamps, self.url_keys)]
 
 
-@dataclass(frozen=True)
-class RepetitionStats:
+class RepetitionStats(NamedTuple):
     """Counts of repeated requests within a single trace.
 
     A request counts as repeated when its url_key occurs at least twice in
@@ -94,7 +99,7 @@ class RepetitionStats:
     unique_count: int
     repeated_count: int
     repeated_pct: float
-    occurrence_histogram: dict[str, int] = field(default_factory=dict)
+    occurrence_histogram: dict[str, int]
 
     def to_dict(self) -> dict:
         return {

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import importlib.util
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +99,50 @@ def test_ingest_then_evaluate_keeps_users_with_colliding_escapes(tmp_path):
     report = _read_json(tmp_path / "eval" / "report.json")
     assert report["users"]["evaluated"] == 4
     assert sorted(report["results"]["naive"]) == sorted(["a\u2014", "a 14", "u1", "u2"])
+
+
+def test_jsonl_user_id_or_url_that_utf8_cannot_encode_is_malformed(tmp_path, capsys):
+    # a "\ud800" escape loads as a lone surrogate, which no UTF-8 output can hold
+    row = {"user_id": "u1", "method": "GET", "url": "https://x.example/p"}
+    rows = [dict(row, timestamp_ms=1000 + i, url=f"https://x.example/p{i % 3}")
+            for i in range(12)]
+    rows[3:3] = [dict(row, timestamp_ms=1, user_id="\ud800"),
+                 dict(row, timestamp_ms=2, url="https://x.example/\udfff")]
+    log = tmp_path / "log.jsonl"
+    log.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    store = tmp_path / "ingested"
+    assert main(["ingest", "--input", str(log), "--format", "jsonl", "--out", str(store)]) == 0
+    load = _read_json(store / "ingest_summary.json")["load"]
+    assert load["skipped_malformed"] == 2
+    assert [e.split(" ")[:3] for e in load["errors"]] == [["line", "4:", "user_id"],
+                                                          ["line", "5:", "url"]]
+    assert list(_read_json(store / "traces.json")["users"]) == ["u1"]
+    for command, argv in STORE_COMMANDS.items():
+        assert main([*argv, str(tmp_path / command), "--input", str(store)]) == 0
+    capsys.readouterr()
+    assert main(["ingest", "--input", str(log), "--format", "jsonl", "--strict",
+                 "--out", str(tmp_path / "strict")]) == 1
+    assert capsys.readouterr().err.startswith("error: line 4: user_id")
+
+
+def test_perfbench_tracing_finds_every_name_it_patches():
+    # the traced benchmark run wraps these module attributes; a start-up change
+    # that drops one must fail here, not only in a traced run
+    from prefetchlab import cli, engine, sweep
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    saved = {module: dict(vars(module)) for module in (cli, engine, sweep)}
+    try:
+        originals = tracing._install(tracing.Recorder(), cli, engine, sweep)
+        assert all(getattr(module, name) is not original
+                   for module, name, original in originals)
+    finally:
+        for module, names in saved.items():
+            vars(module).update(names)
+    assert all(getattr(module, name) is original for module, name, original in originals)
 
 
 # ---------------------------------------------------------------- trace store

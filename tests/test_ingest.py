@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ import prefetchlab
 from prefetchlab.cli import main
 from prefetchlab.ingest import (LogParseError, _quartiles, load_traces, read_trace_files,
                                 remove_outlier_users, write_trace_files)
+from prefetchlab.synth import bursty_traces, write_log
 from prefetchlab.traces import UserTrace
 
 CSV_HEADER = "user_id,timestamp_ms,method,url\n"
@@ -182,6 +184,57 @@ def test_timestamp_text_accepts_a_sign_and_surrounding_space(tmp_path):
     assert traces["u1"].timestamps == [-3, 5, 12, 2 ** 70]
 
 
+@pytest.mark.parametrize("row", [
+    '{"user_id": "u1", "timestamp_ms": ' + "9" * 5000
+    + ', "method": "GET", "url": "https://a.example/y"}',
+    "[" * 100_000 + "]" * 100_000,
+], ids=["5000-digit-integer", "deeply-nested"])
+def test_jsonl_row_that_json_cannot_load_is_malformed(tmp_path, capsys, row):
+    good = [json.dumps(dict(GOOD_JSONL_ROW, timestamp_ms=i)) for i in range(12)]
+    path = _write(tmp_path, "log.jsonl", "\n".join(good[:1] + [row] + good[1:]) + "\n")
+    traces, summary = load_traces(path, fmt="jsonl")
+    assert summary.skipped_malformed == 1
+    assert summary.errors[0].startswith("line 2: invalid JSON")
+    assert len(traces["u1"]) == 12
+    assert main(["ingest", "--input", str(path), "--format", "jsonl",
+                 "--out", str(tmp_path / "lenient")]) == 0
+    capsys.readouterr()
+    assert main(["ingest", "--input", str(path), "--format", "jsonl", "--strict",
+                 "--out", str(tmp_path / "strict")]) == 1
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith("error: line 2:")
+
+
+def test_csv_bad_row_names_the_physical_line_it_ends_on(tmp_path):
+    # a quoted url may span lines, so rows and physical lines fall out of step
+    path = _write(tmp_path, "log.csv", CSV_HEADER + "\n".join([
+        'u1,100,GET,"https://a.example/1', 'continued"',      # lines 2-3
+        "u1,notatime,GET,https://a.example/2",               # line 4
+        'u1,notatime,GET,"https://a.example/3', 'continued"',  # lines 5-6
+        "u1,300,GET,https://a.example/4"]) + "\n")
+    traces, summary = load_traces(path, fmt="csv")
+    assert summary.rows_read == 4 and summary.skipped_malformed == 2
+    assert [e.split(":")[0] for e in summary.errors] == ["line 4", "line 6"]
+    assert traces["u1"].url_keys == ["https://a.example/1\ncontinued", "https://a.example/4"]
+    with pytest.raises(LogParseError) as err:
+        load_traces(path, fmt="csv", strict=True)
+    assert err.value.line_no == 4
+
+
+def test_csv_unreadable_row_names_its_physical_line(tmp_path):
+    path = _write(tmp_path, "log.csv", CSV_HEADER + "\n".join([
+        'u1,100,GET,"https://a.example/1', 'continued"',       # lines 2-3
+        f"u1,200,GET,https://a.example/{OVERSIZED}",           # line 4
+        "u1,300,GET,https://a.example/4"]) + "\n")
+    traces, summary = load_traces(path, fmt="csv")
+    assert summary.rows_read == 3 and summary.skipped_malformed == 1
+    assert summary.errors[0].startswith("line 4: unreadable row")
+    assert traces["u1"].url_keys == ["https://a.example/1\ncontinued", "https://a.example/4"]
+    with pytest.raises(LogParseError) as err:
+        load_traces(path, fmt="csv", strict=True)
+    assert err.value.line_no == 4
+
+
 def test_bad_header_rejected(tmp_path):
     path = _write(tmp_path, "log.csv", "who,when,how,where\nu1,1,GET,https://a.example/\n")
     with pytest.raises(LogParseError):
@@ -276,11 +329,25 @@ def test_trace_store_keeps_users_with_colliding_escapes(tmp_path):
         assert loaded[uid] == trace
 
 
+def test_raw_log_traces_share_url_strings_like_store_traces(tmp_path):
+    traces = bursty_traces(seed=5, count=3, min_length=200, max_length=200,
+                           repertoire_size=10, noise_rate=0.1)
+    raw, _ = load_traces(write_log(traces, tmp_path / "log.csv"))
+    write_trace_files(raw, tmp_path / "store")
+    stored = read_trace_files(tmp_path / "store")
+    for uid, trace in raw.items():
+        assert len({id(url) for url in trace.url_keys}) == len(set(trace.url_keys))
+        assert len(pickle.dumps(trace)) == len(pickle.dumps(stored[uid]))
+
+
 def test_cli_import_leaves_numpy_and_process_pool_unloaded():
-    # every command pays for what importing the CLI pulls in
+    # every command pays for what importing the CLI pulls in: only what the
+    # data commands run, not what selftest, stats or a worker pool alone needs
     src = str(Path(prefetchlab.__file__).resolve().parents[1])
+    unwanted = ("numpy", "concurrent.futures", "prefetchlab.selftest", "prefetchlab.oracle",
+                "prefetchlab.synth", "statistics")
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import prefetchlab.cli; "
-            "print(sorted(m for m in ('numpy', 'concurrent.futures') if m in sys.modules))")
+            f"print(sorted(m for m in {unwanted!r} if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
