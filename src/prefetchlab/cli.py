@@ -8,9 +8,11 @@ golden-file comparisons can drop.
 
 The unit of work is the user. ``evaluate`` and ``sweep`` make one job per
 user that runs every algorithm on that user's trace (for ``evaluate
---prune``, both unpruned and pruned), and map the jobs in order over at most
-one process pool per command, so the worker count never changes any output
-outside "runtime". ``evaluate()`` is the library form of the evaluate
+--prune``, both unpruned and pruned). With more than one worker the command
+forks (``forkjoin``): the jobs are dealt into one share per worker, the
+command's own process maps the first share and a forked child each other
+share, and the results are put back in job order, so the worker count never
+changes any output outside "runtime". ``evaluate()`` is the library form of the evaluate
 command: it returns the report.json dict, and ``cmd_evaluate`` only loads
 the input and writes the files.
 """
@@ -83,15 +85,18 @@ def _predictor_config(args, algorithm: str) -> PredictorConfig:
 
 
 def _run_jobs(fn, payloads: list, workers: int) -> list:
-    """Order-preserving map, in-process for a single worker."""
-    if workers <= 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
-    # imported here: the pool's modules would add to every command's start-up
-    from concurrent.futures import ProcessPoolExecutor
+    """Order-preserving map over up to ``workers`` processes, in-process for one.
 
-    chunksize = max(1, len(payloads) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, payloads, chunksize=chunksize))
+    More than one share forks (see ``forkjoin``); without ``os.fork`` the map
+    runs in-process.
+    """
+    shares = min(workers, len(payloads)) if hasattr(os, "fork") else 1
+    if shares <= 1:
+        return [fn(p) for p in payloads]
+    # imported here: only a run with more than one worker compiles and loads it
+    from .forkjoin import fork_map
+
+    return fork_map(fn, payloads, shares)
 
 
 def _check_domain_cutoff(domain_cutoff: float | None) -> None:

@@ -13,7 +13,9 @@ whitespace ignored; ``int()`` alone would also take ``1_000`` or ``١٢٣``.
 
 Rows with a non-GET method are dropped (counted, not an error). Malformed
 rows are a per-row error carrying the line number; in the default lenient
-mode they are skipped and counted, in strict mode the first one aborts.
+mode they are skipped and counted, in strict mode the first one aborts. A
+``user_id``, ``method`` or ``url`` that is not valid UTF-8 (bytes that do not
+decode, or a JSON escape of a lone surrogate) makes its row malformed.
 """
 
 from __future__ import annotations
@@ -118,19 +120,18 @@ def _parse_jsonl_row(line_no: int, line: str) -> Record:
         ts = int(ts)
     elif type(ts) not in (int, str):  # a string goes through int() as CSV text does
         raise LogParseError(line_no, f"timestamp_ms is not an integer: {ts!r}")
-    user_id, url = str(obj["user_id"]), obj["url"]
-    # a "\ud800" escape loads as a lone surrogate, which no UTF-8 output can hold;
-    # the file is decoded as UTF-8, so only an escape can make one
-    if "\\u" in line:
-        for key, value in (("user_id", user_id), ("url", url)):
+    return _build_record(line_no, str(obj["user_id"]), ts, obj["method"], obj["url"])
+
+
+def _build_record(line_no: int, user_id: str, ts_raw, method: str, url: str) -> Record:
+    # a byte that is not UTF-8 decodes to a lone surrogate (surrogateescape), as does
+    # a JSON "\ud800" escape; no UTF-8 output can hold one, and ASCII holds none
+    if not (user_id.isascii() and method.isascii() and url.isascii()):
+        for key, value in (("user_id", user_id), ("method", method), ("url", url)):
             try:
                 value.encode("utf-8")
             except UnicodeEncodeError:
                 raise LogParseError(line_no, f"{key} is not valid UTF-8: {value!r}") from None
-    return _build_record(line_no, user_id, ts, obj["method"], url)
-
-
-def _build_record(line_no: int, user_id: str, ts_raw, method: str, url: str) -> Record:
     if not user_id:
         raise LogParseError(line_no, "empty user_id")
     try:
@@ -160,7 +161,7 @@ def iter_log_records(path: str | Path, fmt: str = "csv", strict: bool = False,
         if len(summary.errors) < MAX_RECORDED_ERRORS:
             summary.errors.append(str(exc))
 
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8", errors="surrogateescape") as fh:
         if fmt == "csv":
             reader = csv.reader(fh)
             try:
@@ -307,6 +308,12 @@ def _trace_from_columns(user_id: str, columns) -> UserTrace:
         raise ValueError(f"user {user_id!r}: a timestamp_ms is not an integer")
     if not all(type(url) is str and url for url in urls):
         raise ValueError(f"user {user_id!r}: a url is empty or not a string")
+    # a "\ud800" escape loads as a lone surrogate, which no UTF-8 output can hold
+    for what, text in (("the user id", user_id), ("a url", "".join(urls))):
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"user {user_id!r}: {what} is not valid UTF-8") from None
     return UserTrace.build(user_id, timestamps, urls)
 
 

@@ -5,11 +5,16 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
+import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from prefetchlab.cli import evaluate, main
+from prefetchlab import cli
+from prefetchlab.cli import _run_jobs, evaluate, main
 from prefetchlab.engine import SplitSpec
 from prefetchlab.ingest import load_traces
 from prefetchlab.predictors import ALGORITHMS, PredictorConfig
@@ -184,6 +189,9 @@ HOSTILE_STORES = {
     "bool_timestamp": _edit_u1("timestamp_ms", [True] + list(range(1001, 1012))),
     "empty_url": _edit_u1("url", [""] + ["https://x.example/p0"] * 11),
     "non_string_url": _edit_u1("url", [7] + ["https://x.example/p0"] * 11),
+    # "\ud800" escapes load as lone surrogates, which no UTF-8 output can hold
+    "surrogate_user_id": lambda store: store["users"].update({"\ud800": store["users"]["u1"]}),
+    "surrogate_url": _edit_u1("url", ["https://x.example/\ud800"] + ["https://x.example/p0"] * 11),
 }
 
 STORE_COMMANDS = {
@@ -210,6 +218,7 @@ def test_hostile_store_exits_2_with_error_line(tmp_path, capsys, case, command):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "traces.json" in err
+    assert not (tmp_path / "out").exists()  # rejected before any output is written
 
 
 @pytest.mark.parametrize("command", sorted(STORE_COMMANDS))
@@ -374,6 +383,102 @@ def test_evaluate_worker_count_changes_nothing_but_runtime(tmp_path):
         csvs.append((out / "metrics.csv").read_bytes())
     assert reports[0] == reports[1]
     assert csvs[0] == csvs[1]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
+def test_run_jobs_equals_the_serial_map(workers):
+    for n in range(8):
+        payloads = [f"p{i}" for i in range(n)]
+        results = _run_jobs(lambda p: (p * 2, os.getpid()), payloads, workers)
+        assert [r[0] for r in results] == [p * 2 for p in payloads]
+        # the parent maps a share itself and forks one child per other share
+        assert len({r[1] for r in results}) == min(workers, n)
+        assert os.getpid() in {r[1] for r in results} or n == 0
+        _assert_no_child_left()
+
+
+def test_run_jobs_without_fork_maps_in_process(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert _run_jobs(lambda p: (p, os.getpid()), [1, 2, 3], 4) == [
+        (p, os.getpid()) for p in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("failing", [{3, 4}, {2, 5}, {5}])
+def test_run_jobs_raises_the_earliest_payloads_exception(failing):
+    def job(p):
+        if p in failing:
+            raise ValueError(f"payload {p}")
+        return p
+    for workers in (1, 2, 3):
+        with pytest.raises(ValueError, match=f"payload {min(failing)}"):
+            _run_jobs(job, list(range(8)), workers)
+        _assert_no_child_left()
+
+
+def test_value_error_in_a_childs_share_exits_2_as_with_one_worker(tmp_path, capsys,
+                                                                 monkeypatch):
+    log = _make_log(tmp_path)
+    run_user = cli.run_user
+    users = sorted(load_traces(log)[0])
+
+    def failing_run_user(trace, *args):
+        if trace.user_id == users[1]:  # the first payload of the first child's share
+            raise ValueError(f"cannot evaluate {trace.user_id}")
+        return run_user(trace, *args)
+
+    monkeypatch.setattr(cli, "run_user", failing_run_user)
+    errors = []
+    for workers in ("1", "2"):
+        assert main(["evaluate", "--input", str(log), "--out", str(tmp_path / workers),
+                     "--workers", workers]) == 2
+        errors.append(capsys.readouterr().err)
+        _assert_no_child_left()
+    assert errors[0] == errors[1] == f"error: cannot evaluate {users[1]}\n"
+
+
+def test_run_jobs_result_that_cannot_be_pickled_raises_in_the_parent_alone(tmp_path):
+    after = tmp_path / "after"
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        _run_jobs(lambda p: lambda: p, [1, 2, 3], 2)
+    # caller code after the call runs once, in this process: no child returned here
+    with after.open("a") as fh:
+        fh.write(f"{os.getpid()}\n")
+    assert after.read_text().split() == [str(os.getpid())]
+    _assert_no_child_left()
+
+
+def test_run_jobs_child_that_dies_without_results_raises():
+    parent = os.getpid()
+
+    def job(p):
+        if os.getpid() != parent:
+            os._exit(3)
+        return p
+
+    with pytest.raises(ChildProcessError, match="ended without its results"):
+        _run_jobs(job, [1, 2, 3, 4], 3)
+    _assert_no_child_left()
+
+
+def test_forked_evaluate_loads_no_process_pool_module(tmp_path):
+    # the workers are forked from the command's own process; a pool's modules
+    # would cost every multi-worker run their import and start-up
+    log = _make_log(tmp_path, count=3)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from prefetchlab.cli import main; "
+            "rc = main(['evaluate', '--input', sys.argv[2], '--out', sys.argv[3], "
+            "'--workers', '2']); "
+            "print(rc, sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code, src, str(log), str(tmp_path / "out")],
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "out" / "report.json").is_file()
 
 
 def test_evaluate_rejects_bad_ratio_with_exit_2(tmp_path, capsys):

@@ -205,6 +205,35 @@ def test_jsonl_row_that_json_cannot_load_is_malformed(tmp_path, capsys, row):
     assert len(err_lines) == 1 and err_lines[0].startswith("error: line 2:")
 
 
+@pytest.mark.parametrize("field", ["user_id", "method", "url"])
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_invalid_utf8_byte_in_a_raw_log_is_a_malformed_row(tmp_path, capsys, fmt, field):
+    rows = [dict(GOOD_JSONL_ROW, timestamp_ms=i, url=f"https://a.example/{i}")
+            for i in range(12)]
+    rows[1] = dict(rows[1], **{field: rows[1][field] + "\udcff"})  # the byte 0xff
+    if fmt == "csv":
+        lines = [CSV_HEADER.strip()] + [",".join(str(r[k]) for k in
+                                                 ("user_id", "timestamp_ms", "method", "url"))
+                                        for r in rows]
+        bad_line = 3
+    else:
+        lines = [json.dumps(r, ensure_ascii=False) for r in rows]
+        bad_line = 2
+    path = tmp_path / f"log.{fmt}"
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+    traces, summary = load_traces(path, fmt=fmt)
+    assert summary.skipped_malformed == 1
+    assert summary.errors[0].startswith(f"line {bad_line}: {field} is not valid UTF-8")
+    assert traces["u1"].url_keys == [f"https://a.example/{i}" for i in range(12) if i != 1]
+    assert main(["ingest", "--input", str(path), "--format", fmt,
+                 "--out", str(tmp_path / "lenient")]) == 0
+    capsys.readouterr()
+    assert main(["ingest", "--input", str(path), "--format", fmt, "--strict",
+                 "--out", str(tmp_path / "strict")]) == 1
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith(f"error: line {bad_line}:")
+
+
 def test_csv_bad_row_names_the_physical_line_it_ends_on(tmp_path):
     # a quoted url may span lines, so rows and physical lines fall out of step
     path = _write(tmp_path, "log.csv", CSV_HEADER + "\n".join([
@@ -345,7 +374,7 @@ def test_cli_import_leaves_numpy_and_process_pool_unloaded():
     # data commands run, not what selftest, stats or a worker pool alone needs
     src = str(Path(prefetchlab.__file__).resolve().parents[1])
     unwanted = ("numpy", "concurrent.futures", "prefetchlab.selftest", "prefetchlab.oracle",
-                "prefetchlab.synth", "statistics")
+                "prefetchlab.synth", "statistics", "prefetchlab.forkjoin")
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import prefetchlab.cli; "
             f"print(sorted(m for m in {unwanted!r} if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
