@@ -99,9 +99,11 @@ def _run_jobs(fn, payloads: list, workers: int) -> list:
     return fork_map(fn, payloads, shares)
 
 
-def _check_domain_cutoff(domain_cutoff: float | None) -> None:
+def _check_options(domain_cutoff: float | None, workers: int) -> None:
     if domain_cutoff is not None and not 0.0 <= domain_cutoff <= 1.0:  # False for nan
         raise ValueError(f"domain_cutoff must lie in [0, 1], got {domain_cutoff}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
 
 def _timing_summary(samples_ms: list[float]) -> dict | None:
@@ -219,7 +221,7 @@ def evaluate(traces: dict[str, UserTrace], configs: list[PredictorConfig], spec:
     algorithms = [c.algorithm for c in configs]
     if len(set(algorithms)) != len(algorithms):
         raise ValueError(f"one config per algorithm, got {algorithms}")
-    _check_domain_cutoff(domain_cutoff)
+    _check_options(domain_cutoff, workers)
 
     eligible: dict[str, UserTrace] = {}
     skips: dict[str, str] = {}
@@ -319,7 +321,7 @@ def cmd_evaluate(args) -> int:
     spec = SplitSpec(training_ratio=args.ratio)
     configs = [_predictor_config(args, a) for a in _algo_list(args)]
     prune_spec = PruneSpec(args.prune, args.keep_fraction) if args.prune else None
-    _check_domain_cutoff(args.domain_cutoff)
+    _check_options(args.domain_cutoff, args.workers)
     traces = _load_input(args.input, args.format, args.strict)
     report = evaluate(traces, configs, spec, prune_spec, args.domain_cutoff, args.workers)
     out = Path(args.out)
@@ -361,11 +363,9 @@ def _sweep_job(payload) -> list[UserSweep]:
 
 def cmd_sweep(args) -> int:
     started = time.perf_counter()
-    swspec = SlidingWindowSpec(
-        window_sizes=tuple(args.sizes) if args.sizes else DEFAULT_WINDOW_SIZES,
-        training_ratio=args.ratio,
-    )
+    swspec = SlidingWindowSpec(args.sizes or DEFAULT_WINDOW_SIZES, args.ratio)
     configs = [_predictor_config(args, a) for a in _algo_list(args)]
+    _check_options(None, args.workers)
     traces = _load_input(args.input, args.format, args.strict)
     users = sorted(traces)
     out = Path(args.out)
@@ -556,10 +556,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except LogParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (LogParseError, OSError) as exc:  # a bad row, or a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

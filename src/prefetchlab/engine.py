@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from typing import NamedTuple, Sequence
 
 from .predictors import PredictorConfig, PredictionModel, train
@@ -33,22 +32,22 @@ class TraceTooShortError(Exception):
     """Skip signal: the trace cannot yield a non-empty train/test split."""
 
 
-@dataclass(frozen=True)
-class SplitSpec:
+class SplitSpec(namedtuple("SplitSpec", "training_ratio trigger_depth")):
     """Training ratio plus how many trailing previous requests trigger predictions.
 
     trigger_depth of None resolves per algorithm: ppm_order for PPM
     (context-sensitive), 1 for everything else.
     """
 
-    training_ratio: float = 0.8
-    trigger_depth: int | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        if not 0.0 < self.training_ratio < 1.0:
+    def __new__(cls, training_ratio: float = 0.8, trigger_depth: int | None = None):
+        if not 0.0 < training_ratio < 1.0:
             raise ValueError("training_ratio must lie strictly between 0 and 1")
-        if self.trigger_depth is not None and self.trigger_depth < 1:
+        if trigger_depth is not None and trigger_depth < 1:
             raise ValueError("trigger_depth must be >= 1")
+        return super().__new__(cls, training_ratio, trigger_depth)
 
     def resolve_trigger_depth(self, config: PredictorConfig) -> int:
         if self.trigger_depth is not None:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import json
 from collections import defaultdict
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -40,17 +39,21 @@ class LogParseError(ValueError):
     """A malformed input row. ``line_no`` is 1-based (header included for CSV)."""
 
     def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+        super().__init__(line_no, message)  # both in args, so a pickle round trip rebuilds it
+        self.line_no, self.message = line_no, message
+
+    def __str__(self) -> str:
+        return f"line {self.line_no}: {self.message}"
 
 
-@dataclass
 class LoadSummary:
-    rows_read: int = 0
-    kept: int = 0
-    dropped_non_get: int = 0
-    skipped_malformed: int = 0
-    errors: list[str] = field(default_factory=list)
+    __slots__ = ("rows_read", "kept", "dropped_non_get", "skipped_malformed", "errors")
+
+    def __init__(self, rows_read: int = 0, kept: int = 0, dropped_non_get: int = 0,
+                 skipped_malformed: int = 0, errors: list[str] | None = None):
+        self.rows_read, self.kept = rows_read, kept
+        self.dropped_non_get, self.skipped_malformed = dropped_non_get, skipped_malformed
+        self.errors = [] if errors is None else errors
 
     def to_dict(self) -> dict:
         return {

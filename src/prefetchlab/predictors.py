@@ -24,8 +24,7 @@ predicts every previously seen key in first-seen order.
 from __future__ import annotations
 
 import json
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from typing import Iterable, Sequence
 
 ALGORITHMS = ("dg", "ppm", "mp", "naive")
@@ -41,8 +40,8 @@ DEFAULT_TOP_N = 5
 MODEL_FORMAT = "prefetchlab-model/v1"
 
 
-@dataclass(frozen=True)
-class PredictorConfig:
+class PredictorConfig(namedtuple("PredictorConfig", "algorithm lookahead_window "
+                                 "confidence_threshold ppm_order top_n")):
     """Algorithm choice plus its thresholds.
 
     ``confidence_threshold`` of None means the per-algorithm default
@@ -50,24 +49,25 @@ class PredictorConfig:
     irrelevant to the chosen algorithm are validated but ignored.
     """
 
-    algorithm: str
-    lookahead_window: int = DEFAULT_LOOKAHEAD_WINDOW
-    confidence_threshold: float | None = None
-    ppm_order: int = DEFAULT_PPM_ORDER
-    top_n: int = DEFAULT_TOP_N
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        object.__setattr__(self, "algorithm", self.algorithm.lower())
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}, expected one of {ALGORITHMS}")
-        if self.lookahead_window < 1:
+    def __new__(cls, algorithm: str, lookahead_window: int = DEFAULT_LOOKAHEAD_WINDOW,
+                confidence_threshold: float | None = None, ppm_order: int = DEFAULT_PPM_ORDER,
+                top_n: int = DEFAULT_TOP_N):
+        algorithm = algorithm.lower()
+        if algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
+        if lookahead_window < 1:
             raise ValueError("lookahead_window must be >= 1")
-        if self.confidence_threshold is not None and not 0.0 <= self.confidence_threshold <= 1.0:
+        if confidence_threshold is not None and not 0.0 <= confidence_threshold <= 1.0:
             raise ValueError("confidence_threshold must lie in [0, 1]")
-        if self.ppm_order < 1:
+        if ppm_order < 1:
             raise ValueError("ppm_order must be >= 1")
-        if self.top_n < 1:
+        if top_n < 1:
             raise ValueError("top_n must be >= 1")
+        return super().__new__(cls, algorithm, lookahead_window, confidence_threshold,
+                               ppm_order, top_n)
 
     @property
     def effective_threshold(self) -> float:
@@ -140,6 +140,7 @@ class DGModel:
 
     def __init__(self, config: PredictorConfig):
         self.config = config
+        self._threshold = config.effective_threshold  # read on every step
         self.node_counts: dict[str, int] = {}
         self.arc_counts: dict[str, dict[str, int]] = {}
         self.pending_window: deque[str] = deque(maxlen=config.lookahead_window)
@@ -163,7 +164,7 @@ class DGModel:
         occurrences = self.node_counts.get(source)
         if not targets or not occurrences:
             return []
-        threshold = self.config.effective_threshold
+        threshold = self._threshold
         return _ranked({t: n for t, n in targets.items() if n / occurrences >= threshold})
 
     def state_dict(self) -> dict:
@@ -197,6 +198,7 @@ class PPMModel:
 
     def __init__(self, config: PredictorConfig):
         self.config = config
+        self._order, self._threshold = config.ppm_order, config.effective_threshold  # per step
         self.root = _TrieNode()
         self.recent_context: deque[str] = deque(maxlen=config.ppm_order)
         self._suffixes = [self.root]  # nodes of recent_context's suffixes, root first
@@ -211,12 +213,12 @@ class PPMModel:
                 child = node.children[key] = _TrieNode()
             child.count += 1
             suffixes.append(child)
-        del suffixes[self.config.ppm_order + 1:]
+        del suffixes[self._order + 1:]
         self._suffixes = suffixes
         self.recent_context.append(key)
 
     def forget(self, stream: Sequence[str], count: int) -> None:
-        depth = self.config.ppm_order + 1
+        depth = self._order + 1
         for start in range(count):
             # the paths of length 1..order+1 that begin at `start`
             node = self.root
@@ -242,12 +244,12 @@ class PPMModel:
         return node
 
     def predict(self, context: Sequence[str]) -> list[str]:
-        tail = list(context)[-self.config.ppm_order:]
+        tail = list(context)[-self._order:]
         for length in range(len(tail), 0, -1):
             node = self._lookup(tail[-length:])
             if node is None or not node.children:
                 continue
-            total, threshold = node.count, self.config.effective_threshold
+            total, threshold = node.count, self._threshold
             return _ranked({key: child.count for key, child in node.children.items()
                             if child.count / total >= threshold})
         return []
@@ -271,6 +273,7 @@ class MPModel:
 
     def __init__(self, config: PredictorConfig):
         self.config = config
+        self._top_n = config.top_n  # read on every step
         self.successor_lists: dict[str, dict[str, int]] = {}
         self.pending_window: deque[str] = deque(maxlen=config.lookahead_window)
 
@@ -288,7 +291,7 @@ class MPModel:
         successors = self.successor_lists.get(context[-1])
         if not successors:
             return []
-        return _ranked(successors)[: self.config.top_n]
+        return _ranked(successors)[: self._top_n]
 
     def state_dict(self) -> dict:
         return {

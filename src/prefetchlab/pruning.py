@@ -15,8 +15,7 @@ Ties rank lexicographically by group key so results are deterministic.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from typing import NamedTuple, Sequence
 
 from .traces import UserTrace, parse_domain
@@ -24,17 +23,17 @@ from .traces import UserTrace, parse_domain
 STRATEGIES = ("mor", "mad", "msd")
 
 
-@dataclass(frozen=True)
-class PruneSpec:
-    strategy: str
-    keep_fraction: float = 0.2
+class PruneSpec(namedtuple("PruneSpec", "strategy keep_fraction")):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        object.__setattr__(self, "strategy", self.strategy.lower())
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown pruning strategy {self.strategy!r}, expected one of {STRATEGIES}")
-        if not 0.0 < self.keep_fraction <= 1.0:
+    def __new__(cls, strategy: str, keep_fraction: float = 0.2):
+        strategy = strategy.lower()
+        if strategy not in STRATEGIES:
+            raise ValueError(f"unknown pruning strategy {strategy!r}, expected one of {STRATEGIES}")
+        if not 0.0 < keep_fraction <= 1.0:
             raise ValueError("keep_fraction must lie in (0, 1]")
+        return super().__new__(cls, strategy, keep_fraction)
 
     def to_dict(self) -> dict:
         return {"strategy": self.strategy, "keep_fraction": self.keep_fraction}

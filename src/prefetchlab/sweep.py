@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Mapping, NamedTuple
 
 from .engine import SplitSpec, run_test_engine
@@ -33,29 +33,32 @@ DEFAULT_CUTOFF_EPSILON = 0.005
 SWEEP_METRICS = ("static_precision", "static_recall", "dynamic_recall")
 
 
-@dataclass(frozen=True)
-class SlidingWindowSpec:
-    window_sizes: tuple[int, ...] = DEFAULT_WINDOW_SIZES
-    training_ratio: float = 0.8
-    sliding_distance: int | str = "auto"  # "auto" = test-slice length
+class SlidingWindowSpec(namedtuple("SlidingWindowSpec",
+                                   "window_sizes training_ratio sliding_distance")):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        object.__setattr__(self, "window_sizes", tuple(self.window_sizes))
-        if not self.window_sizes:
+    def __new__(cls, window_sizes: Iterable[int] = DEFAULT_WINDOW_SIZES,
+                training_ratio: float = 0.8, sliding_distance: int | str = "auto"):
+        window_sizes = tuple(window_sizes)
+        if not window_sizes:
             raise ValueError("at least one window size is required")
-        if not 0.0 < self.training_ratio < 1.0:
+        if not 0.0 < training_ratio < 1.0:
             raise ValueError("training_ratio must lie strictly between 0 and 1")
-        for size in self.window_sizes:
+        for i, size in enumerate(window_sizes):
             if size < 2:
                 raise ValueError(f"window size {size} < 2")
-            if math.floor(self.training_ratio * size) < 1:
+            if math.floor(training_ratio * size) < 1:
                 raise ValueError(
-                    f"window size {size} with ratio {self.training_ratio} "
+                    f"window size {size} with ratio {training_ratio} "
                     "leaves an empty training slice"
                 )
-        if self.sliding_distance != "auto":
-            if not isinstance(self.sliding_distance, int) or self.sliding_distance < 1:
+            if size in window_sizes[:i]:
+                raise ValueError(f"window size {size} is given twice")
+        if sliding_distance != "auto":
+            if not isinstance(sliding_distance, int) or sliding_distance < 1:
                 raise ValueError("sliding_distance must be 'auto' or an integer >= 1")
+        return super().__new__(cls, window_sizes, training_ratio, sliding_distance)
 
     def training_length(self, window_size: int) -> int:
         return math.floor(self.training_ratio * window_size)

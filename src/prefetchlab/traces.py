@@ -15,7 +15,6 @@ requests are "the same" iff their ``url_key`` strings compare equal.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 
@@ -52,16 +51,26 @@ class Request(NamedTuple):
     url_key: str    # full URL including query string
 
 
-@dataclass(frozen=True)
 class UserTrace:
     """One user's time-ordered requests as two parallel columns; the unit of model building.
 
-    Readers get the stored lists, not copies: treat them as read-only.
+    Readers get the stored lists, not copies: treat the trace and its lists as read-only.
     """
 
-    user_id: str
-    timestamps: list[int]  # milliseconds since epoch, non-decreasing
-    url_keys: list[str]    # full URLs including query string
+    __slots__ = ("user_id", "timestamps", "url_keys")
+
+    def __init__(self, user_id: str, timestamps: list[int], url_keys: list[str]):
+        self.user_id = user_id
+        self.timestamps = timestamps  # milliseconds since epoch, non-decreasing
+        self.url_keys = url_keys      # full URLs including query string
+
+    def __eq__(self, other):
+        return type(other) is UserTrace and (self.user_id, self.timestamps, self.url_keys) == (
+            other.user_id, other.timestamps, other.url_keys)
+
+    def __repr__(self) -> str:
+        return (f"UserTrace(user_id={self.user_id!r}, timestamps={self.timestamps!r}, "
+                f"url_keys={self.url_keys!r})")
 
     @classmethod
     def build(cls, user_id: str, timestamps: Sequence[int],

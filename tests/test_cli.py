@@ -16,7 +16,7 @@ import pytest
 from prefetchlab import cli
 from prefetchlab.cli import _run_jobs, evaluate, main
 from prefetchlab.engine import SplitSpec
-from prefetchlab.ingest import load_traces
+from prefetchlab.ingest import LogParseError, load_traces
 from prefetchlab.predictors import ALGORITHMS, PredictorConfig
 from prefetchlab.pruning import PruneSpec
 from prefetchlab.synth import bursty_traces, write_log
@@ -441,6 +441,29 @@ def test_value_error_in_a_childs_share_exits_2_as_with_one_worker(tmp_path, caps
     assert errors[0] == errors[1] == f"error: cannot evaluate {users[1]}\n"
 
 
+def test_log_parse_error_in_a_childs_share_reaches_the_parent_intact(tmp_path, capsys,
+                                                                     monkeypatch):
+    def job(p):
+        if p == 2:  # the first payload of the child's share
+            raise LogParseError(3, "bad")
+        return p
+
+    with pytest.raises(LogParseError) as err:
+        _run_jobs(job, [1, 2, 3, 4], 2)
+    assert err.value.line_no == 3 and str(err.value) == "line 3: bad"
+    _assert_no_child_left()
+
+    def failing_run_user(trace, *args):
+        raise LogParseError(3, "bad")
+
+    monkeypatch.setattr(cli, "run_user", failing_run_user)
+    log = _make_log(tmp_path)
+    assert main(["evaluate", "--input", str(log), "--out", str(tmp_path / "o"),
+                 "--workers", "2"]) == 1
+    assert capsys.readouterr().err == "error: line 3: bad\n"
+    _assert_no_child_left()
+
+
 def test_run_jobs_result_that_cannot_be_pickled_raises_in_the_parent_alone(tmp_path):
     after = tmp_path / "after"
     with pytest.raises((pickle.PicklingError, AttributeError)):
@@ -512,6 +535,36 @@ def test_bad_option_exits_2_before_the_input_is_read(tmp_path, capsys, args):
     assert err.startswith("error:") and "nope.csv" not in err
 
 
+@pytest.mark.parametrize("command", [["evaluate"], ["sweep", "--sizes", "5"]])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exit_2_before_the_input_is_read(tmp_path, capsys, command,
+                                                           workers):
+    missing = tmp_path / "nope.csv"
+    rc = main(command + ["--input", str(missing), "--out", str(tmp_path / "o"),
+                         "--workers", workers])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "workers" in err and "nope.csv" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_library_evaluate_rejects_workers_below_one(tmp_path):
+    traces, _ = load_traces(_make_log(tmp_path, count=2))
+    with pytest.raises(ValueError, match="workers"):
+        evaluate(traces, [PredictorConfig("dg")], SplitSpec(), workers=0)
+
+
+def test_evaluate_out_that_is_a_file_exits_1_with_error_line(tmp_path, capsys):
+    log = _make_log(tmp_path, count=2)
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n", encoding="utf-8")
+    rc = main(["evaluate", "--input", str(log), "--out", str(out), "--workers", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out.read_text(encoding="utf-8") == "not a directory\n"
+
+
 @pytest.mark.parametrize("cutoff", ["0", "1"])
 def test_evaluate_accepts_domain_cutoff_at_the_bounds(tmp_path, cutoff):
     log = _make_log(tmp_path, count=2)
@@ -571,6 +624,16 @@ def test_sweep_rejects_bad_size_list(tmp_path, capsys):
         main(["sweep", "--input", str(log), "--out", str(tmp_path / "o"),
               "--sizes", "5,banana", "--workers", "1"])
     assert "bad size list" in capsys.readouterr().err
+
+
+def test_sweep_rejects_a_repeated_window_size_and_writes_nothing(tmp_path, capsys):
+    log = _make_log(tmp_path, count=2)
+    out = tmp_path / "o"
+    rc = main(["sweep", "--input", str(log), "--out", str(out), "--sizes", "5,10,5",
+               "--workers", "1"])
+    assert rc == 2
+    assert "window size 5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- golden digests

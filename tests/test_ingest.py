@@ -121,6 +121,21 @@ def test_strict_mode_raises_with_line_number(tmp_path):
     assert err.value.line_no == 2
 
 
+def test_log_parse_error_survives_a_pickle_round_trip():
+    # a forked worker sends the exception that stopped its share back pickled
+    exc = pickle.loads(pickle.dumps(LogParseError(3, "bad")))
+    assert type(exc) is LogParseError
+    assert exc.line_no == 3 and str(exc) == "line 3: bad"
+
+
+def test_ingest_of_a_directory_exits_1_with_error_line(tmp_path, capsys):
+    rc = main(["ingest", "--input", str(tmp_path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 # one over csv.field_size_limit(), which the csv module raises on as csv.Error
 OVERSIZED = "x" * 131_073
 
@@ -374,7 +389,8 @@ def test_cli_import_leaves_numpy_and_process_pool_unloaded():
     # data commands run, not what selftest, stats or a worker pool alone needs
     src = str(Path(prefetchlab.__file__).resolve().parents[1])
     unwanted = ("numpy", "concurrent.futures", "prefetchlab.selftest", "prefetchlab.oracle",
-                "prefetchlab.synth", "statistics", "prefetchlab.forkjoin")
+                "prefetchlab.synth", "statistics", "prefetchlab.forkjoin", "dataclasses",
+                "inspect")
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import prefetchlab.cli; "
             f"print(sorted(m for m in {unwanted!r} if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,

@@ -77,6 +77,12 @@ def test_sliding_window_spec_validation():
         SlidingWindowSpec(sliding_distance=2.5)
 
 
+def test_sliding_window_spec_rejects_a_repeated_size():
+    # a repeated size would run its windows twice and double its means' count
+    with pytest.raises(ValueError, match="window size 50 is given twice"):
+        SlidingWindowSpec(window_sizes=(50, 100, 50))
+
+
 def test_spec_training_length_and_distance():
     spec = SlidingWindowSpec(window_sizes=(5, 10), training_ratio=0.8)
     assert spec.training_length(5) == 4
