@@ -38,7 +38,7 @@ from .pruning import STRATEGIES, PruneSpec, domain_cutoff_filter
 from .sweep import (DEFAULT_CUTOFF_EPSILON, DEFAULT_WINDOW_SIZES, SWEEP_METRICS,
                     SlidingWindowSpec, UserSweep, build_sweep_result, cutoff_scan,
                     sweep_user)
-from .traces import UserTrace, repetition_stats
+from .traces import UserTrace, population_summary, repetition_stats
 
 REPORT_FORMAT = "prefetchlab-report/v1"
 SWEEP_FORMAT = "prefetchlab-sweep/v1"
@@ -106,6 +106,13 @@ def _check_options(domain_cutoff: float | None, workers: int) -> None:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
 
+def _check_out(out: Path) -> None:
+    """Refuse an ``--out`` that is, or lies under, an existing non-directory."""
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"--out {out}: {existing} is not a directory")
+
+
 def _timing_summary(samples_ms: list[float]) -> dict | None:
     if not samples_ms:
         return None
@@ -146,24 +153,13 @@ def cmd_ingest(args) -> int:
 # ---------------------------------------------------------------- stats
 
 def cmd_stats(args) -> int:
-    import numpy as np
-
     traces = _load_input(args.input, args.format, args.strict)
     if not traces:
         print("error: no traces in input", file=sys.stderr)
         return 1
     per_user = {uid: repetition_stats(traces[uid]) for uid in sorted(traces)}
-
-    def across(values: list[float]) -> dict:
-        if not values:
-            return {"min": None, "avg": None, "max": None, "sd": None}
-        arr = np.asarray(values, dtype=float)
-        # population SD: users are the whole population under study here
-        return {"min": float(arr.min()), "avg": float(arr.mean()),
-                "max": float(arr.max()), "sd": float(arr.std())}
-
-    pct = across([s.repeated_pct for s in per_user.values()])
-    count = across([float(s.repeated_count) for s in per_user.values()])
+    pct = population_summary([s.repeated_pct for s in per_user.values()])
+    count = population_summary([float(s.repeated_count) for s in per_user.values()])
     report = {
         "format": REPORT_FORMAT,
         "command": "stats",
@@ -278,8 +274,7 @@ def evaluate(traces: dict[str, UserTrace], configs: list[PredictorConfig], spec:
                 deltas[name] = None if after is None or before is None else after - before
             delta_means[a] = deltas
         pruning_section = {
-            "strategy": prune_spec.strategy,
-            "keep_fraction": prune_spec.keep_fraction,
+            **prune_spec.to_dict(),
             "size_reduction": {
                 "mean": sum(reductions) / len(reductions) if reductions else None,
                 "min": min(reductions) if reductions else None,
@@ -299,9 +294,7 @@ def evaluate(traces: dict[str, UserTrace], configs: list[PredictorConfig], spec:
             "algorithms": algorithms,
             "split": spec.to_dict(),
             "predictors": {c.algorithm: c.to_dict() for c in configs},
-            "prune": (None if not prune_spec
-                      else {"strategy": prune_spec.strategy,
-                            "keep_fraction": prune_spec.keep_fraction}),
+            "prune": prune_spec.to_dict() if prune_spec else None,
             "domain_cutoff": domain_cutoff,
         },
         "users": {"loaded": len(traces), "evaluated": len(users), "skipped": skips},
@@ -555,6 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out is not None:  # checked before the input, which may be large, is read
+            _check_out(Path(args.out))
         return args.func(args)
     except (LogParseError, OSError) as exc:  # a bad row, or a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)

@@ -246,7 +246,7 @@ def remove_outlier_users(traces: dict[str, UserTrace], min_requests: int = 10,
     """Drop users above the Tukey upper fence or below the request floor.
 
     Quartiles use linear interpolation between order statistics (the
-    "inclusive" method of ``statistics.quantiles``, equal to numpy's default
+    "inclusive" method of ``statistics.quantiles``, the common "linear"
     percentile rule), so fixtures are exactly reproducible. A single user is
     its own q1 and q3. Removal is strict: count > upper fence, or count <
     min_requests.

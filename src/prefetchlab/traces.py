@@ -14,6 +14,7 @@ requests are "the same" iff their ``url_key`` strings compare equal.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import NamedTuple, Sequence
 
@@ -134,3 +135,47 @@ def repetition_stats(trace: UserTrace) -> RepetitionStats:
         repeated_pct=(repeated / total) if total else 0.0,
         occurrence_histogram=histogram,
     )
+
+
+def _running_sum(values: Sequence[float], total: float = 0.0) -> float:
+    for x in values:
+        total += x
+    return total
+
+
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """Pairwise sum of ``values``, rounded as a float64 array reduction is.
+
+    Runs under 8 items are summed left to right; runs of up to 128 in 8
+    strided accumulators; longer runs split at half, rounded down to a
+    multiple of 8. Additions are explicit on purpose: ``sum()`` of floats is
+    compensated from Python 3.12 on and ``math.fsum`` is exact, and either
+    would change the last digits of ``stats.json``.
+    """
+    n = len(values)
+    if n < 8:
+        return _running_sum(values)
+    if n <= 128:
+        end = n - n % 8
+        r = [_running_sum(values[j + 8:end:8], values[j]) for j in range(8)]
+        return _running_sum(values[end:],
+                            ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+def population_summary(values: list[float]) -> dict:
+    """``{"min", "avg", "max", "sd"}`` of ``values``, all ``None`` when there are none.
+
+    ``sd`` is the population standard deviation: the users are the whole
+    population under study. ``avg`` and ``sd`` are bit for bit those of
+    the reference array library that ``tests/test_traces.py`` compares with.
+    """
+    n = len(values)
+    if not n:
+        return {"min": None, "avg": None, "max": None, "sd": None}
+    # an array reduction starts from +0.0, so the mean of -0.0s is 0.0
+    mean = (0.0 + _pairwise_sum(values)) / n
+    squares = [(x - mean) * (x - mean) for x in values]
+    return {"min": min(values), "avg": mean, "max": max(values),
+            "sd": math.sqrt(_pairwise_sum(squares) / n)}

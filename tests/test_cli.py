@@ -565,6 +565,23 @@ def test_evaluate_out_that_is_a_file_exits_1_with_error_line(tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == "not a directory\n"
 
 
+@pytest.mark.parametrize("out_name", ["taken", "taken/sub"])
+@pytest.mark.parametrize("command", [["ingest"], ["stats"], ["evaluate", "--workers", "1"],
+                                     ["sweep", "--sizes", "5", "--workers", "1"]],
+                         ids=lambda c: c[0])
+def test_out_under_a_file_exits_1_before_the_input_is_read(tmp_path, capsys, command,
+                                                           out_name):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    out = tmp_path / out_name
+    rc = main(command + ["--input", str(tmp_path / "nope.csv"), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(out) in err and "nope.csv" not in err
+    assert taken.read_text(encoding="utf-8") == "not a directory\n"
+
+
 @pytest.mark.parametrize("cutoff", ["0", "1"])
 def test_evaluate_accepts_domain_cutoff_at_the_bounds(tmp_path, cutoff):
     log = _make_log(tmp_path, count=2)
@@ -733,6 +750,18 @@ def test_outputs_match_recorded_digests(tmp_path, run, workers):
     argv = GOLDEN_RUNS[run] + ["--input", str(log), "--out", str(out), "--workers", workers]
     assert main(argv) == 0
     assert _output_digests(out) == GOLDEN_DIGESTS[run]
+
+
+# SHA-256 of stats.json for the golden log, recorded when stats still
+# summarised across users with numpy's min/mean/max/std.
+STATS_GOLDEN_DIGEST = "7f9a925aba955ee2d844a68dfc25a3c2808e794c8f801c362386d37263249e62"
+
+
+def test_stats_output_matches_recorded_digest(tmp_path):
+    log = _golden_log(tmp_path)
+    out = tmp_path / "out"
+    assert main(["stats", "--input", str(log), "--out", str(out)]) == 0
+    assert _sha((out / "stats.json").read_bytes()) == STATS_GOLDEN_DIGEST
 
 
 def test_library_evaluate_returns_the_report_the_command_writes(tmp_path):

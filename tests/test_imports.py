@@ -1,18 +1,22 @@
-"""No module imports a name it never uses (stdlib ``ast`` scan; no linter needed).
+"""Import hygiene, by a stdlib ``ast`` scan (no linter needed).
 
-``src/prefetchlab/__init__.py`` is exempt: it imports names to re-export them.
+No module imports a name it never uses; ``src/prefetchlab/__init__.py`` is
+exempt, because it imports names to re-export them. The package imports
+nothing outside the standard library, so it has no runtime dependency.
 """
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "prefetchlab").glob("*.py"))
 SCANNED = sorted(
-    [p for p in (ROOT / "src" / "prefetchlab").glob("*.py") if p.name != "__init__.py"]
+    [p for p in PACKAGE if p.name != "__init__.py"]
     + list((ROOT / "tests").glob("*.py")) + list((ROOT / "demos").glob("*.py")))
 
 
@@ -35,3 +39,18 @@ def test_every_imported_name_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.relative_to(ROOT)}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_imports_only_the_standard_library(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                modules[alias.name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules[node.module] = node.lineno
+    foreign = {name: line for name, line in modules.items()
+               if name.split(".")[0] not in sys.stdlib_module_names | {"prefetchlab"}}
+    assert not foreign, f"{path.relative_to(ROOT)}: imports outside the standard library {foreign}"

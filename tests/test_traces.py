@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from prefetchlab.traces import InvalidURLError, UserTrace, parse_domain, repetition_stats
+from prefetchlab.traces import (InvalidURLError, UserTrace, parse_domain, population_summary,
+                                repetition_stats)
 
 
 def test_parse_domain_strips_scheme_path_query_fragment():
@@ -98,3 +102,54 @@ def test_repetition_stats_order_insensitive(keys):
     backward = repetition_stats(_trace(list(reversed(keys))))
     assert forward.repeated_count == backward.repeated_count
     assert forward.unique_count == backward.unique_count
+
+
+# ---------------------------------------------------------------- population_summary
+
+# what stats summarises: k/n shares and integer counts; and any float, -0.0 included
+ratios = st.integers(min_value=1, max_value=10**4).flatmap(
+    lambda n: st.integers(min_value=0, max_value=n).map(lambda k: k / n))
+counts = st.integers(min_value=0, max_value=10**6).map(float)
+magnitudes = st.floats(min_value=-1e3, max_value=1e3)
+summary_values = st.one_of(ratios, counts, magnitudes, st.just(-0.0))
+
+
+def _long_list(n, seed, kind):
+    # past numpy's 8,192-item buffer: too long for hypothesis to draw item by item
+    rng = random.Random(seed)
+    if kind == "ratio":
+        return [rng.randint(0, 997) / 997 for _ in range(n)]
+    if kind == "count":
+        return [float(rng.randint(0, 10**6)) for _ in range(n)]
+    return [rng.uniform(-1, 1) * 10 ** rng.uniform(-3, 3) for _ in range(n)]
+
+
+long_lists = st.builds(_long_list, st.integers(min_value=8185, max_value=16400),
+                       st.integers(min_value=0, max_value=2**32 - 1),
+                       st.sampled_from(["ratio", "count", "magnitude"]))
+
+
+@pytest.fixture(scope="module")
+def np():
+    # skips before hypothesis runs, which would report the skip as a failing example
+    return pytest.importorskip("numpy")
+
+
+@given(st.one_of(st.lists(summary_values, min_size=1, max_size=300), long_lists))
+@example([-0.0] * 40)  # numpy's mean of these is 0.0
+def test_population_summary_equals_numpy_bit_for_bit(np, values):
+    arr = np.asarray(values, dtype=float)
+    got = population_summary(values)
+    assert got["avg"].hex() == float(arr.mean()).hex()
+    assert got["sd"].hex() == float(arr.std()).hex()
+    signed_zeros = {math.copysign(1.0, x) for x in values if x == 0.0}
+    for key, ref in (("min", float(arr.min())), ("max", float(arr.max()))):
+        if ref == 0.0 and len(signed_zeros) == 2:
+            # whether numpy returns 0.0 or -0.0 here depends on its SIMD lane order
+            assert got[key] == ref
+        else:
+            assert got[key].hex() == ref.hex()
+
+
+def test_population_summary_of_nothing_is_all_none():
+    assert population_summary([]) == {"min": None, "avg": None, "max": None, "sd": None}
