@@ -18,7 +18,7 @@ sizes = (25, 50, 100, 200, 300, 400, 500)
 
 result = run_sweep(traces, PredictorConfig(algorithm="naive"),
                    SlidingWindowSpec(window_sizes=sizes))
-print(f"{result.model_count} models trained across {len(traces)} users\n")
+print(f"{len(result.records)} models trained across {len(traces)} users\n")
 
 print("window  models  dynamic recall")
 means = {}

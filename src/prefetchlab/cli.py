@@ -38,7 +38,7 @@ from .pruning import STRATEGIES, PruneSpec, domain_cutoff_filter
 from .sweep import (DEFAULT_CUTOFF_EPSILON, DEFAULT_WINDOW_SIZES, SWEEP_METRICS,
                     SlidingWindowSpec, UserSweep, build_sweep_result, cutoff_scan,
                     sweep_user)
-from .traces import UserTrace, population_summary, repetition_stats
+from .traces import UserTrace, _running_sum, population_summary, repetition_stats
 
 REPORT_FORMAT = "prefetchlab-report/v1"
 SWEEP_FORMAT = "prefetchlab-sweep/v1"
@@ -138,7 +138,7 @@ def cmd_ingest(args) -> int:
         "format": REPORT_FORMAT,
         "command": "ingest",
         "load": summary.to_dict(),
-        "outliers": outliers.to_dict(),
+        "outliers": outliers._asdict(),
         "users": {"parsed": len(traces), "kept": len(kept),
                   "removed": len(traces) - len(kept)},
     })
@@ -166,7 +166,7 @@ def cmd_stats(args) -> int:
         "users": len(per_user),
         "repeated_pct": pct,
         "repeated_count": count,
-        "per_user": {uid: s.to_dict() for uid, s in per_user.items()},
+        "per_user": {uid: s._asdict() for uid, s in per_user.items()},
     }
     if args.out:
         _write_json(Path(args.out) / "stats.json", report)
@@ -253,7 +253,7 @@ def evaluate(traces: dict[str, UserTrace], configs: list[PredictorConfig], spec:
         results[a] = {}
         for uid in users:
             entry = {"outcome": primary[a][uid].outcome.to_dict(),
-                     "metrics": reports[a][uid].to_dict()}
+                     "metrics": reports[a][uid]._asdict()}
             if prune_spec:
                 prune_result = primary[a][uid].prune_result
                 entry["prune"] = prune_result.to_dict() if prune_result else None
@@ -274,9 +274,9 @@ def evaluate(traces: dict[str, UserTrace], configs: list[PredictorConfig], spec:
                 deltas[name] = None if after is None or before is None else after - before
             delta_means[a] = deltas
         pruning_section = {
-            **prune_spec.to_dict(),
+            **prune_spec._asdict(),
             "size_reduction": {
-                "mean": sum(reductions) / len(reductions) if reductions else None,
+                "mean": _running_sum(reductions) / len(reductions) if reductions else None,
                 "min": min(reductions) if reductions else None,
                 "max": max(reductions) if reductions else None,
             },
@@ -292,9 +292,9 @@ def evaluate(traces: dict[str, UserTrace], configs: list[PredictorConfig], spec:
         "command": "evaluate",
         "config": {
             "algorithms": algorithms,
-            "split": spec.to_dict(),
+            "split": spec._asdict(),
             "predictors": {c.algorithm: c.to_dict() for c in configs},
-            "prune": prune_spec.to_dict() if prune_spec else None,
+            "prune": prune_spec._asdict() if prune_spec else None,
             "domain_cutoff": domain_cutoff,
         },
         "users": {"loaded": len(traces), "evaluated": len(users), "skipped": skips},
@@ -369,7 +369,7 @@ def cmd_sweep(args) -> int:
     algo_sections = {}
     for i, config in enumerate(configs):
         a = config.algorithm
-        result = build_sweep_result(a, [user_sweeps[i] for user_sweeps in jobs], swspec)
+        result = build_sweep_result([user_sweeps[i] for user_sweeps in jobs], swspec)
 
         _write_sweep_rows_csv(out / f"sweep_{a}.csv", result)
         _write_sweep_means_csv(out / f"sweep_{a}_means.csv", result, swspec)
@@ -384,12 +384,12 @@ def cmd_sweep(args) -> int:
             except ValueError:
                 cutoffs[metric] = None
         algo_sections[a] = {
-            "model_count": result.model_count,
+            "model_count": len(result.records),
             "skipped_users": {str(size): n for size, n in result.skipped.items()},
             "means": {str(size): result.means[size] for size in swspec.window_sizes},
             "cutoffs": cutoffs,
         }
-        print(f"{a:<6} {result.model_count} models "
+        print(f"{a:<6} {len(result.records)} models "
               f"({sum(result.skipped.values())} per-size user skips)")
 
     _write_json(out / "sweep_summary.json", {
@@ -397,7 +397,7 @@ def cmd_sweep(args) -> int:
         "command": "sweep",
         "config": {
             "algorithms": [c.algorithm for c in configs],
-            "window": swspec.to_dict(),
+            "window": swspec._asdict(),
             "predictors": {c.algorithm: c.to_dict() for c in configs},
         },
         "users": len(users),
@@ -411,16 +411,12 @@ def cmd_sweep(args) -> int:
 def _write_sweep_rows_csv(path: Path, result) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["window_size", "window_index", "user_id", "static_precision",
-                         "static_recall", "dynamic_recall", "elapsed_ms"])
+        writer.writerow(["window_size", "window_index", "user_id", *SWEEP_METRICS,
+                         "elapsed_ms"])
         for rec in result.records:
-            writer.writerow([
-                rec.window_size, rec.window_index, rec.user_id,
-                _fmt(rec.metrics.static_precision),
-                _fmt(rec.metrics.static_recall),
-                _fmt(rec.metrics.dynamic_recall),
-                f"{rec.elapsed_s * 1000:.3f}",
-            ])
+            writer.writerow([rec.window_size, rec.window_index, rec.user_id,
+                             *(_fmt(getattr(rec.metrics, m)) for m in SWEEP_METRICS),
+                             f"{rec.elapsed_s * 1000:.3f}"])
 
 
 def _write_sweep_means_csv(path: Path, result, swspec: SlidingWindowSpec) -> None:
@@ -451,8 +447,7 @@ def cmd_selftest(args) -> int:
             "format": REPORT_FORMAT,
             "command": "selftest",
             "seed": args.seed,
-            "checks": [{"name": r.name, "passed": r.passed,
-                        "cases": r.cases, "detail": r.detail} for r in results],
+            "checks": [r._asdict() for r in results],
         })
     return 0 if all(r.passed for r in results) else 1
 

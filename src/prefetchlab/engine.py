@@ -54,9 +54,6 @@ class SplitSpec(namedtuple("SplitSpec", "training_ratio trigger_depth")):
             return self.trigger_depth
         return config.ppm_order if config.algorithm == "ppm" else 1
 
-    def to_dict(self) -> dict:
-        return {"training_ratio": self.training_ratio, "trigger_depth": self.trigger_depth}
-
 
 class TestOutcome(NamedTuple):
     """The six replay outputs: cache size, hit/miss sets, and the three counters."""
@@ -71,14 +68,9 @@ class TestOutcome(NamedTuple):
     miss_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "cache_size": self.cache_size,
-            "hit_set": sorted(self.hit_set),
-            "miss_set": sorted(self.miss_set),
-            "prefetch_count": self.prefetch_count,
-            "hit_count": self.hit_count,
-            "miss_count": self.miss_count,
-        }
+        """The fields, with the two sets as sorted lists."""
+        return {**self._asdict(), "hit_set": sorted(self.hit_set),
+                "miss_set": sorted(self.miss_set)}
 
 
 def split(trace: UserTrace, spec: SplitSpec) -> tuple[list[str], list[str]]:

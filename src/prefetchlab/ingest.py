@@ -10,6 +10,7 @@ Input formats (declared, not sniffed):
 
 An integer string is an optional sign and ASCII digits, surrounding
 whitespace ignored; ``int()`` alone would also take ``1_000`` or ``١٢٣``.
+A UTF-8 byte order mark at the start of either format is dropped.
 
 Rows with a non-GET method are dropped (counted, not an error). Malformed
 rows are a per-row error carrying the line number; in the default lenient
@@ -56,13 +57,7 @@ class LoadSummary:
         self.errors = [] if errors is None else errors
 
     def to_dict(self) -> dict:
-        return {
-            "rows_read": self.rows_read,
-            "kept": self.kept,
-            "dropped_non_get": self.dropped_non_get,
-            "skipped_malformed": self.skipped_malformed,
-            "errors": list(self.errors),
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class OutlierReport(NamedTuple):
@@ -79,17 +74,6 @@ class OutlierReport(NamedTuple):
     upper_fence: float
     removed_users: list[str]
     min_request_floor: int
-
-    def to_dict(self) -> dict:
-        return {
-            "q1": self.q1,
-            "q3": self.q3,
-            "iqr": self.iqr,
-            "lower_fence": self.lower_fence,
-            "upper_fence": self.upper_fence,
-            "removed_users": list(self.removed_users),
-            "min_request_floor": self.min_request_floor,
-        }
 
 
 Record = tuple[str, int, str, str]  # (user_id, timestamp_ms, method uppercased, url)
@@ -164,7 +148,7 @@ def iter_log_records(path: str | Path, fmt: str = "csv", strict: bool = False,
         if len(summary.errors) < MAX_RECORDED_ERRORS:
             summary.errors.append(str(exc))
 
-    with path.open(newline="", encoding="utf-8", errors="surrogateescape") as fh:
+    with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         if fmt == "csv":
             reader = csv.reader(fh)
             try:

@@ -12,6 +12,10 @@ uses miss_set minus hit_set so the two sets are disjoint.
 A dynamic counterpart to static precision is deliberately not computed:
 its hit reward is unbounded over time, so repeated hits of a single useful
 request would wash out the penalty for any number of useless prefetches.
+
+Means add their values left to right from 0.0 (``traces._running_sum``),
+not with builtin ``sum()``: that is compensated from Python 3.12 on, so the
+last digit of a mean, and the report bytes, would depend on the interpreter.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .engine import TestOutcome
+from .traces import _running_sum
 
 METRIC_NAMES = ("static_precision", "static_recall", "static_recall_strict", "dynamic_recall")
 NORMALIZED_NAMES = ("normalized_static_recall", "normalized_dynamic_recall")
@@ -68,18 +73,6 @@ class MetricsReport(NamedTuple):
     normalized_static_recall: float | None = None
     normalized_dynamic_recall: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "user_id": self.user_id,
-            "algorithm": self.algorithm,
-            "static_precision": self.static_precision,
-            "static_recall": self.static_recall,
-            "static_recall_strict": self.static_recall_strict,
-            "dynamic_recall": self.dynamic_recall,
-            "normalized_static_recall": self.normalized_static_recall,
-            "normalized_dynamic_recall": self.normalized_dynamic_recall,
-        }
-
 
 def metrics_report(user_id: str, algorithm: str, outcome: TestOutcome) -> MetricsReport:
     return MetricsReport(
@@ -122,7 +115,7 @@ def aggregate_reports(reports: Iterable[MetricsReport]) -> dict[str, dict]:
         values = [getattr(r, name) for r in reports]
         defined = [v for v in values if v is not None]
         out[name] = {
-            "mean": (sum(defined) / len(defined)) if defined else None,
+            "mean": (_running_sum(defined) / len(defined)) if defined else None,
             "count": len(defined),
             "excluded": len(values) - len(defined),
         }

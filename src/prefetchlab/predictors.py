@@ -76,13 +76,8 @@ class PredictorConfig(namedtuple("PredictorConfig", "algorithm lookahead_window 
         return DEFAULT_DG_THRESHOLD if self.algorithm == "dg" else DEFAULT_PPM_THRESHOLD
 
     def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "lookahead_window": self.lookahead_window,
-            "confidence_threshold": self.effective_threshold,
-            "ppm_order": self.ppm_order,
-            "top_n": self.top_n,
-        }
+        """The fields, with the threshold the model uses in place of None."""
+        return {**self._asdict(), "confidence_threshold": self.effective_threshold}
 
 
 def _ranked(counts: dict[str, int]) -> list[str]:

@@ -35,9 +35,6 @@ class PruneSpec(namedtuple("PruneSpec", "strategy keep_fraction")):
             raise ValueError("keep_fraction must lie in (0, 1]")
         return super().__new__(cls, strategy, keep_fraction)
 
-    def to_dict(self) -> dict:
-        return {"strategy": self.strategy, "keep_fraction": self.keep_fraction}
-
 
 class PruneResult(NamedTuple):
     kept_training: list[str]  # subsequence of the input, original order
@@ -46,12 +43,10 @@ class PruneResult(NamedTuple):
     groups_kept: int
 
     def to_dict(self) -> dict:
-        return {
-            "size_reduction": self.size_reduction,
-            "groups_total": self.groups_total,
-            "groups_kept": self.groups_kept,
-            "kept_requests": len(self.kept_training),
-        }
+        """The fields, with the kept requests reduced to their count."""
+        fields = self._asdict()
+        fields["kept_requests"] = len(fields.pop("kept_training"))
+        return fields
 
 
 def _group_metrics(training: Sequence[str], strategy: str) -> tuple[list[str], dict[str, float]]:

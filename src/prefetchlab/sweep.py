@@ -68,13 +68,6 @@ class SlidingWindowSpec(namedtuple("SlidingWindowSpec",
             return window_size - self.training_length(window_size)
         return self.sliding_distance
 
-    def to_dict(self) -> dict:
-        return {
-            "window_sizes": list(self.window_sizes),
-            "training_ratio": self.training_ratio,
-            "sliding_distance": self.sliding_distance,
-        }
-
 
 def enumerate_windows(n: int, x: int, y: int) -> list[tuple[int, int]]:
     """Half-open [start, end) ranges of length x, stepping by y, within n."""
@@ -105,18 +98,15 @@ class WindowRecord(NamedTuple):
 
 
 class UserSweep(NamedTuple):
-    user_id: str
     records: tuple[WindowRecord, ...]
     skipped_sizes: tuple[int, ...]  # sizes this trace is too short for
 
 
 class SweepResult(NamedTuple):
-    algorithm: str
     records: tuple[WindowRecord, ...]
     # window_size -> metric name -> {"mean": float|None, "count": int, "excluded": int}
     means: dict[int, dict[str, dict]]
     skipped: dict[int, int]  # window_size -> users too short for that size
-    model_count: int
 
 
 def sweep_user(trace: UserTrace, config: PredictorConfig, spec: SlidingWindowSpec) -> UserSweep:
@@ -158,11 +148,10 @@ def sweep_user(trace: UserTrace, config: PredictorConfig, spec: SlidingWindowSpe
                 metrics=metrics_report(trace.user_id, config.algorithm, outcome),
                 elapsed_s=elapsed,
             ))
-    return UserSweep(user_id=trace.user_id, records=tuple(records), skipped_sizes=tuple(skipped))
+    return UserSweep(records=tuple(records), skipped_sizes=tuple(skipped))
 
 
-def build_sweep_result(algorithm: str, per_user: Iterable[UserSweep],
-                       spec: SlidingWindowSpec) -> SweepResult:
+def build_sweep_result(per_user: Iterable[UserSweep], spec: SlidingWindowSpec) -> SweepResult:
     """Deterministic reduction: records sorted by (size, user, index) before averaging."""
     records: list[WindowRecord] = []
     skipped = {size: 0 for size in spec.window_sizes}
@@ -177,22 +166,16 @@ def build_sweep_result(algorithm: str, per_user: Iterable[UserSweep],
         group = [r.metrics for r in records if r.window_size == size]
         aggregated = aggregate_reports(group)
         means[size] = {name: aggregated[name] for name in SWEEP_METRICS}
-    return SweepResult(
-        algorithm=algorithm,
-        records=tuple(records),
-        means=means,
-        skipped=skipped,
-        model_count=len(records),
-    )
+    return SweepResult(records=tuple(records), means=means, skipped=skipped)
 
 
 def run_sweep(traces: Mapping[str, UserTrace], config: PredictorConfig,
               spec: SlidingWindowSpec) -> SweepResult:
     per_user = (sweep_user(traces[user_id], config, spec) for user_id in sorted(traces))
-    return build_sweep_result(config.algorithm, per_user, spec)
+    return build_sweep_result(per_user, spec)
 
 
-def cutoff_scan(means: Mapping[int, float | None] | Iterable[tuple[int, float | None]],
+def cutoff_scan(means: Mapping[int, float | None],
                 epsilon: float = DEFAULT_CUTOFF_EPSILON) -> tuple[int, str]:
     """Locate where successive per-size mean deltas settle within epsilon.
 
@@ -202,8 +185,7 @@ def cutoff_scan(means: Mapping[int, float | None] | Iterable[tuple[int, float | 
     flattened when within epsilon. Undefined means carry no signal and are
     dropped before scanning.
     """
-    items = means.items() if isinstance(means, Mapping) else means
-    points = sorted((size, value) for size, value in items if value is not None)
+    points = sorted((size, value) for size, value in means.items() if value is not None)
     if len(points) < 2:
         raise ValueError("cutoff_scan needs at least 2 window sizes with defined means")
     sizes = [size for size, _ in points]

@@ -111,14 +111,6 @@ class RepetitionStats(NamedTuple):
     repeated_pct: float
     occurrence_histogram: dict[str, int]
 
-    def to_dict(self) -> dict:
-        return {
-            "unique_count": self.unique_count,
-            "repeated_count": self.repeated_count,
-            "repeated_pct": self.repeated_pct,
-            "occurrence_histogram": dict(sorted(self.occurrence_histogram.items())),
-        }
-
 
 def repetition_stats(trace: UserTrace) -> RepetitionStats:
     """Compute repeated-request counts for one user trace.

@@ -764,6 +764,55 @@ def test_stats_output_matches_recorded_digest(tmp_path):
     assert _sha((out / "stats.json").read_bytes()) == STATS_GOLDEN_DIGEST
 
 
+# SHA-256 of the two ingest outputs for the golden log with one POST row and
+# one malformed row appended (so the summary's errors list is not empty), and
+# of selftest.json at seed 0; recorded before the report records were
+# serialized with ``_asdict()``.
+INGEST_GOLDEN_DIGESTS = {
+    "ingest_summary.json":
+        "c52b29584412372dab0ad80f7d7927ced33888e801131ff217c228da63862cc1",
+    "traces.json":
+        "439662e6f892da2dd86e376f70996df8ac49d38c1b74a05e3df20c41e8b70a08",
+}
+SELFTEST_GOLDEN_DIGEST = "b74d40b80d329af0f3543b19faa0fe01ec9f8cad056cb02e6d7245c7d1252ea3"
+
+
+def test_ingest_outputs_match_recorded_digests(tmp_path):
+    log = _golden_log(tmp_path)
+    with log.open("a", encoding="utf-8") as fh:
+        fh.write("short,1600000000001,POST,https://one.example/form\n")
+        fh.write("short,not-a-time,GET,https://one.example/y\n")
+    out = tmp_path / "out"
+    assert main(["ingest", "--input", str(log), "--out", str(out)]) == 0
+    assert {name: _sha((out / name).read_bytes())
+            for name in INGEST_GOLDEN_DIGESTS} == INGEST_GOLDEN_DIGESTS
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+PYENV_VERSIONS = Path.home() / ".pyenv" / "versions"
+
+
+@pytest.mark.parametrize("minor", ["3.10", "3.11", "3.12", "3.13"])
+def test_outputs_match_recorded_digests_on_every_python(tmp_path, minor):
+    """The golden runs and stats write the same bytes under each CPython pyenv has.
+
+    ``sum()`` of floats is compensated from 3.12 on, so a mean taken with it
+    changes in its last digit between interpreters.
+    """
+    found = sorted(PYENV_VERSIONS.glob(f"{minor}.*/bin/python{minor}"))
+    if not found:
+        pytest.skip(f"no CPython {minor} under {PYENV_VERSIONS}")
+    log = _golden_log(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    for run, args in {**GOLDEN_RUNS, "stats": ["stats"]}.items():
+        workers = [] if run == "stats" else ["--workers", "1"]
+        subprocess.run([str(found[-1]), "-m", "prefetchlab.cli", *args, *workers,
+                        "--input", str(log), "--out", str(tmp_path / run)],
+                       env=env, check=True, capture_output=True)
+    assert {run: _output_digests(tmp_path / run) for run in GOLDEN_RUNS} == GOLDEN_DIGESTS
+    assert _sha((tmp_path / "stats" / "stats.json").read_bytes()) == STATS_GOLDEN_DIGEST
+
+
 def test_library_evaluate_returns_the_report_the_command_writes(tmp_path):
     log = _golden_log(tmp_path)
     out = tmp_path / "out"
@@ -798,3 +847,4 @@ def test_selftest_passes_and_writes_report(tmp_path, capsys):
     assert report["command"] == "selftest"
     assert [c["passed"] for c in report["checks"]] == [True] * 5
     assert "forget-equals-fresh" in [c["name"] for c in report["checks"]]
+    assert _sha((out / "selftest.json").read_bytes()) == SELFTEST_GOLDEN_DIGEST

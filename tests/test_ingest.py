@@ -278,6 +278,31 @@ def test_csv_unreadable_row_names_its_physical_line(tmp_path):
     assert err.value.line_no == 4
 
 
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_leading_utf8_bom_is_ignored(tmp_path, fmt, strict):
+    rows = [dict(GOOD_JSONL_ROW, timestamp_ms=i, url=f"https://a.example/{i}")
+            for i in range(12)]
+    if fmt == "csv":
+        text = CSV_HEADER + "".join(f"u1,{r['timestamp_ms']},GET,{r['url']}\n" for r in rows)
+    else:
+        text = "".join(json.dumps(r) + "\n" for r in rows)
+    plain = _write(tmp_path, f"plain.{fmt}", text)
+    bom = tmp_path / f"bom.{fmt}"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    expected_traces, expected = load_traces(plain, fmt=fmt, strict=strict)
+    traces, summary = load_traces(bom, fmt=fmt, strict=strict)
+    assert traces == expected_traces
+    assert summary.to_dict() == expected.to_dict()
+    assert summary.kept == 12 and summary.skipped_malformed == 0
+    flags = ["--strict"] if strict else []
+    for path in (plain, bom):
+        assert main(["ingest", "--input", str(path), "--format", fmt, *flags,
+                     "--out", str(tmp_path / path.stem)]) == 0
+    for name in ("ingest_summary.json", "traces.json"):
+        assert (tmp_path / "bom" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
 def test_bad_header_rejected(tmp_path):
     path = _write(tmp_path, "log.csv", "who,when,how,where\nu1,1,GET,https://a.example/\n")
     with pytest.raises(LogParseError):

@@ -110,6 +110,12 @@ def test_aggregate_excludes_undefined_and_counts_them():
     assert agg["dynamic_recall"]["count"] == 1  # u2 has no replayed requests either
 
 
+def test_aggregate_mean_sums_left_to_right():
+    # a compensated sum (builtin sum() from Python 3.12 on) gives 1.0 and a mean of 0.1
+    reports = [MetricsReport("u1", "dg", 0.1, None, None, None)] * 10
+    assert aggregate_reports(reports)["static_precision"]["mean"] == 0.09999999999999999
+
+
 def test_aggregate_of_nothing():
     agg = aggregate_reports([])
     assert agg["static_recall"] == {"mean": None, "count": 0, "excluded": 0}

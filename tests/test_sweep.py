@@ -166,11 +166,11 @@ def test_build_sweep_result_is_user_order_invariant():
     config = PredictorConfig(algorithm="dg")
     sweeps = [sweep_user(_trace(f"u{i}", _urls(10 + i, distinct=3)), config, spec)
               for i in range(3)]
-    forward = build_sweep_result("dg", sweeps, spec)
-    backward = build_sweep_result("dg", list(reversed(sweeps)), spec)
+    forward = build_sweep_result(sweeps, spec)
+    backward = build_sweep_result(list(reversed(sweeps)), spec)
     assert forward.records == backward.records
     assert forward.means == backward.means
-    assert forward.model_count == backward.model_count
+    assert forward.skipped == backward.skipped
 
 
 def test_sweep_result_records_sorted_and_counted():
@@ -179,9 +179,8 @@ def test_sweep_result_records_sorted_and_counted():
     result = run_sweep(traces, PredictorConfig(algorithm="naive"), spec)
     keys = [r.sort_key() for r in result.records]
     assert keys == sorted(keys)
-    assert result.model_count == len(result.records)
     # size 5: 7 windows per trace; size 10: 1 window per trace
-    assert result.model_count == 2 * (7 + 1)
+    assert len(result.records) == 2 * (7 + 1)
     assert result.skipped == {10: 0, 5: 0}
 
 
@@ -229,10 +228,6 @@ def test_cutoff_scan_needs_two_defined_points():
         cutoff_scan({50: None, 100: 0.2})
     with pytest.raises(ValueError):
         cutoff_scan({50: 0.2})
-
-
-def test_cutoff_scan_accepts_pair_iterable():
-    assert cutoff_scan([(100, 0.3), (50, 0.2), (200, 0.4)], epsilon=0.5) == (50, "flat")
 
 
 @given(st.lists(st.floats(0, 1, allow_nan=False), min_size=2, max_size=8),
