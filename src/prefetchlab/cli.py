@@ -4,7 +4,9 @@ Reports are machine-readable and reproducible: every number in report.json
 and the CSVs is a pure function of (input, config). Wall-clock timings and
 the worker count are the only nondeterministic values, so they live in a
 dedicated "runtime" section (JSON) or column (CSV) that consumers and
-golden-file comparisons can drop.
+golden-file comparisons can drop. A command with no user to report on (none
+kept by ``ingest``, none evaluated, none long enough for a sweep window)
+prints one ``error:`` line, exits 1 and writes nothing.
 
 The unit of work is the user. ``evaluate`` and ``sweep`` make one job per
 user that runs every algorithm on that user's trace (for ``evaluate
@@ -132,6 +134,11 @@ def cmd_ingest(args) -> int:
         print("error: no GET requests parsed from input", file=sys.stderr)
         return 1
     kept, outliers = remove_outlier_users(traces)
+    if not kept:
+        print(f"error: no user kept of {len(traces)} parsed (floor "
+              f"{outliers.min_request_floor} requests, outlier fence {outliers.upper_fence:.1f})",
+              file=sys.stderr)
+        return 1
     out = Path(args.out)
     store = write_trace_files(kept, out)
     _write_json(out / "ingest_summary.json", {
@@ -317,11 +324,15 @@ def cmd_evaluate(args) -> int:
     _check_options(args.domain_cutoff, args.workers)
     traces = _load_input(args.input, args.format, args.strict)
     report = evaluate(traces, configs, spec, prune_spec, args.domain_cutoff, args.workers)
+    users = report["users"]
+    if not users["evaluated"]:
+        print(f"error: no user to evaluate: {users['loaded']} loaded, "
+              f"{len(users['skipped'])} skipped", file=sys.stderr)
+        return 1
     out = Path(args.out)
     _write_json(out / "report.json", report)
     _write_metrics_csv(out / "metrics.csv", report)
 
-    users = report["users"]
     print(f"users: {users['evaluated']} evaluated, {len(users['skipped'])} skipped")
     for a, aggregate in report["aggregates"].items():
         cells = []
@@ -361,6 +372,11 @@ def cmd_sweep(args) -> int:
     _check_options(None, args.workers)
     traces = _load_input(args.input, args.format, args.strict)
     users = sorted(traces)
+    smallest = min(swspec.window_sizes)
+    if not any(len(traces[uid]) >= smallest for uid in users):  # then no window at all
+        print(f"error: no user to sweep: {len(users)} loaded, none of "
+              f"{smallest} requests or more", file=sys.stderr)
+        return 1
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -3,7 +3,9 @@
 The replay loop is deliberately literal. For each test request, in order:
 
 1. predict candidates from the trailing previous requests,
-2. prefetch every candidate not yet cached, in one ``set.update`` (no I/O),
+2. prefetch every candidate not yet cached, in one ``set.update`` (no I/O);
+   a model may return the very list it returned on the previous step, whose
+   candidates the cache already holds, and that update is skipped,
 3. score the current request as hit or miss against the cache,
 4. feed the current request into the model (dynamic update).
 
@@ -102,17 +104,23 @@ def run_test_engine(model: PredictionModel, test: Sequence[str],
     miss_set: set[str] = set()
     hit_count = miss_count = 0
     context: deque[str] = deque(pre_context, maxlen=trigger_depth)
+    predict, update, extend = model.predict, model.update, context.append
+    prefetch, hit, miss = cache.update, hit_set.add, miss_set.add
+    added = None  # the candidate list last added to the cache
 
     for current in test:
-        cache.update(model.predict(context))
+        candidates = predict(context)
+        if candidates is not added:  # the same list again adds nothing: nothing is evicted
+            prefetch(candidates)
+            added = candidates
         if current in cache:
             hit_count += 1
-            hit_set.add(current)
+            hit(current)
         else:
             miss_count += 1
-            miss_set.add(current)
-        model.update(current)
-        context.append(current)
+            miss(current)
+        update(current)
+        extend(current)
 
     return TestOutcome(
         cache_size=len(cache),

@@ -6,7 +6,9 @@ Input formats (declared, not sniffed):
 * csv   — header ``user_id,timestamp_ms,method,url``, UTF-8, RFC-4180 quoting
 * jsonl — one object per line with the same four fields: ``user_id`` a
   string or an integer, ``method`` and ``url`` strings, ``timestamp_ms`` an
-  integer, an integer-valued number or an integer string (as in CSV)
+  integer, an integer-valued number or an integer string (as in CSV). An
+  integer ``user_id`` is read as its decimal string, so ``1`` and ``"1"``
+  are one user, without a warning.
 
 An integer string is an optional sign and ASCII digits, surrounding
 whitespace ignored; ``int()`` alone would also take ``1_000`` or ``١٢٣``.

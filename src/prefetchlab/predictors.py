@@ -19,13 +19,19 @@ Ranking is deterministic: candidates sort by score descending, then
 lexicographically by url_key; DG and PPM rank by the integer count, the same
 order as by the weight count / total. By definition the Naive baseline instead
 predicts every previously seen key in first-seen order.
+
+A list that ``predict`` returns is read-only: the caller must not change it,
+and the model may return the very same object again while its prediction is
+unchanged. Naive does so until a new key arrives or ``forget`` runs, which
+lets the replay engine skip re-adding a list it added last. A model never
+changes a list it has handed out.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque, namedtuple
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 ALGORITHMS = ("dg", "ppm", "mp", "naive")
 
@@ -80,10 +86,14 @@ class PredictorConfig(namedtuple("PredictorConfig", "algorithm lookahead_window 
         return {**self._asdict(), "confidence_threshold": self.effective_threshold}
 
 
-def _ranked(counts: dict[str, int]) -> list[str]:
-    """Counts -> url_keys, count descending then lexicographic (reverse=True sorts stably)."""
-    keys = sorted(counts)
-    keys.sort(key=counts.__getitem__, reverse=True)
+def _ranked(keys: list[str], count: Callable[[str], int]) -> list[str]:
+    """Sort ``keys`` in place by ``count(key)`` descending, then lexicographically.
+
+    Returns ``keys``; reverse=True sorts stably, so equal counts keep the
+    lexicographic order of the first pass.
+    """
+    keys.sort()
+    keys.sort(key=count, reverse=True)
     return keys
 
 
@@ -160,7 +170,8 @@ class DGModel:
         if not targets or not occurrences:
             return []
         threshold = self._threshold
-        return _ranked({t: n for t, n in targets.items() if n / occurrences >= threshold})
+        return _ranked([t for t, n in targets.items() if n / occurrences >= threshold],
+                       targets.__getitem__)
 
     def state_dict(self) -> dict:
         return {
@@ -186,7 +197,10 @@ class PPMModel:
     the trie; a node's count is the number of occurrences of its path.
     Prediction matches the longest trailing context suffix whose node has
     children, falling back to shorter suffixes when a node is missing or
-    childless.
+    childless. When the context equals ``recent_context``, as in replay at
+    the default trigger depth, prediction walks the suffix nodes that
+    ``update`` keeps, longest first, instead of looking each path up from the
+    root.
     """
 
     algorithm = "ppm"
@@ -239,14 +253,19 @@ class PPMModel:
         return node
 
     def predict(self, context: Sequence[str]) -> list[str]:
-        tail = list(context)[-self._order:]
-        for length in range(len(tail), 0, -1):
-            node = self._lookup(tail[-length:])
+        if context == self.recent_context:
+            # the nodes are at hand: longest suffix first, the root left out
+            nodes = self._suffixes[:0:-1]
+        else:
+            tail = list(context)[-self._order:]
+            nodes = (self._lookup(tail[-length:]) for length in range(len(tail), 0, -1))
+        for node in nodes:
             if node is None or not node.children:
                 continue
-            total, threshold = node.count, self._threshold
-            return _ranked({key: child.count for key, child in node.children.items()
-                            if child.count / total >= threshold})
+            children, total, threshold = node.children, node.count, self._threshold
+            return _ranked([key for key, child in children.items()
+                            if child.count / total >= threshold],
+                           lambda key: children[key].count)
         return []
 
     def state_dict(self) -> dict:
@@ -286,7 +305,7 @@ class MPModel:
         successors = self.successor_lists.get(context[-1])
         if not successors:
             return []
-        return _ranked(successors)[: self._top_n]
+        return _ranked(list(successors), successors.__getitem__)[: self._top_n]
 
     def state_dict(self) -> dict:
         return {
@@ -304,16 +323,23 @@ class NaiveModel:
     def __init__(self, config: PredictorConfig):
         self.config = config
         self.seen: dict[str, None] = {}  # insertion-ordered set
+        self._offered: list[str] | None = None  # list(seen), kept until seen changes
 
     def update(self, key: str) -> None:
-        self.seen.setdefault(key, None)
+        if key not in self.seen:
+            self.seen[key] = None
+            self._offered = None
 
     def forget(self, stream: Sequence[str], count: int) -> None:
         # first-seen order is part of the state, so rebuild it
         self.seen = dict.fromkeys(stream[count:])
+        self._offered = None
 
     def predict(self, context: Sequence[str]) -> list[str]:
-        return list(self.seen)
+        offered = self._offered
+        if offered is None:
+            offered = self._offered = list(self.seen)
+        return offered
 
     def state_dict(self) -> dict:
         return {"seen": list(self.seen)}

@@ -238,6 +238,72 @@ def test_valid_store_is_accepted(tmp_path):
         assert main([*argv, str(tmp_path / command), "--input", str(store_dir)]) == 0
 
 
+def _short_users_log(tmp_path, length=3, fmt="csv"):
+    """A log whose three users all fall under ingest's 10-request floor."""
+    rows = [{"user_id": uid, "timestamp_ms": 1000 + i, "method": "GET",
+             "url": f"https://x.example/p{i % 2}"} for uid in ("u1", "u2", "u3")
+            for i in range(length)]
+    if fmt == "csv":
+        text = HEADER + "".join(f"{r['user_id']},{r['timestamp_ms']},GET,{r['url']}\n"
+                                for r in rows)
+    else:
+        text = "".join(json.dumps(r) + "\n" for r in rows)
+    log = tmp_path / f"short.{fmt}"
+    log.write_text(text, encoding="utf-8")
+    return log
+
+
+def _assert_one_error_line_and_no_output(capsys, out):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_ingest_with_no_user_over_the_floor_exits_1_and_writes_nothing(tmp_path, capsys, fmt):
+    # one rule for empty results: no command exits 0 with a result about nobody
+    out = tmp_path / "ingested"
+    log = _short_users_log(tmp_path, fmt=fmt)
+    assert main(["ingest", "--input", str(log), "--format", fmt, "--out", str(out)]) == 1
+    _assert_one_error_line_and_no_output(capsys, out)
+
+
+@pytest.mark.parametrize("command", sorted(STORE_COMMANDS))
+def test_store_without_users_exits_1_and_writes_nothing(tmp_path, capsys, command):
+    # a store that an ingest run before the empty-result rule could write
+    store_dir = tmp_path / "ingested"
+    store_dir.mkdir()
+    (store_dir / "traces.json").write_text(
+        json.dumps({"format": "prefetchlab-traces/v2", "users": {}}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([*STORE_COMMANDS[command], str(out), "--input", str(store_dir)]) == 1
+    _assert_one_error_line_and_no_output(capsys, out)
+
+
+@pytest.mark.parametrize("argv", [
+    # each user's single request can neither be split nor repeat
+    ["evaluate", "--workers", "1"],
+    ["evaluate", "--workers", "2", "--domain-cutoff", "0.5"],
+    # every user's 4 requests fall short of the smallest window
+    ["sweep", "--workers", "1", "--sizes", "5,10"],
+    ["sweep", "--workers", "2", "--sizes", "5"],
+])
+def test_raw_log_with_nothing_to_evaluate_exits_1_and_writes_nothing(tmp_path, capsys, argv):
+    log = _short_users_log(tmp_path, length=1 if argv[0] == "evaluate" else 4)
+    out = tmp_path / "out"
+    assert main([*argv, "--input", str(log), "--out", str(out)]) == 1
+    _assert_one_error_line_and_no_output(capsys, out)
+
+
+def test_sweep_with_one_size_some_user_reaches_exits_0(tmp_path):
+    # the rule is about no model at all: sizes no user reaches are still reported
+    out = tmp_path / "out"
+    assert main(["sweep", "--workers", "1", "--sizes", "3,50", "--algo", "naive",
+                 "--input", str(_short_users_log(tmp_path)), "--out", str(out)]) == 0
+    summary = _read_json(out / "sweep_summary.json")["algorithms_results"]["naive"]
+    assert summary["model_count"] == 3 and summary["skipped_users"] == {"3": 0, "50": 3}
+
+
 # ---------------------------------------------------------------- stats
 
 def test_stats_prints_and_writes_report(tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from prefetchlab.engine import (SplitSpec, TestOutcome, TraceTooShortError,
                                 run_test_engine, run_user, split)
 from prefetchlab.oracle import oracle_run
-from prefetchlab.predictors import ALGORITHMS, PredictorConfig, train
+from prefetchlab.predictors import ALGORITHMS, PredictorConfig, model_to_json, train
 from prefetchlab.traces import UserTrace
 
 A, B, C = "A", "B", "C"
@@ -150,3 +150,41 @@ def test_engine_matches_reference_replay(keys, algorithm):
     training, test = split(trace, SplitSpec())
     expected = oracle_run(config, training, test)
     assert run_user(trace, config, SplitSpec()).outcome == expected
+
+
+def _copying_predict(model, calls):
+    """Wrap ``model.predict`` on the instance, as the benchmark's tracer does,
+    returning a fresh copy of each prediction and counting the calls."""
+    predict = model.predict
+
+    def wrapped(context):
+        calls.append(None)
+        return list(predict(context))
+    model.predict = wrapped
+
+
+@given(keys_st, st.data(), algo_st, st.integers(1, 4), st.integers(1, 4),
+       st.none() | st.integers(1, 4))
+@settings(max_examples=150)
+def test_replay_does_not_depend_on_the_identity_of_predictions(keys, data, algorithm, order,
+                                                               window, trigger):
+    # the engine skips re-adding a list it added last; a model whose every
+    # prediction is a new list must score the same, with predict called once
+    # per test request, on fresh and on slid models
+    config = PredictorConfig(algorithm, lookahead_window=window, ppm_order=order)
+    trace = _trace(keys)
+    training, test = split(trace, SplitSpec())
+    depth = SplitSpec(trigger_depth=trigger).resolve_trigger_depth(config)
+    dropped = data.draw(st.integers(0, len(training)))
+
+    def trained():
+        model = train(config, training)
+        model.forget(training, dropped)  # a no-op for dropped == 0
+        return model
+
+    plain, copying, calls = trained(), trained(), []
+    _copying_predict(copying, calls)
+    assert (run_test_engine(plain, test, training[-depth:], depth)
+            == run_test_engine(copying, test, training[-depth:], depth))
+    assert len(calls) == len(test)
+    assert model_to_json(plain) == model_to_json(copying)

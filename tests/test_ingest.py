@@ -99,6 +99,21 @@ def test_jsonl_accepts_integer_user_ids_and_integer_valued_timestamps(tmp_path):
     assert all(type(ts) is int for ts in traces["7"].timestamps)
 
 
+def test_jsonl_integer_user_id_and_its_decimal_string_are_one_user(tmp_path, capsys):
+    # an integer user_id is read as its decimal string: 1 and "1" merge, by design
+    rows = [dict(GOOD_JSONL_ROW, user_id=1 if i % 2 else "1", timestamp_ms=1000 + i)
+            for i in range(20)]
+    rows.append(dict(GOOD_JSONL_ROW, user_id=-12, timestamp_ms=1))
+    path = _write(tmp_path, "log.jsonl", "".join(json.dumps(r) + "\n" for r in rows))
+    traces, summary = load_traces(path, fmt="jsonl", strict=True)
+    assert sorted(traces) == ["-12", "1"]
+    assert traces["1"].timestamps == [1000 + i for i in range(20)]
+    assert summary.skipped_malformed == 0 and summary.errors == []
+    out = tmp_path / "ingested"
+    assert main(["ingest", "--input", str(path), "--format", "jsonl", "--out", str(out)]) == 0
+    assert "users: 2 parsed" in capsys.readouterr().out
+
+
 def test_lenient_mode_counts_malformed_rows(tmp_path):
     path = _write(tmp_path, "log.csv", CSV_HEADER + "\n".join([
         "u1,100,GET,https://a.example/1",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import pytest
 from hypothesis import given
@@ -207,7 +208,7 @@ def test_predictions_unique_and_deterministic(keys, algorithm):
 @given(st.dictionaries(st.text("abAB/.", max_size=4), st.integers(1, 3), max_size=30))
 def test_ranked_is_count_descending_then_lexicographic(counts):
     # few distinct counts over many keys: most keys tie with another
-    assert _ranked(counts) == [k for k, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))]
+    assert _ranked(list(counts), counts.__getitem__) == [k for k, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))]
 
 
 def test_serialization_is_canonical():
@@ -305,3 +306,39 @@ def test_sliding_with_forget_equals_fresh_training(case):
             assert (run_test_engine(slid, test, training[-depth:], depth)
                     == run_test_engine(fresh, test, training[-depth:], depth))
             assert model_to_json(slid) == model_to_json(fresh)
+
+
+def test_naive_returns_one_list_until_a_new_key_arrives():
+    # predictions are read-only: the engine relies on an unchanged list
+    # coming back as the same object, and on a changed one never doing so
+    model = train(_config("naive"), [A, B])
+    first = model.predict([B])
+    assert first == [A, B]
+    model.update(A)
+    model.update(B)
+    assert model.predict([A]) is first
+    model.update(C)
+    after_new_key = model.predict([C])
+    assert after_new_key is not first and after_new_key == list(model.seen) == [A, B, C]
+    assert first == [A, B]  # the list handed out earlier is never changed
+    model.forget([A, B, A, B, C], 1)
+    after_forget = model.predict([C])
+    assert after_forget is not after_new_key and after_forget == list(model.seen) == [B, A, C]
+    assert model_to_json(model) == model_to_json(train(_config("naive"), [B, A, B, C]))
+
+
+@given(sequences, st.data(), st.lists(st.sampled_from(KEYS), max_size=20), st.integers(1, 4))
+def test_ppm_predicts_the_same_from_its_own_suffix_nodes(keys, data, more, order):
+    # the model's recent context as a deque walks the suffix nodes it keeps;
+    # as a list, the same context is looked up from the root
+    model = train(_config("ppm", ppm_order=order), keys)
+    model.forget(keys, data.draw(st.integers(0, len(keys))))
+
+    def same_on_both_paths():
+        context = deque(model.recent_context)
+        return model.predict(context) == model.predict(list(context))
+
+    assert same_on_both_paths()
+    for key in more:
+        model.update(key)
+        assert same_on_both_paths()
