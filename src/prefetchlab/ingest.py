@@ -10,8 +10,11 @@ Input formats (declared, not sniffed):
   integer ``user_id`` is read as its decimal string, so ``1`` and ``"1"``
   are one user, without a warning.
 
-An integer string is an optional sign and ASCII digits, surrounding
-whitespace ignored; ``int()`` alone would also take ``1_000`` or ``١٢٣``.
+Every field is stripped of surrounding whitespace (``str.strip``) in both
+formats, so a padded row loads as the same row unpadded: ``" 1 "`` is user
+``1``, ``" get "`` a GET, and a url keeps no leading or trailing space. A
+field that is only whitespace is empty. An integer string is an optional
+sign and ASCII digits; ``int()`` alone would also take ``1_000`` or ``١٢٣``.
 A UTF-8 byte order mark at the start of either format is dropped.
 
 Rows with a non-GET method are dropped (counted, not an error). Malformed
@@ -84,8 +87,7 @@ Record = tuple[str, int, str, str]  # (user_id, timestamp_ms, method uppercased,
 def _parse_csv_row(line_no: int, row: list[str]) -> Record:
     if len(row) != 4:
         raise LogParseError(line_no, f"expected 4 fields, got {len(row)}")
-    user_id, ts_raw, method, url = row
-    return _build_record(line_no, user_id.strip(), ts_raw.strip(), method.strip(), url.strip())
+    return _build_record(line_no, *row)
 
 
 def _parse_jsonl_row(line_no: int, line: str) -> Record:
@@ -113,6 +115,10 @@ def _parse_jsonl_row(line_no: int, line: str) -> Record:
 
 
 def _build_record(line_no: int, user_id: str, ts_raw, method: str, url: str) -> Record:
+    # one normalisation for both formats: surrounding whitespace is not part of a field
+    user_id, method, url = user_id.strip(), method.strip(), url.strip()
+    if type(ts_raw) is str:
+        ts_raw = ts_raw.strip()
     # a byte that is not UTF-8 decodes to a lone surrogate (surrogateescape), as does
     # a JSON "\ud800" escape; no UTF-8 output can hold one, and ASCII holds none
     if not (user_id.isascii() and method.isascii() and url.isascii()):
@@ -126,7 +132,7 @@ def _build_record(line_no: int, user_id: str, ts_raw, method: str, url: str) -> 
     try:
         timestamp = int(ts_raw)
         # int() also takes "_" separators and non-ASCII digits
-        if type(ts_raw) is str and ("_" in ts_raw or not ts_raw.strip().isascii()):
+        if type(ts_raw) is str and ("_" in ts_raw or not ts_raw.isascii()):
             raise ValueError
     except (TypeError, ValueError):
         raise LogParseError(line_no, f"timestamp_ms is not an integer: {ts_raw!r}") from None

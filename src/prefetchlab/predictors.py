@@ -15,10 +15,16 @@ deleted rather than kept at zero, so the canonical serializations of the
 two models are equal; the sliding-window sweep relies on this to move a
 model forward instead of retraining it.
 
+DG and MP are two readings of one table: ``arc_counts[a][b]`` counts how
+often b followed a within the lookahead window. They share ``update`` and
+``forget``. DG keeps the arcs whose weight count / occurrences(a) reaches the
+threshold; MP is DG's arc counts, ranked and cut at top-n.
+
 Ranking is deterministic: candidates sort by score descending, then
-lexicographically by url_key; DG and PPM rank by the integer count, the same
-order as by the weight count / total. By definition the Naive baseline instead
-predicts every previously seen key in first-seen order.
+lexicographically by url_key; DG, PPM and MP rank by the integer count,
+which for DG and PPM is the same order as by the weight count / total. By
+definition the Naive baseline instead predicts every previously seen key in
+first-seen order.
 
 A list that ``predict`` returns is read-only: the caller must not change it,
 and the model may return the very same object again while its prediction is
@@ -97,31 +103,6 @@ def _ranked(keys: list[str], count: Callable[[str], int]) -> list[str]:
     return keys
 
 
-def _add_arcs(arcs: dict[str, dict[str, int]], sources: Iterable[str], target: str) -> None:
-    """Count one arc from each of ``sources`` to ``target``."""
-    for source in sources:
-        targets = arcs.get(source)
-        if targets is None:
-            arcs[source] = {target: 1}
-        else:
-            targets[target] = targets.get(target, 0) + 1
-
-
-def _forget_arcs(arcs: dict[str, dict[str, int]], stream: Sequence[str],
-                 count: int, window: int) -> None:
-    """Undo the arcs from each of the first ``count`` keys to the ``window`` keys after it."""
-    for position in range(count):
-        successors = stream[position + 1:position + 1 + window]
-        if not successors:
-            continue
-        source = stream[position]
-        targets = arcs[source]
-        for target in successors:
-            _decrement(targets, target)
-        if not targets:
-            del arcs[source]
-
-
 def _decrement(counts: dict[str, int], key: str) -> None:
     """Take one from ``counts[key]``, deleting the entry when it reaches zero."""
     left = counts[key] - 1
@@ -151,14 +132,28 @@ class DGModel:
         self.pending_window: deque[str] = deque(maxlen=config.lookahead_window)
 
     def update(self, key: str) -> None:
-        _add_arcs(self.arc_counts, self.pending_window, key)
+        arcs = self.arc_counts
+        for source in self.pending_window:
+            targets = arcs.get(source)
+            if targets is None:
+                arcs[source] = {key: 1}
+            else:
+                targets[key] = targets.get(key, 0) + 1
         self.node_counts[key] = self.node_counts.get(key, 0) + 1
         self.pending_window.append(key)
 
     def forget(self, stream: Sequence[str], count: int) -> None:
-        _forget_arcs(self.arc_counts, stream, count, self.config.lookahead_window)
-        for key in stream[:count]:
-            _decrement(self.node_counts, key)
+        arcs, window = self.arc_counts, self.config.lookahead_window
+        for position in range(count):
+            source = stream[position]
+            _decrement(self.node_counts, source)
+            successors = stream[position + 1:position + 1 + window]
+            if successors:
+                targets = arcs[source]
+                for target in successors:
+                    _decrement(targets, target)
+                if not targets:
+                    del arcs[source]
         _trim(self.pending_window, len(stream) - count)
 
     def predict(self, context: Sequence[str]) -> list[str]:
@@ -280,39 +275,22 @@ class PPMModel:
         }
 
 
-class MPModel:
-    """Per-request table of the most popular successors within the window."""
+class MPModel(DGModel):
+    """Most-popular successors: DG's arc counts, ranked and cut at top-n."""
 
     algorithm = "mp"
-
-    def __init__(self, config: PredictorConfig):
-        self.config = config
-        self._top_n = config.top_n  # read on every step
-        self.successor_lists: dict[str, dict[str, int]] = {}
-        self.pending_window: deque[str] = deque(maxlen=config.lookahead_window)
-
-    def update(self, key: str) -> None:
-        _add_arcs(self.successor_lists, self.pending_window, key)
-        self.pending_window.append(key)
-
-    def forget(self, stream: Sequence[str], count: int) -> None:
-        _forget_arcs(self.successor_lists, stream, count, self.config.lookahead_window)
-        _trim(self.pending_window, len(stream) - count)
 
     def predict(self, context: Sequence[str]) -> list[str]:
         if not context:
             return []
-        successors = self.successor_lists.get(context[-1])
+        successors = self.arc_counts.get(context[-1])
         if not successors:
             return []
-        return _ranked(list(successors), successors.__getitem__)[: self._top_n]
+        return _ranked(list(successors), successors.__getitem__)[: self.config.top_n]
 
     def state_dict(self) -> dict:
-        return {
-            "successor_lists": {s: dict(sorted(t.items()))
-                                for s, t in sorted(self.successor_lists.items())},
-            "pending_window": list(self.pending_window),
-        }
+        state = super().state_dict()  # MP's own key for the arcs; the unread node counts left out
+        return {"successor_lists": state["arc_counts"], "pending_window": state["pending_window"]}
 
 
 class NaiveModel:

@@ -114,6 +114,27 @@ def test_jsonl_integer_user_id_and_its_decimal_string_are_one_user(tmp_path, cap
     assert "users: 2 parsed" in capsys.readouterr().out
 
 
+def test_padded_fields_load_alike_from_csv_and_jsonl(tmp_path):
+    # both formats strip surrounding whitespace from every field of a row
+    rows = [(" 1 ", " 5 ", " get ", " https://a.example/x "),
+            ("1", "4", "GET", "https://a.example/y\t"),
+            (" 1", "6", " POST ", "https://a.example/form"),
+            ("   ", "7", "GET", "https://a.example/z"),
+            ("1", "8", "GET", "  ")]
+    csv_path = _write(tmp_path, "log.csv", CSV_HEADER + "".join(
+        ",".join(f'"{field}"' for field in row) + "\n" for row in rows))
+    jsonl_path = _write(tmp_path, "log.jsonl", "".join(
+        json.dumps(dict(zip(("user_id", "timestamp_ms", "method", "url"), row))) + "\n"
+        for row in rows))
+    csv_traces, csv_summary = load_traces(csv_path, fmt="csv")
+    jsonl_traces, jsonl_summary = load_traces(jsonl_path, fmt="jsonl")
+    assert csv_traces == jsonl_traces == {
+        "1": UserTrace.build("1", [5, 4], ["https://a.example/x", "https://a.example/y"])}
+    counts = ("rows_read", "kept", "dropped_non_get", "skipped_malformed")
+    assert ([getattr(csv_summary, name) for name in counts]
+            == [getattr(jsonl_summary, name) for name in counts] == [5, 2, 1, 2])
+
+
 def test_lenient_mode_counts_malformed_rows(tmp_path):
     path = _write(tmp_path, "log.csv", CSV_HEADER + "\n".join([
         "u1,100,GET,https://a.example/1",
@@ -204,7 +225,7 @@ def test_timestamp_text_accepts_a_sign_and_surrounding_space(tmp_path):
         "u1,-9,GET,https://a.example/3", "u1,0010,GET,https://a.example/4"]) + "\n")
     traces, summary = load_traces(path, fmt="csv", strict=True)
     assert traces["u1"].timestamps == [-9, 7, 8, 10]
-    # JSONL strings are not stripped beforehand; any whitespace int() skips is ignored
+    # JSONL strings are stripped as CSV fields are, Unicode whitespace included
     rows = [dict(GOOD_JSONL_ROW, timestamp_ms=" 12 "), dict(GOOD_JSONL_ROW, timestamp_ms="-3"),
             dict(GOOD_JSONL_ROW, timestamp_ms="\u00a05\u2003"),
             dict(GOOD_JSONL_ROW, timestamp_ms=2 ** 70)]

@@ -99,8 +99,8 @@ def test_dg_weights_bounded_by_window(keys, window):
 
 def test_mp_train_window_2():
     model = train(_config("mp", lookahead_window=2), [A, B, A, B, A])
-    assert model.successor_lists[A] == {B: 2, A: 2}
-    assert model.successor_lists[B] == {A: 2, B: 1}
+    assert model.arc_counts[A] == {B: 2, A: 2}
+    assert model.arc_counts[B] == {A: 2, B: 1}
 
 
 def test_mp_top_n_and_tie_break():
@@ -111,6 +111,22 @@ def test_mp_top_n_and_tie_break():
 def test_mp_never_exceeds_top_n():
     model = train(_config("mp", lookahead_window=4, top_n=2), [A, B, C, A, B, C, A])
     assert len(model.predict([A])) <= 2
+
+
+@given(st.lists(st.sampled_from(KEYS), max_size=50), st.data(),
+       st.lists(st.sampled_from(KEYS), max_size=20), st.integers(1, 5), st.integers(1, 6))
+def test_mp_is_dg_at_threshold_zero_cut_at_top_n(keys, data, more, window, top_n):
+    # one successor-count table, two readings: MP ranks every arc from the
+    # context key, DG with no threshold ranks the same arcs the same way
+    count = data.draw(st.integers(0, len(keys)))
+    mp = train(_config("mp", lookahead_window=window, top_n=top_n), keys)
+    dg = train(_config("dg", lookahead_window=window, confidence_threshold=0.0), keys)
+    for model in (mp, dg):
+        model.forget(keys, count)
+        for key in more:
+            model.update(key)
+    for context in [[]] + [[key] for key in KEYS]:
+        assert mp.predict(context) == dg.predict(context)[:top_n]
 
 
 # ---------------------------------------------------------------- ppm
@@ -241,7 +257,7 @@ def test_dg_forget_trims_window_to_retained_stream():
 def test_mp_forget_drops_emptied_successor_lists():
     model = train(_config("mp", lookahead_window=2), [A, B, C, B])
     model.forget([A, B, C, B], 1)
-    assert model.successor_lists == {B: {C: 1, B: 1}, C: {B: 1}}
+    assert model.arc_counts == {B: {C: 1, B: 1}, C: {B: 1}}
     assert list(model.pending_window) == [C, B]
 
 
