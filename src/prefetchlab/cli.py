@@ -72,7 +72,7 @@ def _load_input(path_str: str, fmt: str, strict: bool) -> dict[str, UserTrace]:
 def _algo_list(args) -> list[str]:
     if not args.algo:
         return list(ALGORITHMS)
-    chosen = {a.lower() for a in args.algo}
+    chosen = set(args.algo)
     return [a for a in ALGORITHMS if a in chosen]
 
 
@@ -299,7 +299,8 @@ def evaluate(traces: dict[str, UserTrace], configs: list[PredictorConfig], spec:
         "command": "evaluate",
         "config": {
             "algorithms": algorithms,
-            "split": spec._asdict(),
+            # the depth is per model (PredictorConfig.trigger_depth); the key keeps report bytes
+            "split": {**spec._asdict(), "trigger_depth": None},
             "predictors": {c.algorithm: c.to_dict() for c in configs},
             "prune": prune_spec._asdict() if prune_spec else None,
             "domain_cutoff": domain_cutoff,
@@ -413,7 +414,8 @@ def cmd_sweep(args) -> int:
         "command": "sweep",
         "config": {
             "algorithms": [c.algorithm for c in configs],
-            "window": swspec._asdict(),
+            # every window slides by its test-slice length; the key keeps report bytes
+            "window": {**swspec._asdict(), "sliding_distance": "auto"},
             "predictors": {c.algorithm: c.to_dict() for c in configs},
         },
         "users": len(users),

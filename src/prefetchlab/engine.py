@@ -34,27 +34,20 @@ class TraceTooShortError(Exception):
     """Skip signal: the trace cannot yield a non-empty train/test split."""
 
 
-class SplitSpec(namedtuple("SplitSpec", "training_ratio trigger_depth")):
-    """Training ratio plus how many trailing previous requests trigger predictions.
+class SplitSpec(namedtuple("SplitSpec", "training_ratio")):
+    """The training ratio: the first floor(ratio * n) requests train, the rest test.
 
-    trigger_depth of None resolves per algorithm: ppm_order for PPM
-    (context-sensitive), 1 for everything else.
+    How many trailing previous requests trigger each prediction is not part of
+    the split: it follows from the model, as ``PredictorConfig.trigger_depth``.
     """
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __new__(cls, training_ratio: float = 0.8, trigger_depth: int | None = None):
+    def __new__(cls, training_ratio: float = 0.8):
         if not 0.0 < training_ratio < 1.0:
             raise ValueError("training_ratio must lie strictly between 0 and 1")
-        if trigger_depth is not None and trigger_depth < 1:
-            raise ValueError("trigger_depth must be >= 1")
-        return super().__new__(cls, training_ratio, trigger_depth)
-
-    def resolve_trigger_depth(self, config: PredictorConfig) -> int:
-        if self.trigger_depth is not None:
-            return self.trigger_depth
-        return config.ppm_order if config.algorithm == "ppm" else 1
+        return super().__new__(cls, training_ratio)
 
 
 class TestOutcome(NamedTuple):
@@ -147,7 +140,7 @@ def run_user(trace: UserTrace, config: PredictorConfig, spec: SplitSpec,
     and the test slice is never touched.
     """
     training, test = split(trace, spec)
-    trigger_depth = spec.resolve_trigger_depth(config)
+    trigger_depth = config.trigger_depth
     pre_context = training[-trigger_depth:]
 
     prune_result = None

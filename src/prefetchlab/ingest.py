@@ -40,6 +40,9 @@ CSV_HEADER = ["user_id", "timestamp_ms", "method", "url"]
 # retained in LoadSummary for human inspection; the full count is always exact
 MAX_RECORDED_ERRORS = 20
 
+# remove_outlier_users drops every user with fewer requests than this
+MIN_REQUEST_FLOOR = 10
+
 
 class LogParseError(ValueError):
     """A malformed input row. ``line_no`` is 1-based (header included for CSV)."""
@@ -141,12 +144,12 @@ def _build_record(line_no: int, user_id: str, ts_raw, method: str, url: str) -> 
     return user_id, timestamp, method.upper(), url
 
 
-def iter_log_records(path: str | Path, fmt: str = "csv", strict: bool = False,
-                     summary: LoadSummary | None = None) -> Iterable[Record]:
-    """Yield (user_id, timestamp_ms, method, url) tuples, applying the lenient/strict policy."""
+def iter_log_records(path: str | Path, fmt: str = "csv", strict: bool = False, *,
+                     summary: LoadSummary) -> Iterable[Record]:
+    """Yield (user_id, timestamp_ms, method, url) tuples, applying the lenient/strict policy;
+    rows read and rows skipped as malformed are counted into ``summary``."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
-    summary = summary if summary is not None else LoadSummary()
     path = Path(path)
 
     def handle(exc: LogParseError):
@@ -233,7 +236,7 @@ def _quartiles(values: list[int]) -> tuple[float, float]:
     return q1, q3
 
 
-def remove_outlier_users(traces: dict[str, UserTrace], min_requests: int = 10,
+def remove_outlier_users(traces: dict[str, UserTrace],
                          ) -> tuple[dict[str, UserTrace], OutlierReport]:
     """Drop users above the Tukey upper fence or below the request floor.
 
@@ -241,7 +244,7 @@ def remove_outlier_users(traces: dict[str, UserTrace], min_requests: int = 10,
     "inclusive" method of ``statistics.quantiles``, the common "linear"
     percentile rule), so fixtures are exactly reproducible. A single user is
     its own q1 and q3. Removal is strict: count > upper fence, or count <
-    min_requests.
+    MIN_REQUEST_FLOOR.
     """
     if not traces:
         raise ValueError("remove_outlier_users requires at least one trace")
@@ -250,12 +253,12 @@ def remove_outlier_users(traces: dict[str, UserTrace], min_requests: int = 10,
     iqr = q3 - q1
     upper = q3 + 1.5 * iqr
     lower = q1 - 1.5 * iqr
-    removed = sorted(uid for uid, n in counts.items() if n > upper or n < min_requests)
+    removed = sorted(uid for uid, n in counts.items() if n > upper or n < MIN_REQUEST_FLOOR)
     removed_set = set(removed)
     kept = {uid: t for uid, t in traces.items() if uid not in removed_set}
     report = OutlierReport(
         q1=q1, q3=q3, iqr=iqr, lower_fence=lower, upper_fence=upper,
-        removed_users=removed, min_request_floor=min_requests,
+        removed_users=removed, min_request_floor=MIN_REQUEST_FLOOR,
     )
     return kept, report
 

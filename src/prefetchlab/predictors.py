@@ -87,6 +87,12 @@ class PredictorConfig(namedtuple("PredictorConfig", "algorithm lookahead_window 
             return self.confidence_threshold
         return DEFAULT_DG_THRESHOLD if self.algorithm == "dg" else DEFAULT_PPM_THRESHOLD
 
+    @property
+    def trigger_depth(self) -> int:
+        """How many trailing previous requests trigger a prediction in replay:
+        ``ppm_order`` for PPM (context-sensitive), 1 for the others."""
+        return self.ppm_order if self.algorithm == "ppm" else 1
+
     def to_dict(self) -> dict:
         """The fields, with the threshold the model uses in place of None."""
         return {**self._asdict(), "confidence_threshold": self.effective_threshold}
@@ -192,10 +198,10 @@ class PPMModel:
     the trie; a node's count is the number of occurrences of its path.
     Prediction matches the longest trailing context suffix whose node has
     children, falling back to shorter suffixes when a node is missing or
-    childless. When the context equals ``recent_context``, as in replay at
-    the default trigger depth, prediction walks the suffix nodes that
-    ``update`` keeps, longest first, instead of looking each path up from the
-    root.
+    childless. When the context equals ``recent_context``, as in replay of a
+    model trained on the unpruned front of the trace, prediction walks the
+    suffix nodes that ``update`` keeps, longest first, instead of looking each
+    path up from the root.
     """
 
     algorithm = "ppm"

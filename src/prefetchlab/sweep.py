@@ -6,14 +6,14 @@ the test engine. The window then slides forward and the process repeats, so
 every model has the same training size and the per-size means reveal where
 additional training data stops paying off (the cut-off point).
 
-The default sliding distance ("auto") equals the test-slice length, so each
-window's test requests fall inside the next window's training slice and no
-request is ever tested twice at the same size. It also means the next
-model need not be trained: replaying a window folds its test slice into the
-model, which then holds the whole window, and forgetting the window's first
+Every window slides forward by its test-slice length, so each window's
+test requests fall inside the next window's training slice and no request
+is ever tested twice at the same size. It also means the next model need
+not be trained: replaying a window folds its test slice into the model,
+which then holds the whole window, and forgetting the window's first
 test-slice-length requests leaves exactly the model that training on the
 next window's front slice would build. Only the first window of each size
-is trained; an explicit sliding distance trains every window afresh.
+is trained.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import time
 from collections import namedtuple
 from typing import Iterable, Mapping, NamedTuple
 
-from .engine import SplitSpec, run_test_engine
+from .engine import run_test_engine
 from .metrics import MetricsReport, aggregate_reports, metrics_report
 from .predictors import PredictorConfig, train
 from .traces import UserTrace
@@ -33,13 +33,12 @@ DEFAULT_CUTOFF_EPSILON = 0.005
 SWEEP_METRICS = ("static_precision", "static_recall", "dynamic_recall")
 
 
-class SlidingWindowSpec(namedtuple("SlidingWindowSpec",
-                                   "window_sizes training_ratio sliding_distance")):
+class SlidingWindowSpec(namedtuple("SlidingWindowSpec", "window_sizes training_ratio")):
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, window_sizes: Iterable[int] = DEFAULT_WINDOW_SIZES,
-                training_ratio: float = 0.8, sliding_distance: int | str = "auto"):
+                training_ratio: float = 0.8):
         window_sizes = tuple(window_sizes)
         if not window_sizes:
             raise ValueError("at least one window size is required")
@@ -55,18 +54,10 @@ class SlidingWindowSpec(namedtuple("SlidingWindowSpec",
                 )
             if size in window_sizes[:i]:
                 raise ValueError(f"window size {size} is given twice")
-        if sliding_distance != "auto":
-            if not isinstance(sliding_distance, int) or sliding_distance < 1:
-                raise ValueError("sliding_distance must be 'auto' or an integer >= 1")
-        return super().__new__(cls, window_sizes, training_ratio, sliding_distance)
+        return super().__new__(cls, window_sizes, training_ratio)
 
     def training_length(self, window_size: int) -> int:
         return math.floor(self.training_ratio * window_size)
-
-    def distance_for(self, window_size: int) -> int:
-        if self.sliding_distance == "auto":
-            return window_size - self.training_length(window_size)
-        return self.sliding_distance
 
 
 def enumerate_windows(n: int, x: int, y: int) -> list[tuple[int, int]]:
@@ -112,29 +103,27 @@ class SweepResult(NamedTuple):
 def sweep_user(trace: UserTrace, config: PredictorConfig, spec: SlidingWindowSpec) -> UserSweep:
     """Evaluate every window of every size on one trace.
 
-    Under ``sliding_distance="auto"`` one model per size slides along the
-    trace (see the module docstring); its records equal those of a fresh
-    model per window. A window's ``elapsed_s`` covers train and replay, or
-    for a slid window ``forget`` and replay.
+    One model per size slides along the trace (see the module docstring); its
+    records equal those of a fresh model per window. A window's ``elapsed_s``
+    covers train and replay, or for a slid window ``forget`` and replay.
     """
     keys = trace.url_keys
     n = len(keys)
-    trigger_depth = SplitSpec(training_ratio=spec.training_ratio).resolve_trigger_depth(config)
-    slide = spec.sliding_distance == "auto"
+    trigger_depth = config.trigger_depth
     records: list[WindowRecord] = []
     skipped: list[int] = []
     for size in spec.window_sizes:
-        distance = spec.distance_for(size)
+        cut = spec.training_length(size)
+        distance = size - cut  # the test-slice length
         windows = enumerate_windows(n, size, distance)
         if not windows:
             skipped.append(size)
             continue
-        cut = spec.training_length(size)
         for index, (start, end) in enumerate(windows):
             training = keys[start:start + cut]
             test = keys[start + cut:end]
             started = time.perf_counter()
-            if slide and index:
+            if index:
                 # the model holds the previous window, which began `distance` earlier
                 model.forget(keys[start - distance:end - distance], distance)
             else:

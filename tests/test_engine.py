@@ -44,10 +44,13 @@ def test_split_spec_validates_ratio():
 
 
 def test_trigger_depth_resolution():
-    assert SplitSpec().resolve_trigger_depth(PredictorConfig("dg")) == 1
-    assert SplitSpec().resolve_trigger_depth(PredictorConfig("naive")) == 1
-    assert SplitSpec().resolve_trigger_depth(PredictorConfig("ppm", ppm_order=3)) == 3
-    assert SplitSpec(trigger_depth=2).resolve_trigger_depth(PredictorConfig("ppm")) == 2
+    assert PredictorConfig("dg").trigger_depth == 1
+    assert PredictorConfig("mp", ppm_order=3).trigger_depth == 1
+    assert PredictorConfig("naive", ppm_order=3).trigger_depth == 1
+    assert PredictorConfig("ppm").trigger_depth == 2
+    assert PredictorConfig("ppm", ppm_order=3).trigger_depth == 3
+    with pytest.raises(AttributeError):  # read-only: it follows from the algorithm
+        PredictorConfig("ppm").trigger_depth = 1
 
 
 # ---------------------------------------------------------------- replay
@@ -131,7 +134,7 @@ def test_replay_prefix_consistency(keys, algorithm):
     config = PredictorConfig(algorithm)
     trace = _trace(keys)
     training, test = split(trace, SplitSpec())
-    depth = SplitSpec().resolve_trigger_depth(config)
+    depth = config.trigger_depth
 
     full = run_test_engine(train(config, training), test, training[-depth:], depth)
     prefix = run_test_engine(train(config, training), test[:-1], training[-depth:], depth)
@@ -163,18 +166,17 @@ def _copying_predict(model, calls):
     model.predict = wrapped
 
 
-@given(keys_st, st.data(), algo_st, st.integers(1, 4), st.integers(1, 4),
-       st.none() | st.integers(1, 4))
+@given(keys_st, st.data(), algo_st, st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
 @settings(max_examples=150)
 def test_replay_does_not_depend_on_the_identity_of_predictions(keys, data, algorithm, order,
-                                                               window, trigger):
+                                                               window, depth):
     # the engine skips re-adding a list it added last; a model whose every
     # prediction is a new list must score the same, with predict called once
-    # per test request, on fresh and on slid models
+    # per test request, on fresh and on slid models. A depth other than PPM's
+    # order sends its predict down the root-lookup path.
     config = PredictorConfig(algorithm, lookahead_window=window, ppm_order=order)
     trace = _trace(keys)
     training, test = split(trace, SplitSpec())
-    depth = SplitSpec(trigger_depth=trigger).resolve_trigger_depth(config)
     dropped = data.draw(st.integers(0, len(training)))
 
     def trained():

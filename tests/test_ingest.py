@@ -385,7 +385,8 @@ def test_fence_is_strict_inequality():
 
 def test_min_request_floor():
     traces = _traces_with_counts({"a": 10, "b": 12, "c": 11, "d": 13, "e": 9})
-    kept, report = remove_outlier_users(traces, min_requests=10)
+    kept, report = remove_outlier_users(traces)
+    assert report.min_request_floor == 10
     assert report.removed_users == ["e"]
     assert "e" not in kept
 
@@ -396,10 +397,15 @@ def test_single_user_is_its_own_quartiles():
     assert sorted(kept) == ["solo"]
 
 
+@pytest.fixture(scope="module")
+def np():
+    # imported before hypothesis runs, so the import does not count against its deadline
+    return pytest.importorskip("numpy")
+
+
 @given(st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=60))
-def test_quartiles_equal_numpy_percentile(counts):
+def test_quartiles_equal_numpy_percentile(np, counts):
     # numpy's default (linear) percentile rule is the reference the fences were pinned with
-    np = pytest.importorskip("numpy")
     expected = tuple(float(q) for q in np.percentile(np.array(counts, dtype=float), [25, 75]))
     assert _quartiles(counts) == expected
 

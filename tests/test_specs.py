@@ -14,9 +14,8 @@ from prefetchlab.sweep import SlidingWindowSpec
 # spec class -> (valid keyword arguments, invalid keyword arguments it rejects)
 SPECS = {
     SplitSpec: (
-        {"training_ratio": 0.7, "trigger_depth": 2},
-        [{"training_ratio": 0.0}, {"training_ratio": 1.0}, {"training_ratio": float("nan")},
-         {"trigger_depth": 0}],
+        {"training_ratio": 0.7},
+        [{"training_ratio": 0.0}, {"training_ratio": 1.0}, {"training_ratio": float("nan")}],
     ),
     PredictorConfig: (
         {"algorithm": "ppm", "lookahead_window": 3, "confidence_threshold": 0.5,
@@ -32,10 +31,10 @@ SPECS = {
          {"strategy": "mor", "keep_fraction": 1.5}],
     ),
     SlidingWindowSpec: (
-        {"window_sizes": (5, 10), "training_ratio": 0.6, "sliding_distance": 3},
+        {"window_sizes": (5, 10), "training_ratio": 0.6},
         [{"window_sizes": ()}, {"window_sizes": (1,)},
          {"window_sizes": (2,), "training_ratio": 0.3}, {"training_ratio": 1.0},
-         {"sliding_distance": 0}, {"sliding_distance": 2.5}, {"window_sizes": (5, 5)}],
+         {"window_sizes": (5, 5)}],
     ),
 }
 
@@ -71,11 +70,11 @@ def test_spec_replace_checks_the_new_fields(cls):
 
 
 def test_specs_keep_their_defaults_and_normalisations():
-    assert SplitSpec() == SplitSpec(0.8, None)
+    assert SplitSpec() == SplitSpec(0.8)
     assert PredictorConfig("DG") == PredictorConfig("dg", 4, None, 2, 5)
     assert PredictorConfig("dg").effective_threshold == 0.25
     assert PredictorConfig("ppm").effective_threshold == 0.1
     assert PruneSpec("MOR") == PruneSpec("mor", 0.2)
     assert SlidingWindowSpec(window_sizes=[5, 10]).window_sizes == (5, 10)
-    assert SlidingWindowSpec().sliding_distance == "auto"
+    assert SlidingWindowSpec().training_ratio == 0.8
     assert SplitSpec(0.5) != SplitSpec(0.6)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -71,10 +73,6 @@ def test_sliding_window_spec_validation():
         SlidingWindowSpec(window_sizes=(2,), training_ratio=0.3)  # floor(0.6) == 0
     with pytest.raises(ValueError):
         SlidingWindowSpec(training_ratio=1.0)
-    with pytest.raises(ValueError):
-        SlidingWindowSpec(sliding_distance=0)
-    with pytest.raises(ValueError):
-        SlidingWindowSpec(sliding_distance=2.5)
 
 
 def test_sliding_window_spec_rejects_a_repeated_size():
@@ -87,10 +85,10 @@ def test_spec_training_length_and_distance():
     spec = SlidingWindowSpec(window_sizes=(5, 10), training_ratio=0.8)
     assert spec.training_length(5) == 4
     assert spec.training_length(10) == 8
-    assert spec.distance_for(5) == 1   # auto = test-slice length
-    assert spec.distance_for(10) == 2
-    fixed = SlidingWindowSpec(window_sizes=(5,), sliding_distance=3)
-    assert fixed.distance_for(5) == 3
+    # windows slide by the test-slice length: 1 for size 5, 2 for size 10
+    result = sweep_user(_trace("u1", _urls(14)), PredictorConfig(algorithm="naive"), spec)
+    assert [(r.window_size, r.window_index) for r in result.records] == (
+        [(5, i) for i in range(10)] + [(10, i) for i in range(3)])
 
 
 def test_default_sizes_run_50_to_1000():
@@ -128,19 +126,23 @@ def test_sweep_user_records_match_fresh_per_window_models():
 
 @pytest.mark.parametrize("algorithm", ["dg", "ppm", "mp", "naive"])
 def test_auto_distance_records_equal_fresh_training_at_that_distance(algorithm):
-    # "auto" slides one model per size; an explicit distance trains every
-    # window afresh, so at the same distance it is the slid path's oracle
+    # sweep_user slides one model per size; the reference trains a model
+    # afresh on every window, stepping by the test-slice length
     trace = _trace("u1", [f"https://site.example/p{(i * i + i // 3) % 7}" for i in range(60)])
+    keys = trace.url_keys
     config = PredictorConfig(algorithm=algorithm, lookahead_window=3, ppm_order=3)
-    auto = SlidingWindowSpec(window_sizes=(3, 5, 12, 40), training_ratio=0.7)
-    slid = sweep_user(trace, config, auto)
-    assert slid.records
-    for size in auto.window_sizes:
-        fixed = SlidingWindowSpec(window_sizes=(size,), training_ratio=0.7,
-                                  sliding_distance=auto.distance_for(size))
-        fresh = sweep_user(trace, config, fixed)
-        got = [(r.window_index, r.metrics) for r in slid.records if r.window_size == size]
-        assert got == [(r.window_index, r.metrics) for r in fresh.records]
+    depth = 3 if algorithm == "ppm" else 1
+    spec = SlidingWindowSpec(window_sizes=(3, 5, 12, 40), training_ratio=0.7)
+    slid = sweep_user(trace, config, spec)
+    for size in spec.window_sizes:
+        cut = math.floor(0.7 * size)
+        fresh = []
+        for index, start in enumerate(range(0, len(keys) - size + 1, size - cut)):
+            training, test = keys[start:start + cut], keys[start + cut:start + size]
+            outcome = run_test_engine(train(config, training), test, training[-depth:], depth)
+            fresh.append((index, metrics_report("u1", algorithm, outcome)))
+        assert fresh
+        assert [(r.window_index, r.metrics) for r in slid.records if r.window_size == size] == fresh
 
 
 def test_sweep_user_skips_sizes_longer_than_trace():
