@@ -39,7 +39,7 @@ from .predictors import (ALGORITHMS, DEFAULT_LOOKAHEAD_WINDOW, DEFAULT_PPM_ORDER
 from .pruning import STRATEGIES, PruneSpec, domain_cutoff_filter
 from .sweep import (DEFAULT_CUTOFF_EPSILON, DEFAULT_WINDOW_SIZES, SWEEP_METRICS,
                     SlidingWindowSpec, UserSweep, build_sweep_result, cutoff_scan,
-                    sweep_user)
+                    sweep_dg_mp, sweep_user)
 from .traces import UserTrace, _running_sum, population_summary, repetition_stats
 
 REPORT_FORMAT = "prefetchlab-report/v1"
@@ -361,9 +361,16 @@ def _write_metrics_csv(path: Path, report: dict) -> None:
 # ---------------------------------------------------------------- sweep
 
 def _sweep_job(payload) -> list[UserSweep]:
-    """One user's sweep under each config."""
+    """One user's sweep under each config; DG and MP share one pass when their
+    lookahead windows agree, which one ``--window`` always makes them do."""
     trace, configs, swspec = payload
-    return [sweep_user(trace, config, swspec) for config in configs]
+    by_algorithm = {config.algorithm: config for config in configs}
+    dg, mp = by_algorithm.get("dg"), by_algorithm.get("mp")
+    shared = {}
+    if dg and mp and dg.lookahead_window == mp.lookahead_window:
+        shared = dict(zip(("dg", "mp"), sweep_dg_mp(trace, dg, mp, swspec)))
+    return [shared[config.algorithm] if config.algorithm in shared
+            else sweep_user(trace, config, swspec) for config in configs]
 
 
 def cmd_sweep(args) -> int:

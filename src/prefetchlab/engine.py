@@ -16,6 +16,10 @@ model that predicts the current request from its predecessor scores the hit
 in the same step. A url_key can appear in both miss_set and hit_set (first
 occurrence missed, a later one hit); the metrics module documents both
 readings.
+
+When DG and MP share a lookahead window, MP is DG's arc counts cut at top-n,
+and ``run_dg_mp_engine`` replays one DG model as both: one ranking of the
+row, two caches, one update per step.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import time
 from collections import deque, namedtuple
 from typing import NamedTuple, Sequence
 
-from .predictors import PredictorConfig, PredictionModel, train
+from .predictors import DGModel, PredictorConfig, PredictionModel, _ranked, train
 from .pruning import PruneSpec, PruneResult, prune
 from .traces import UserTrace
 
@@ -79,9 +83,7 @@ def split(trace: UserTrace, spec: SplitSpec) -> tuple[list[str], list[str]]:
         raise TraceTooShortError(f"trace of length {n} cannot be split")
     cut = math.floor(spec.training_ratio * n)
     training = trace.url_keys[:cut]
-    test = trace.url_keys[cut:]
-    if not test:  # unreachable for 0 < ratio < 1, kept as a guard
-        raise TraceTooShortError("empty test slice")
+    test = trace.url_keys[cut:]  # non-empty: ratio < 1 makes cut < n
     return training, test
 
 
@@ -95,7 +97,7 @@ def run_test_engine(model: PredictionModel, test: Sequence[str],
     cache: set[str] = set()
     hit_set: set[str] = set()
     miss_set: set[str] = set()
-    hit_count = miss_count = 0
+    hit_count = 0
     context: deque[str] = deque(pre_context, maxlen=trigger_depth)
     predict, update, extend = model.predict, model.update, context.append
     prefetch, hit, miss = cache.update, hit_set.add, miss_set.add
@@ -110,18 +112,70 @@ def run_test_engine(model: PredictionModel, test: Sequence[str],
             hit_count += 1
             hit(current)
         else:
-            miss_count += 1
             miss(current)
         update(current)
         extend(current)
 
+    return _outcome(cache, hit_set, miss_set, hit_count, len(test))
+
+
+def run_dg_mp_engine(model: DGModel, top_n: int, test: Sequence[str],
+                     pre_context: Sequence[str]) -> tuple[TestOutcome, TestOutcome]:
+    """Replay one DG model as DG and as MP at once; returns (DG outcome, MP outcome).
+
+    At each step the successor row of the request just seen is ranked once.
+    MP's cache gets its first ``top_n`` keys; DG's cache gets the leading keys
+    whose weight count / occurrences reaches the model's threshold, a prefix
+    of the same ranking because the weight grows with the count. Then the
+    model is updated once. The outcomes equal ``run_test_engine``'s at trigger
+    depth 1 for the DG model and for an MP model with ``top_n`` and the same
+    lookahead window trained on the same requests. The model is mutated.
+    """
+    arcs, occurrences, update = model.arc_counts, model.node_counts, model.update
+    threshold = model.config.effective_threshold
+    dg_cache, dg_hits, dg_misses = set(), set(), set()
+    mp_cache, mp_hits, mp_misses = set(), set(), set()
+    dg_hit_count = mp_hit_count = 0
+    source = pre_context[-1] if pre_context else None
+
+    for current in test:
+        row = arcs.get(source)
+        if row:
+            ranked = _ranked(list(row), row.__getitem__)
+            mp_cache.update(ranked[:top_n])
+            seen = occurrences[source]
+            for kept, key in enumerate(ranked):
+                if row[key] / seen < threshold:
+                    dg_cache.update(ranked[:kept])
+                    break
+            else:
+                dg_cache.update(ranked)
+        if current in dg_cache:
+            dg_hit_count += 1
+            dg_hits.add(current)
+        else:
+            dg_misses.add(current)
+        if current in mp_cache:
+            mp_hit_count += 1
+            mp_hits.add(current)
+        else:
+            mp_misses.add(current)
+        update(current)
+        source = current
+
+    return (_outcome(dg_cache, dg_hits, dg_misses, dg_hit_count, len(test)),
+            _outcome(mp_cache, mp_hits, mp_misses, mp_hit_count, len(test)))
+
+
+def _outcome(cache: set[str], hit_set: set[str], miss_set: set[str],
+             hit_count: int, steps: int) -> TestOutcome:
     return TestOutcome(
         cache_size=len(cache),
         hit_set=frozenset(hit_set),
         miss_set=frozenset(miss_set),
         prefetch_count=len(cache),
         hit_count=hit_count,
-        miss_count=miss_count,
+        miss_count=steps - hit_count,
     )
 
 

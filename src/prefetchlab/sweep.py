@@ -13,7 +13,11 @@ not be trained: replaying a window folds its test slice into the model,
 which then holds the whole window, and forgetting the window's first
 test-slice-length requests leaves exactly the model that training on the
 next window's front slice would build. Only the first window of each size
-is trained.
+is trained, and ``forget`` runs once per slide.
+
+DG and MP with the same lookahead window read one arc table: ``sweep_dg_mp``
+slides one DG model per size for both and replays each window once, and each
+of the window's two records gets half its time (train or forget, and replay).
 """
 
 from __future__ import annotations
@@ -21,11 +25,11 @@ from __future__ import annotations
 import math
 import time
 from collections import namedtuple
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .engine import run_test_engine
+from .engine import TestOutcome, run_dg_mp_engine, run_test_engine
 from .metrics import MetricsReport, aggregate_reports, metrics_report
-from .predictors import PredictorConfig, train
+from .predictors import PredictionModel, PredictorConfig, train
 from .traces import UserTrace
 
 DEFAULT_WINDOW_SIZES = (50, 100, 200, 300, 400, 500, 600, 700, 800, 900, 1000)
@@ -107,10 +111,42 @@ def sweep_user(trace: UserTrace, config: PredictorConfig, spec: SlidingWindowSpe
     records equal those of a fresh model per window. A window's ``elapsed_s``
     covers train and replay, or for a slid window ``forget`` and replay.
     """
+    depth = config.trigger_depth
+
+    def replay(model, test, context):
+        return (run_test_engine(model, test, context, depth),)
+
+    return _slide(trace, config, spec, (config.algorithm,), replay)[0]
+
+
+def sweep_dg_mp(trace: UserTrace, dg: PredictorConfig, mp: PredictorConfig,
+                spec: SlidingWindowSpec) -> tuple[UserSweep, UserSweep]:
+    """``sweep_user`` for a DG and an MP config at once: (DG sweep, MP sweep).
+
+    The two configs must share a lookahead window. Each window's train or
+    ``forget`` and replay run once for both, and each of its two records gets
+    half of that time as ``elapsed_s``.
+    """
+    if dg.lookahead_window != mp.lookahead_window:
+        raise ValueError("DG and MP share a model only with the same lookahead_window")
+
+    def replay(model, test, context):
+        return run_dg_mp_engine(model, mp.top_n, test, context)
+
+    return _slide(trace, dg, spec, ("dg", "mp"), replay)
+
+
+def _slide(trace: UserTrace, config: PredictorConfig, spec: SlidingWindowSpec,
+           algorithms: tuple[str, ...],
+           replay: Callable[[PredictionModel, Sequence[str], Sequence[str]],
+                            tuple[TestOutcome, ...]]) -> tuple[UserSweep, ...]:
+    """Slide one model of ``config`` per size along the trace, and replay each
+    window once with ``replay(model, test, trigger context)``, which returns
+    one outcome per algorithm; returns one ``UserSweep`` per algorithm."""
     keys = trace.url_keys
     n = len(keys)
-    trigger_depth = config.trigger_depth
-    records: list[WindowRecord] = []
+    depth = config.trigger_depth
+    records: list[list[WindowRecord]] = [[] for _ in algorithms]
     skipped: list[int] = []
     for size in spec.window_sizes:
         cut = spec.training_length(size)
@@ -120,24 +156,24 @@ def sweep_user(trace: UserTrace, config: PredictorConfig, spec: SlidingWindowSpe
             skipped.append(size)
             continue
         for index, (start, end) in enumerate(windows):
-            training = keys[start:start + cut]
-            test = keys[start + cut:end]
+            split_at = start + cut
             started = time.perf_counter()
             if index:
                 # the model holds the previous window, which began `distance` earlier
                 model.forget(keys[start - distance:end - distance], distance)
             else:
-                model = train(config, training)
-            outcome = run_test_engine(model, test, training[-trigger_depth:], trigger_depth)
-            elapsed = time.perf_counter() - started
-            records.append(WindowRecord(
-                user_id=trace.user_id,
-                window_size=size,
-                window_index=index,
-                metrics=metrics_report(trace.user_id, config.algorithm, outcome),
-                elapsed_s=elapsed,
-            ))
-    return UserSweep(records=tuple(records), skipped_sizes=tuple(skipped))
+                model = train(config, keys[start:split_at])
+            outcomes = replay(model, keys[split_at:end], keys[max(start, split_at - depth):split_at])
+            elapsed = (time.perf_counter() - started) / len(outcomes)
+            for algorithm, outcome, into in zip(algorithms, outcomes, records):
+                into.append(WindowRecord(
+                    user_id=trace.user_id,
+                    window_size=size,
+                    window_index=index,
+                    metrics=metrics_report(trace.user_id, algorithm, outcome),
+                    elapsed_s=elapsed,
+                ))
+    return tuple(UserSweep(records=tuple(r), skipped_sizes=tuple(skipped)) for r in records)
 
 
 def build_sweep_result(per_user: Iterable[UserSweep], spec: SlidingWindowSpec) -> SweepResult:

@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import pickle
 import subprocess
@@ -130,15 +131,20 @@ def test_jsonl_user_id_or_url_that_utf8_cannot_encode_is_malformed(tmp_path, cap
     assert capsys.readouterr().err.startswith("error: line 4: user_id")
 
 
+def _perfbench_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 def test_perfbench_tracing_finds_every_name_it_patches():
     # the traced benchmark run wraps these module attributes; a start-up change
     # that drops one must fail here, not only in a traced run
     from prefetchlab import cli, engine, sweep
 
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _perfbench_tracing()
     saved = {module: dict(vars(module)) for module in (cli, engine, sweep)}
     try:
         originals = tracing._install(tracing.Recorder(), cli, engine, sweep)
@@ -148,6 +154,24 @@ def test_perfbench_tracing_finds_every_name_it_patches():
         for module, names in saved.items():
             vars(module).update(names)
     assert all(getattr(module, name) is original for module, name, original in originals)
+
+
+def test_traced_sweep_workload_steps_give_every_layer_metric_a_finite_value(tmp_path):
+    # the traced benchmark run divides by the steps and candidates it counted per
+    # algorithm; on the sweep workload a model must be left for each to count
+    tracing = _perfbench_tracing()
+    log = _make_log(tmp_path, count=3, length=120, fmt="jsonl", name="access.jsonl")
+    ingested = str(tmp_path / "ingest")
+    rec, codes = tracing.traced_commands([
+        ("ingest", ["ingest", "--input", str(log), "--format", "jsonl", "--out", ingested]),
+        ("analyze", ["sweep", "--sizes", "20,40,80", "--input", ingested, "--workers", "1",
+                     "--out", str(tmp_path / "analyze")]),
+        ("evaluate_prune", ["evaluate", "--input", ingested, "--prune", "mor",
+                            "--workers", "1", "--out", str(tmp_path / "evaluate_prune")]),
+    ])
+    assert codes == [0, 0, 0]
+    values = tracing.layer_metrics(rec)
+    assert {name for name, value in values.items() if not math.isfinite(value)} == set()
 
 
 # ---------------------------------------------------------------- trace store

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +36,14 @@ def test_split_keeps_order_and_concatenation():
 def test_split_too_short_raises():
     with pytest.raises(TraceTooShortError):
         split(_trace([A]), SplitSpec())
+
+
+@given(st.integers(2, 10_000),
+       st.one_of(st.sampled_from([math.nextafter(1.0, 0.0), math.nextafter(0.0, 1.0)]),
+                 st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+def test_split_leaves_a_test_slice_at_every_length_and_ratio(n, ratio):
+    training, test = split(_trace([str(i % 7) for i in range(n)]), SplitSpec(ratio))
+    assert test and len(training) + len(test) == n
 
 
 def test_split_spec_validates_ratio():

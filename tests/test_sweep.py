@@ -3,9 +3,10 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from prefetchlab.cli import _sweep_job
 from prefetchlab.predictors import PredictorConfig, train
 from prefetchlab.engine import run_test_engine
 from prefetchlab.metrics import metrics_report
@@ -16,6 +17,7 @@ from prefetchlab.sweep import (
     cutoff_scan,
     enumerate_windows,
     run_sweep,
+    sweep_dg_mp,
     sweep_user,
 )
 from prefetchlab.traces import UserTrace
@@ -159,6 +161,49 @@ def test_constant_trace_gets_perfect_dynamic_recall():
     result = sweep_user(trace, PredictorConfig(algorithm="naive"), spec)
     assert result.records
     assert all(r.metrics.dynamic_recall == 1.0 for r in result.records)
+
+
+# ---------------------------------------------------------------- DG and MP in one pass
+
+def _without_time(user_sweep):
+    return ([(r.user_id, r.window_size, r.window_index, r.metrics) for r in user_sweep.records],
+            user_sweep.skipped_sizes)
+
+
+@settings(max_examples=150)
+@given(st.lists(st.integers(0, 5), min_size=2, max_size=70),
+       st.lists(st.integers(2, 30), min_size=1, max_size=4, unique=True),
+       st.sampled_from([0.3, 0.5, 0.7, 0.8, 0.95]),
+       st.integers(1, 5),
+       st.sampled_from([None, 0.0, 0.3, 1.0]),
+       st.integers(1, 6))
+def test_dg_and_mp_in_one_pass_equal_their_own_sweeps(pages, sizes, ratio, window,
+                                                       threshold, top_n):
+    # six pages, so a request repeats inside the lookahead window; a weight
+    # can equal 0.3 or 1, and the ranked row is often longer than top_n
+    assume(all(math.floor(ratio * size) >= 1 for size in sizes))
+    spec = SlidingWindowSpec(window_sizes=sizes, training_ratio=ratio)
+    trace = _trace("u1", [f"https://site.example/p{page}" for page in pages])
+    dg = PredictorConfig("dg", lookahead_window=window, confidence_threshold=threshold,
+                         top_n=top_n)
+    mp = PredictorConfig("mp", lookahead_window=window, confidence_threshold=threshold,
+                         top_n=top_n)
+    paired = sweep_dg_mp(trace, dg, mp, spec)
+    assert [_without_time(s) for s in paired] == [
+        _without_time(sweep_user(trace, config, spec)) for config in (dg, mp)]
+    assert [_without_time(s) for s in _sweep_job((trace, [dg, mp], spec))] == [
+        _without_time(s) for s in paired]
+
+
+def test_unequal_lookahead_windows_sweep_dg_and_mp_apart():
+    trace = _trace("u1", [f"https://site.example/p{(i * i + i // 3) % 7}" for i in range(60)])
+    spec = SlidingWindowSpec(window_sizes=(5, 12), training_ratio=0.7)
+    configs = [PredictorConfig("dg", lookahead_window=1, confidence_threshold=0.0),
+               PredictorConfig("naive"), PredictorConfig("mp", lookahead_window=3, top_n=1)]
+    with pytest.raises(ValueError, match="lookahead_window"):
+        sweep_dg_mp(trace, configs[0], configs[2], spec)
+    assert [_without_time(s) for s in _sweep_job((trace, configs, spec))] == [
+        _without_time(sweep_user(trace, config, spec)) for config in configs]
 
 
 # ---------------------------------------------------------------- aggregation
