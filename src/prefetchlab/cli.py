@@ -144,7 +144,7 @@ def cmd_ingest(args) -> int:
     _write_json(out / "ingest_summary.json", {
         "format": REPORT_FORMAT,
         "command": "ingest",
-        "load": summary.to_dict(),
+        "load": summary._asdict(),
         "outliers": outliers._asdict(),
         "users": {"parsed": len(traces), "kept": len(kept),
                   "removed": len(traces) - len(kept)},

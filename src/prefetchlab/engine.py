@@ -53,6 +53,10 @@ class SplitSpec(namedtuple("SplitSpec", "training_ratio")):
             raise ValueError("training_ratio must lie strictly between 0 and 1")
         return super().__new__(cls, training_ratio)
 
+    def training_length(self, n: int) -> int:
+        """How many of ``n`` requests train."""
+        return math.floor(self.training_ratio * n)
+
 
 class TestOutcome(NamedTuple):
     """The six replay outputs: cache size, hit/miss sets, and the three counters."""
@@ -81,7 +85,7 @@ def split(trace: UserTrace, spec: SplitSpec) -> tuple[list[str], list[str]]:
     n = len(trace)
     if n < 2:
         raise TraceTooShortError(f"trace of length {n} cannot be split")
-    cut = math.floor(spec.training_ratio * n)
+    cut = spec.training_length(n)
     training = trace.url_keys[:cut]
     test = trace.url_keys[cut:]  # non-empty: ratio < 1 makes cut < n
     return training, test

@@ -17,9 +17,10 @@ field that is only whitespace is empty. An integer string is an optional
 sign and ASCII digits; ``int()`` alone would also take ``1_000`` or ``١٢٣``.
 A UTF-8 byte order mark at the start of either format is dropped.
 
-Rows with a non-GET method are dropped (counted, not an error). Malformed
-rows are a per-row error carrying the line number; in the default lenient
-mode they are skipped and counted, in strict mode the first one aborts. A
+Rows with a non-GET method are dropped (counted, not an error). A malformed
+row is a ``LogParseError`` carrying its line number, which ``iter_log_records``
+yields in the row's place; ``load_traces`` alone counts rows, and skips a
+malformed one in the default lenient mode or raises it under ``--strict``. A
 ``user_id``, ``method`` or ``url`` that is not valid UTF-8 (bytes that do not
 decode, or a JSON escape of a lone surrogate) makes its row malformed.
 """
@@ -30,7 +31,7 @@ import csv
 import json
 from collections import defaultdict
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .traces import UserTrace
 
@@ -55,17 +56,14 @@ class LogParseError(ValueError):
         return f"line {self.line_no}: {self.message}"
 
 
-class LoadSummary:
-    __slots__ = ("rows_read", "kept", "dropped_non_get", "skipped_malformed", "errors")
+class LoadSummary(NamedTuple):
+    """What ``load_traces`` did with each non-blank row of a log."""
 
-    def __init__(self, rows_read: int = 0, kept: int = 0, dropped_non_get: int = 0,
-                 skipped_malformed: int = 0, errors: list[str] | None = None):
-        self.rows_read, self.kept = rows_read, kept
-        self.dropped_non_get, self.skipped_malformed = dropped_non_get, skipped_malformed
-        self.errors = [] if errors is None else errors
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
+    rows_read: int
+    kept: int
+    dropped_non_get: int
+    skipped_malformed: int
+    errors: list[str]  # the first MAX_RECORDED_ERRORS messages
 
 
 class OutlierReport(NamedTuple):
@@ -85,12 +83,6 @@ class OutlierReport(NamedTuple):
 
 
 Record = tuple[str, int, str, str]  # (user_id, timestamp_ms, method uppercased, url)
-
-
-def _parse_csv_row(line_no: int, row: list[str]) -> Record:
-    if len(row) != 4:
-        raise LogParseError(line_no, f"expected 4 fields, got {len(row)}")
-    return _build_record(line_no, *row)
 
 
 def _parse_jsonl_row(line_no: int, line: str) -> Record:
@@ -144,22 +136,12 @@ def _build_record(line_no: int, user_id: str, ts_raw, method: str, url: str) -> 
     return user_id, timestamp, method.upper(), url
 
 
-def iter_log_records(path: str | Path, fmt: str = "csv", strict: bool = False, *,
-                     summary: LoadSummary) -> Iterable[Record]:
-    """Yield (user_id, timestamp_ms, method, url) tuples, applying the lenient/strict policy;
-    rows read and rows skipped as malformed are counted into ``summary``."""
+def iter_log_records(path: str | Path, fmt: str = "csv") -> Iterator[Record | LogParseError]:
+    """Yield each non-blank row as a (user_id, timestamp_ms, method, url) record, or as
+    the LogParseError that makes it malformed; raise one only for an empty file or header."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
-    path = Path(path)
-
-    def handle(exc: LogParseError):
-        if strict:
-            raise exc
-        summary.skipped_malformed += 1
-        if len(summary.errors) < MAX_RECORDED_ERRORS:
-            summary.errors.append(str(exc))
-
-    with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+    with Path(path).open(newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         if fmt == "csv":
             reader = csv.reader(fh)
             try:
@@ -175,54 +157,62 @@ def iter_log_records(path: str | Path, fmt: str = "csv", strict: bool = False, *
             while True:
                 try:
                     for row in reader:
-                        if not row:
-                            continue
-                        summary.rows_read += 1
-                        try:
-                            yield _parse_csv_row(reader.line_num, row)
-                        except LogParseError as exc:
-                            handle(exc)
+                        if len(row) == 4:
+                            try:
+                                yield _build_record(reader.line_num, *row)
+                            except LogParseError as exc:
+                                yield exc
+                        elif row:  # a blank line reads as [] and is not a row
+                            yield LogParseError(reader.line_num,
+                                                f"expected 4 fields, got {len(row)}")
                     break
                 except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
                     # the reader moves on to the next row; the for loop starts again there
-                    summary.rows_read += 1
-                    handle(LogParseError(reader.line_num, f"unreadable row: {exc}"))
+                    yield LogParseError(reader.line_num, f"unreadable row: {exc}")
         else:
             any_line = False
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 any_line = True
-                summary.rows_read += 1
                 try:
                     yield _parse_jsonl_row(line_no, line)
                 except LogParseError as exc:
-                    handle(exc)
-            if not any_line and summary.rows_read == 0:
+                    yield exc
+            if not any_line:
                 raise LogParseError(1, "empty file")
 
 
 def load_traces(path: str | Path, fmt: str = "csv", strict: bool = False,
                 ) -> tuple[dict[str, UserTrace], LoadSummary]:
-    """Parse a log file into one time-ordered UserTrace per user.
+    """Parse a log file into one time-ordered UserTrace per user, counting every row.
 
-    Non-GET records are dropped and counted. Requests are sorted by
-    timestamp with input order preserved among ties, so concatenating the
-    returned traces reproduces exactly the GET subset of the input.
+    Non-GET rows are dropped; a malformed one is raised under ``strict``, else skipped.
+    Requests are sorted by timestamp with input order preserved among ties, so
+    concatenating the returned traces reproduces exactly the GET subset of the input.
     """
-    summary = LoadSummary()
+    rows_read = dropped_non_get = skipped_malformed = 0
+    errors: list[str] = []
     timestamps: dict[str, list[int]] = defaultdict(list)
     urls: dict[str, list[str]] = defaultdict(list)
-    for user_id, timestamp, method, url in iter_log_records(path, fmt=fmt, strict=strict,
-                                                            summary=summary):
-        if method != "GET":
-            summary.dropped_non_get += 1
+    for row in iter_log_records(path, fmt=fmt):
+        rows_read += 1
+        if isinstance(row, LogParseError):
+            if strict:
+                raise row
+            skipped_malformed += 1
+            if len(errors) < MAX_RECORDED_ERRORS:
+                errors.append(str(row))
             continue
-        summary.kept += 1
+        user_id, timestamp, method, url = row
+        if method != "GET":
+            dropped_non_get += 1
+            continue
         timestamps[user_id].append(timestamp)
         urls[user_id].append(url)
     traces = {uid: UserTrace.build(uid, ts, urls[uid]) for uid, ts in timestamps.items()}
-    return traces, summary
+    kept = rows_read - dropped_non_get - skipped_malformed
+    return traces, LoadSummary(rows_read, kept, dropped_non_get, skipped_malformed, errors)
 
 
 def _quartiles(values: list[int]) -> tuple[float, float]:

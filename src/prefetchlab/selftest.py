@@ -36,14 +36,12 @@ def _random_ratio(rng: random.Random) -> float:
     return rng.choice([0.3, 0.5, 0.8, 0.9])
 
 
-def check_oracle_equivalence(seed: int, trace_count: int, max_length: int = 100,
-                             max_alphabet: int = 15) -> CheckResult:
+def check_oracle_equivalence(seed: int, trace_count: int) -> CheckResult:
     """Fast engine vs from-scratch replay on all six outcome fields."""
     rng = random.Random(seed)
     cases = 0
     for index in range(trace_count):
-        trace = uniform_trace(rng, f"u{index}", rng.randint(2, max_length),
-                              rng.randint(2, max_alphabet))
+        trace = uniform_trace(rng, f"u{index}", rng.randint(2, 100), rng.randint(2, 15))
         spec = SplitSpec(training_ratio=_random_ratio(rng))
         for algorithm in ALGORITHMS:
             config = random_config(rng, algorithm)
@@ -59,14 +57,13 @@ def check_oracle_equivalence(seed: int, trace_count: int, max_length: int = 100,
     return CheckResult("oracle-equivalence", True, cases)
 
 
-def check_train_fold(seed: int, sequence_count: int, max_length: int = 60,
-                     max_alphabet: int = 10) -> CheckResult:
+def check_train_fold(seed: int, sequence_count: int) -> CheckResult:
     """train(seq) and folding model.update over seq must serialize identically."""
     rng = random.Random(seed)
     cases = 0
     for index in range(sequence_count):
-        length = rng.randint(0, max_length)  # 0: folding nothing over an empty model
-        pool = url_pool(rng.randint(2, max_alphabet))
+        length = rng.randint(0, 60)  # 0: folding nothing over an empty model
+        pool = url_pool(rng.randint(2, 10))
         keys = [rng.choice(pool) for _ in range(length)]
         for algorithm in ALGORITHMS:
             config = random_config(rng, algorithm)
@@ -82,14 +79,13 @@ def check_train_fold(seed: int, sequence_count: int, max_length: int = 60,
     return CheckResult("train-equals-fold", True, cases)
 
 
-def check_forget_equals_fresh(seed: int, sequence_count: int, max_length: int = 60,
-                              max_alphabet: int = 10) -> CheckResult:
+def check_forget_equals_fresh(seed: int, sequence_count: int) -> CheckResult:
     """train(seq) then forget(seq, count) must serialize as train(seq[count:])."""
     rng = random.Random(seed)
     cases = 0
     for index in range(sequence_count):
-        length = rng.randint(1, max_length)
-        pool = url_pool(rng.randint(2, max_alphabet))
+        length = rng.randint(1, 60)
+        pool = url_pool(rng.randint(2, 10))
         keys = [rng.choice(pool) for _ in range(length)]
         # every other case keeps at most 6 keys, fewer than a long window holds
         count = rng.randint(max(0, length - 6), length) if index % 2 else rng.randint(0, length)
@@ -170,12 +166,12 @@ def check_normalization_identity(seed: int, trace_count: int) -> CheckResult:
     return CheckResult("normalization-identity", True, cases)
 
 
-def run_selftest(seed: int = 0, trace_count: int = 200,
-                 sequence_count: int = 200) -> list[CheckResult]:
+def run_selftest(seed: int = 0) -> list[CheckResult]:
+    cases = 200  # traces or sequences per check
     return [
-        check_oracle_equivalence(seed, trace_count),
-        check_train_fold(seed + 1, sequence_count),
-        check_naive_dominance(seed + 2, trace_count),
-        check_normalization_identity(seed + 3, trace_count),
-        check_forget_equals_fresh(seed + 4, sequence_count),
+        check_oracle_equivalence(seed, cases),
+        check_train_fold(seed + 1, cases),
+        check_naive_dominance(seed + 2, cases),
+        check_normalization_identity(seed + 3, cases),
+        check_forget_equals_fresh(seed + 4, cases),
     ]

@@ -22,12 +22,11 @@ of the window's two records gets half its time (train or forget, and replay).
 
 from __future__ import annotations
 
-import math
 import time
 from collections import namedtuple
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .engine import TestOutcome, run_dg_mp_engine, run_test_engine
+from .engine import SplitSpec, TestOutcome, run_dg_mp_engine, run_test_engine
 from .metrics import MetricsReport, aggregate_reports, metrics_report
 from .predictors import PredictionModel, PredictorConfig, train
 from .traces import UserTrace
@@ -46,12 +45,11 @@ class SlidingWindowSpec(namedtuple("SlidingWindowSpec", "window_sizes training_r
         window_sizes = tuple(window_sizes)
         if not window_sizes:
             raise ValueError("at least one window size is required")
-        if not 0.0 < training_ratio < 1.0:
-            raise ValueError("training_ratio must lie strictly between 0 and 1")
+        split = SplitSpec(training_ratio)  # the training-slice rule, and its ratio check
         for i, size in enumerate(window_sizes):
             if size < 2:
                 raise ValueError(f"window size {size} < 2")
-            if math.floor(training_ratio * size) < 1:
+            if split.training_length(size) < 1:
                 raise ValueError(
                     f"window size {size} with ratio {training_ratio} "
                     "leaves an empty training slice"
@@ -61,7 +59,7 @@ class SlidingWindowSpec(namedtuple("SlidingWindowSpec", "window_sizes training_r
         return super().__new__(cls, window_sizes, training_ratio)
 
     def training_length(self, window_size: int) -> int:
-        return math.floor(self.training_ratio * window_size)
+        return SplitSpec(self.training_ratio).training_length(window_size)
 
 
 def enumerate_windows(n: int, x: int, y: int) -> list[tuple[int, int]]:

@@ -29,15 +29,15 @@ def _timestamps(length: int) -> list[int]:
     return [_BASE_TS + i * 1000 for i in range(length)]
 
 
-def url_pool(size: int, domains: int = 3) -> list[str]:
-    """Deterministic pool of distinct URLs spread over a few domains.
+def url_pool(size: int) -> list[str]:
+    """Deterministic pool of distinct URLs spread over three domains.
 
     Every other URL carries a query string, so identity-includes-query
     is always exercised.
     """
     pool = []
     for i in range(size):
-        host = f"https://site{i % domains}.example.net"
+        host = f"https://site{i % 3}.example.net"
         if i % 2:
             pool.append(f"{host}/list?page={i}")
         else:
@@ -71,14 +71,13 @@ def bursty_trace(rng: random.Random, user_id: str, length: int,
     return UserTrace.build(user_id, _timestamps(length), keys[:length])
 
 
-def uniform_traces(seed: int, count: int, max_length: int = 100,
-                   max_alphabet: int = 15) -> dict[str, UserTrace]:
+def uniform_traces(seed: int, count: int) -> dict[str, UserTrace]:
     rng = random.Random(seed)
     traces = {}
     for i in range(count):
         user_id = f"u{i:05d}"
-        length = rng.randint(2, max_length)
-        alphabet = rng.randint(2, max_alphabet)
+        length = rng.randint(2, 100)
+        alphabet = rng.randint(2, 15)
         traces[user_id] = uniform_trace(rng, user_id, length, alphabet)
     return traces
 

@@ -245,6 +245,14 @@ def test_hostile_store_exits_2_with_error_line(tmp_path, capsys, case, command):
     assert not (tmp_path / "out").exists()  # rejected before any output is written
 
 
+def test_store_entry_that_is_not_an_object_exits_2(tmp_path, capsys):
+    store = _valid_store()
+    store["users"]["u1"] = [1, 2]
+    (tmp_path / "traces.json").write_text(json.dumps(store), encoding="utf-8")
+    assert main(["stats", "--input", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.endswith("user 'u1': entry is not an object\n")
+
+
 @pytest.mark.parametrize("command", sorted(STORE_COMMANDS))
 def test_directory_without_store_exits_1(tmp_path, capsys, command):
     rc = main([*STORE_COMMANDS[command], str(tmp_path / "out"), "--input", str(tmp_path)])
@@ -733,6 +741,15 @@ def test_sweep_rejects_bad_size_list(tmp_path, capsys):
     assert "bad size list" in capsys.readouterr().err
 
 
+def test_sweep_rejects_an_empty_size_list(tmp_path, capsys):
+    log = _make_log(tmp_path, count=2)
+    with pytest.raises(SystemExit) as exit_:
+        main(["sweep", "--input", str(log), "--out", str(tmp_path / "o"), "--sizes", ","])
+    assert exit_.value.code == 2
+    assert "size list is empty" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_rejects_a_repeated_window_size_and_writes_nothing(tmp_path, capsys):
     log = _make_log(tmp_path, count=2)
     out = tmp_path / "o"
@@ -938,3 +955,14 @@ def test_selftest_passes_and_writes_report(tmp_path, capsys):
     assert [c["passed"] for c in report["checks"]] == [True] * 5
     assert "forget-equals-fresh" in [c["name"] for c in report["checks"]]
     assert _sha((out / "selftest.json").read_bytes()) == SELFTEST_GOLDEN_DIGEST
+
+
+def test_selftest_prints_a_failing_check_with_its_detail_and_exits_1(monkeypatch, capsys):
+    from prefetchlab import selftest
+
+    monkeypatch.setattr(selftest, "run_selftest", lambda seed: [
+        selftest.CheckResult("first", True, 3),
+        selftest.CheckResult("second", False, 2, f"seed={seed} trace=1: broken")])
+    assert main(["selftest", "--seed", "4"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "ok    first (3 cases)", "FAIL  second (2 cases) - seed=4 trace=1: broken"]

@@ -149,6 +149,43 @@ def test_lenient_mode_counts_malformed_rows(tmp_path):
     assert traces["u1"].url_keys == ["https://a.example/1", "https://a.example/3"]
 
 
+def test_lenient_mode_keeps_only_the_first_messages(tmp_path):
+    path = _write(tmp_path, "log.csv", CSV_HEADER + "".join(
+        f"u1,bad{i},GET,https://a.example/{i}\n" for i in range(25)))
+    traces, summary = load_traces(path, fmt="csv")
+    assert summary.rows_read == 25 and summary.skipped_malformed == 25
+    assert [e.split(":")[0] for e in summary.errors] == [f"line {i}" for i in range(2, 22)]
+    assert traces == {}
+
+
+@pytest.mark.parametrize(("row", "message"), [
+    ("[1, 2]", "row is not a JSON object"),
+    ('{"user_id": "u1", "url": "https://a.example/y"}', "missing fields: timestamp_ms, method"),
+], ids=["array", "missing-fields"])
+def test_jsonl_row_that_is_not_a_whole_object_is_malformed(tmp_path, row, message):
+    path = _write(tmp_path, "log.jsonl", json.dumps(GOOD_JSONL_ROW) + "\n" + row + "\n")
+    traces, summary = load_traces(path, fmt="jsonl")
+    assert summary.rows_read == 2 and summary.skipped_malformed == 1
+    assert summary.errors == [f"line 2: {message}"]
+    assert list(traces) == ["u1"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_blank_lines_are_skipped_and_not_counted(tmp_path, fmt):
+    if fmt == "csv":  # a CSV line of spaces is a one-field row, so only empty lines are blank
+        lines = [CSV_HEADER.strip(), "", "u1,0,GET,https://a.example/x", "", "",
+                 "u1,1,GET,https://a.example/y", "", "too,few"]
+    else:
+        lines = ["", " ", json.dumps(dict(GOOD_JSONL_ROW, timestamp_ms=0)), "\t", "",
+                 json.dumps(dict(GOOD_JSONL_ROW, timestamp_ms=1)), "", "[]"]
+    traces, summary = load_traces(_write(tmp_path, f"log.{fmt}", "\n".join(lines) + "\n\n"),
+                                  fmt=fmt)
+    assert (summary.rows_read, summary.kept, summary.skipped_malformed) == (3, 2, 1)
+    # blank lines still count in the line numbers of the rows after them
+    assert summary.errors[0].startswith("line 8:")
+    assert traces["u1"].timestamps == [0, 1]
+
+
 def test_strict_mode_raises_with_line_number(tmp_path):
     path = _write(tmp_path, "log.csv", CSV_HEADER + "u1,nope,GET,https://a.example/\n")
     with pytest.raises(LogParseError) as err:
@@ -329,7 +366,7 @@ def test_leading_utf8_bom_is_ignored(tmp_path, fmt, strict):
     expected_traces, expected = load_traces(plain, fmt=fmt, strict=strict)
     traces, summary = load_traces(bom, fmt=fmt, strict=strict)
     assert traces == expected_traces
-    assert summary.to_dict() == expected.to_dict()
+    assert summary._asdict() == expected._asdict()
     assert summary.kept == 12 and summary.skipped_malformed == 0
     flags = ["--strict"] if strict else []
     for path in (plain, bom):
@@ -343,6 +380,16 @@ def test_bad_header_rejected(tmp_path):
     path = _write(tmp_path, "log.csv", "who,when,how,where\nu1,1,GET,https://a.example/\n")
     with pytest.raises(LogParseError):
         load_traces(path, fmt="csv")
+
+
+@pytest.mark.parametrize(("fmt", "text"), [("csv", ""), ("jsonl", ""), ("jsonl", "\n \t\n\n")],
+                         ids=["csv", "jsonl", "jsonl-blank-lines"])
+def test_ingest_of_an_empty_file_exits_1(tmp_path, capsys, fmt, text):
+    path = _write(tmp_path, f"log.{fmt}", text)
+    assert main(["ingest", "--input", str(path), "--format", fmt,
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: line 1: empty file\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_empty_file_rejected(tmp_path):
