@@ -362,13 +362,15 @@ def _write_metrics_csv(path: Path, report: dict) -> None:
 
 def _sweep_job(payload) -> list[UserSweep]:
     """One user's sweep under each config; DG and MP share one pass when their
-    lookahead windows agree, which one ``--window`` always makes them do."""
+    lookahead windows agree, which one ``--window`` always makes them do, and
+    Naive joins that pass when it runs. Any other config sweeps on its own."""
     trace, configs, swspec = payload
     by_algorithm = {config.algorithm: config for config in configs}
     dg, mp = by_algorithm.get("dg"), by_algorithm.get("mp")
     shared = {}
     if dg and mp and dg.lookahead_window == mp.lookahead_window:
-        shared = dict(zip(("dg", "mp"), sweep_dg_mp(trace, dg, mp, swspec)))
+        sweeps = sweep_dg_mp(trace, dg, mp, swspec, naive="naive" in by_algorithm)
+        shared = dict(zip(("dg", "mp", "naive"), sweeps))
     return [shared[config.algorithm] if config.algorithm in shared
             else sweep_user(trace, config, swspec) for config in configs]
 
@@ -385,11 +387,10 @@ def cmd_sweep(args) -> int:
         print(f"error: no user to sweep: {len(users)} loaded, none of "
               f"{smallest} requests or more", file=sys.stderr)
         return 1
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     jobs = _run_jobs(_sweep_job, [(traces[uid], configs, swspec) for uid in users],
                      args.workers)
+    out = Path(args.out)  # made only now: a job that fails leaves no directory behind
+    out.mkdir(parents=True, exist_ok=True)
     algo_sections = {}
     for i, config in enumerate(configs):
         a = config.algorithm

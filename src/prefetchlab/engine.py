@@ -18,8 +18,9 @@ occurrence missed, a later one hit); the metrics module documents both
 readings.
 
 When DG and MP share a lookahead window, MP is DG's arc counts cut at top-n,
-and ``run_dg_mp_engine`` replays one DG model as both: one ranking of the
-row, two caches, one update per step.
+and Naive's seen set is the key set of DG's node counts, so
+``run_dg_table_engine`` replays one DG model as all three: one ranking of the
+row, two caches, one membership test, one update per step.
 """
 
 from __future__ import annotations
@@ -120,26 +121,31 @@ def run_test_engine(model: PredictionModel, test: Sequence[str],
         update(current)
         extend(current)
 
-    return _outcome(cache, hit_set, miss_set, hit_count, len(test))
+    return _outcome(len(cache), hit_set, miss_set, hit_count, len(test))
 
 
-def run_dg_mp_engine(model: DGModel, top_n: int, test: Sequence[str],
-                     pre_context: Sequence[str]) -> tuple[TestOutcome, TestOutcome]:
-    """Replay one DG model as DG and as MP at once; returns (DG outcome, MP outcome).
+def run_dg_table_engine(model: DGModel, top_n: int, test: Sequence[str],
+                        pre_context: Sequence[str]
+                        ) -> tuple[TestOutcome, TestOutcome, TestOutcome]:
+    """Replay one DG model as DG, MP and Naive at once; returns their three outcomes.
 
     At each step the successor row of the request just seen is ranked once.
     MP's cache gets its first ``top_n`` keys; DG's cache gets the leading keys
     whose weight count / occurrences reaches the model's threshold, a prefix
-    of the same ranking because the weight grows with the count. Then the
-    model is updated once. The outcomes equal ``run_test_engine``'s at trigger
-    depth 1 for the DG model and for an MP model with ``top_n`` and the same
-    lookahead window trained on the same requests. The model is mutated.
+    of the same ranking because the weight grows with the count. Naive
+    predicts every key seen so far, which are the keys of the node counts, so
+    a request is a Naive hit when it is one of them; its cache is that key set
+    at the last step's prediction. Then the model is updated once. The
+    outcomes equal ``run_test_engine``'s at trigger depth 1 for the DG model,
+    for an MP model with ``top_n`` and the same lookahead window, and for a
+    Naive model, each trained on the same requests. The model is mutated.
     """
     arcs, occurrences, update = model.arc_counts, model.node_counts, model.update
     threshold = model.config.effective_threshold
     dg_cache, dg_hits, dg_misses = set(), set(), set()
     mp_cache, mp_hits, mp_misses = set(), set(), set()
-    dg_hit_count = mp_hit_count = 0
+    naive_hits, naive_misses = set(), set()
+    dg_hit_count = mp_hit_count = naive_hit_count = 0
     source = pre_context[-1] if pre_context else None
 
     for current in test:
@@ -164,20 +170,29 @@ def run_dg_mp_engine(model: DGModel, top_n: int, test: Sequence[str],
             mp_hits.add(current)
         else:
             mp_misses.add(current)
+        if current in occurrences:
+            naive_hit_count += 1
+            naive_hits.add(current)
+        else:
+            naive_misses.add(current)
         update(current)
         source = current
 
-    return (_outcome(dg_cache, dg_hits, dg_misses, dg_hit_count, len(test)),
-            _outcome(mp_cache, mp_hits, mp_misses, mp_hit_count, len(test)))
+    # Naive's last prediction held every key but the last request, if that was new
+    naive_cache = len(occurrences) - (occurrences[test[-1]] == 1) if test else 0
+    steps = len(test)
+    return (_outcome(len(dg_cache), dg_hits, dg_misses, dg_hit_count, steps),
+            _outcome(len(mp_cache), mp_hits, mp_misses, mp_hit_count, steps),
+            _outcome(naive_cache, naive_hits, naive_misses, naive_hit_count, steps))
 
 
-def _outcome(cache: set[str], hit_set: set[str], miss_set: set[str],
+def _outcome(cache_size: int, hit_set: set[str], miss_set: set[str],
              hit_count: int, steps: int) -> TestOutcome:
     return TestOutcome(
-        cache_size=len(cache),
+        cache_size=cache_size,
         hit_set=frozenset(hit_set),
         miss_set=frozenset(miss_set),
-        prefetch_count=len(cache),
+        prefetch_count=cache_size,
         hit_count=hit_count,
         miss_count=steps - hit_count,
     )

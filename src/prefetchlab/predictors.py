@@ -109,15 +109,6 @@ def _ranked(keys: list[str], count: Callable[[str], int]) -> list[str]:
     return keys
 
 
-def _decrement(counts: dict[str, int], key: str) -> None:
-    """Take one from ``counts[key]``, deleting the entry when it reaches zero."""
-    left = counts[key] - 1
-    if left:
-        counts[key] = left
-    else:
-        del counts[key]
-
-
 def _trim(recent: deque[str], length: int) -> None:
     """Keep at most the last ``length`` keys: a shorter stream leaves a shorter window."""
     while len(recent) > length:
@@ -149,15 +140,23 @@ class DGModel:
         self.pending_window.append(key)
 
     def forget(self, stream: Sequence[str], count: int) -> None:
-        arcs, window = self.arc_counts, self.config.lookahead_window
+        nodes, arcs, window = self.node_counts, self.arc_counts, self.config.lookahead_window
         for position in range(count):
             source = stream[position]
-            _decrement(self.node_counts, source)
+            left = nodes[source] - 1
+            if left:
+                nodes[source] = left
+            else:
+                del nodes[source]
             successors = stream[position + 1:position + 1 + window]
             if successors:
                 targets = arcs[source]
                 for target in successors:
-                    _decrement(targets, target)
+                    left = targets[target] - 1
+                    if left:
+                        targets[target] = left
+                    else:
+                        del targets[target]
                 if not targets:
                     del arcs[source]
         _trim(self.pending_window, len(stream) - count)

@@ -15,9 +15,11 @@ test-slice-length requests leaves exactly the model that training on the
 next window's front slice would build. Only the first window of each size
 is trained, and ``forget`` runs once per slide.
 
-DG and MP with the same lookahead window read one arc table: ``sweep_dg_mp``
-slides one DG model per size for both and replays each window once, and each
-of the window's two records gets half its time (train or forget, and replay).
+DG and MP with the same lookahead window read one arc table, and Naive's seen
+set is the key set of the same model's node counts: ``sweep_dg_mp`` slides one
+DG model per size for DG, MP and, when asked, Naive, and replays each window
+once. Each of the window's two or three records gets an even share of its time
+(train or forget, and replay).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import time
 from collections import namedtuple
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .engine import SplitSpec, TestOutcome, run_dg_mp_engine, run_test_engine
+from .engine import SplitSpec, TestOutcome, run_dg_table_engine, run_test_engine
 from .metrics import MetricsReport, aggregate_reports, metrics_report
 from .predictors import PredictionModel, PredictorConfig, train
 from .traces import UserTrace
@@ -118,20 +120,22 @@ def sweep_user(trace: UserTrace, config: PredictorConfig, spec: SlidingWindowSpe
 
 
 def sweep_dg_mp(trace: UserTrace, dg: PredictorConfig, mp: PredictorConfig,
-                spec: SlidingWindowSpec) -> tuple[UserSweep, UserSweep]:
-    """``sweep_user`` for a DG and an MP config at once: (DG sweep, MP sweep).
+                spec: SlidingWindowSpec, naive: bool = False) -> tuple[UserSweep, ...]:
+    """``sweep_user`` for a DG and an MP config at once, and for Naive too when
+    ``naive``: (DG sweep, MP sweep) or (DG sweep, MP sweep, Naive sweep).
 
     The two configs must share a lookahead window. Each window's train or
-    ``forget`` and replay run once for both, and each of its two records gets
-    half of that time as ``elapsed_s``.
+    ``forget`` and replay run once for all, and each of its records gets an
+    even share of that time as ``elapsed_s``. No Naive model is built.
     """
     if dg.lookahead_window != mp.lookahead_window:
         raise ValueError("DG and MP share a model only with the same lookahead_window")
+    algorithms = ("dg", "mp", "naive") if naive else ("dg", "mp")
 
     def replay(model, test, context):
-        return run_dg_mp_engine(model, mp.top_n, test, context)
+        return run_dg_table_engine(model, mp.top_n, test, context)[:len(algorithms)]
 
-    return _slide(trace, dg, spec, ("dg", "mp"), replay)
+    return _slide(trace, dg, spec, algorithms, replay)
 
 
 def _slide(trace: UserTrace, config: PredictorConfig, spec: SlidingWindowSpec,
@@ -140,7 +144,8 @@ def _slide(trace: UserTrace, config: PredictorConfig, spec: SlidingWindowSpec,
                             tuple[TestOutcome, ...]]) -> tuple[UserSweep, ...]:
     """Slide one model of ``config`` per size along the trace, and replay each
     window once with ``replay(model, test, trigger context)``, which returns
-    one outcome per algorithm; returns one ``UserSweep`` per algorithm."""
+    one outcome per algorithm; returns one ``UserSweep`` per algorithm. Each
+    window's time is split evenly over its records."""
     keys = trace.url_keys
     n = len(keys)
     depth = config.trigger_depth

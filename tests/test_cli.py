@@ -760,6 +760,20 @@ def test_sweep_rejects_a_repeated_window_size_and_writes_nothing(tmp_path, capsy
     assert not out.exists()
 
 
+def test_sweep_whose_job_fails_leaves_no_out_directory(tmp_path, capsys, monkeypatch):
+    def failing_sweep_job(payload):
+        raise ValueError("cannot sweep")
+
+    monkeypatch.setattr(cli, "_sweep_job", failing_sweep_job)
+    log = _make_log(tmp_path, count=2)
+    out = tmp_path / "partial_out" / "x"
+    rc = main(["sweep", "--input", str(log), "--out", str(out), "--sizes", "5,10",
+               "--workers", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: cannot sweep\n"
+    assert not (tmp_path / "partial_out").exists()
+
+
 # ---------------------------------------------------------------- golden digests
 
 # SHA-256 of every output of one seeded run per command, with the wall-clock

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from prefetchlab import sweep
 from prefetchlab.cli import _sweep_job
-from prefetchlab.predictors import PredictorConfig, train
+from prefetchlab.predictors import ALGORITHMS, PredictorConfig, train
 from prefetchlab.engine import run_test_engine
 from prefetchlab.metrics import metrics_report
 from prefetchlab.sweep import (
@@ -188,11 +189,20 @@ def test_dg_and_mp_in_one_pass_equal_their_own_sweeps(pages, sizes, ratio, windo
                          top_n=top_n)
     mp = PredictorConfig("mp", lookahead_window=window, confidence_threshold=threshold,
                          top_n=top_n)
+    naive = PredictorConfig("naive")
     paired = sweep_dg_mp(trace, dg, mp, spec)
-    assert [_without_time(s) for s in paired] == [
-        _without_time(sweep_user(trace, config, spec)) for config in (dg, mp)]
+    alone = [_without_time(sweep_user(trace, config, spec)) for config in (dg, mp, naive)]
+    assert [_without_time(s) for s in paired] == alone[:2]
     assert [_without_time(s) for s in _sweep_job((trace, [dg, mp], spec))] == [
         _without_time(s) for s in paired]
+    # Naive's seen set is the DG model's node-count keys: the same pass scores it
+    shared = sweep_dg_mp(trace, dg, mp, spec, naive=True)
+    assert [_without_time(s) for s in shared] == alone
+    ppm = PredictorConfig("ppm", lookahead_window=window, confidence_threshold=threshold,
+                          top_n=top_n)
+    configs = [dg, ppm, mp, naive]
+    assert [_without_time(s) for s in _sweep_job((trace, configs, spec))] == [
+        _without_time(sweep_user(trace, config, spec)) for config in configs]
 
 
 def test_unequal_lookahead_windows_sweep_dg_and_mp_apart():
@@ -204,6 +214,26 @@ def test_unequal_lookahead_windows_sweep_dg_and_mp_apart():
         sweep_dg_mp(trace, configs[0], configs[2], spec)
     assert [_without_time(s) for s in _sweep_job((trace, configs, spec))] == [
         _without_time(sweep_user(trace, config, spec)) for config in configs]
+
+
+def test_default_sweep_trains_one_dg_and_one_ppm_model_per_size(monkeypatch):
+    # DG, MP and Naive share the DG model's pass; only PPM sweeps on its own
+    trained = []
+
+    def counting_train(config, training):
+        trained.append((config.algorithm, len(training)))
+        return train(config, training)
+
+    monkeypatch.setattr(sweep, "train", counting_train)
+    spec = SlidingWindowSpec(window_sizes=(5, 12, 30), training_ratio=0.7)
+    configs = [PredictorConfig(algorithm) for algorithm in ALGORITHMS]
+    trace = _trace("u1", [f"https://site.example/p{(i * i) % 7}" for i in range(40)])
+    user_sweeps = _sweep_job((trace, configs, spec))
+    assert [s.skipped_sizes for s in user_sweeps] == [()] * len(configs)
+    # the first window of each size is trained, so its training length names the size
+    assert sorted(trained) == sorted((algorithm, spec.training_length(size))
+                                     for algorithm in ("dg", "ppm")
+                                     for size in spec.window_sizes)
 
 
 # ---------------------------------------------------------------- aggregation
