@@ -39,7 +39,7 @@ from .predictors import (ALGORITHMS, DEFAULT_LOOKAHEAD_WINDOW, DEFAULT_PPM_ORDER
 from .pruning import STRATEGIES, PruneSpec, domain_cutoff_filter
 from .sweep import (DEFAULT_CUTOFF_EPSILON, DEFAULT_WINDOW_SIZES, SWEEP_METRICS,
                     SlidingWindowSpec, UserSweep, build_sweep_result, cutoff_scan,
-                    sweep_dg_mp, sweep_user)
+                    sweep_user)
 from .traces import UserTrace, _running_sum, population_summary, repetition_stats
 
 REPORT_FORMAT = "prefetchlab-report/v1"
@@ -361,18 +361,8 @@ def _write_metrics_csv(path: Path, report: dict) -> None:
 # ---------------------------------------------------------------- sweep
 
 def _sweep_job(payload) -> list[UserSweep]:
-    """One user's sweep under each config; DG and MP share one pass when their
-    lookahead windows agree, which one ``--window`` always makes them do, and
-    Naive joins that pass when it runs. Any other config sweeps on its own."""
-    trace, configs, swspec = payload
-    by_algorithm = {config.algorithm: config for config in configs}
-    dg, mp = by_algorithm.get("dg"), by_algorithm.get("mp")
-    shared = {}
-    if dg and mp and dg.lookahead_window == mp.lookahead_window:
-        sweeps = sweep_dg_mp(trace, dg, mp, swspec, naive="naive" in by_algorithm)
-        shared = dict(zip(("dg", "mp", "naive"), sweeps))
-    return [shared[config.algorithm] if config.algorithm in shared
-            else sweep_user(trace, config, swspec) for config in configs]
+    """One user's sweep under each config (``sweep_user`` decides which share a pass)."""
+    return sweep_user(*payload)
 
 
 def cmd_sweep(args) -> int:

@@ -6,7 +6,8 @@ The replay loop is deliberately literal. For each test request, in order:
 2. prefetch every candidate not yet cached, in one ``set.update`` (no I/O);
    a model may return the very list it returned on the previous step, whose
    candidates the cache already holds, and that update is skipped,
-3. score the current request as hit or miss against the cache,
+3. flag the current request a hit if the cache holds it, else a miss
+   (``_outcome`` turns both loops' flags into hit/miss sets and counts),
 4. feed the current request into the model (dynamic update).
 
 The cache is unbounded and never evicts or expires, so the number of
@@ -28,6 +29,8 @@ from __future__ import annotations
 import math
 import time
 from collections import deque, namedtuple
+from itertools import compress
+from operator import not_
 from typing import NamedTuple, Sequence
 
 from .predictors import DGModel, PredictorConfig, PredictionModel, _ranked, train
@@ -100,12 +103,10 @@ def run_test_engine(model: PredictionModel, test: Sequence[str],
     previous requests for the first test element. The model is mutated.
     """
     cache: set[str] = set()
-    hit_set: set[str] = set()
-    miss_set: set[str] = set()
-    hit_count = 0
+    hits: list[bool] = []
     context: deque[str] = deque(pre_context, maxlen=trigger_depth)
     predict, update, extend = model.predict, model.update, context.append
-    prefetch, hit, miss = cache.update, hit_set.add, miss_set.add
+    prefetch, scored = cache.update, hits.append
     added = None  # the candidate list last added to the cache
 
     for current in test:
@@ -113,15 +114,11 @@ def run_test_engine(model: PredictionModel, test: Sequence[str],
         if candidates is not added:  # the same list again adds nothing: nothing is evicted
             prefetch(candidates)
             added = candidates
-        if current in cache:
-            hit_count += 1
-            hit(current)
-        else:
-            miss(current)
+        scored(current in cache)
         update(current)
         extend(current)
 
-    return _outcome(len(cache), hit_set, miss_set, hit_count, len(test))
+    return _outcome(len(cache), test, hits)
 
 
 def run_dg_table_engine(model: DGModel, top_n: int, test: Sequence[str],
@@ -142,10 +139,8 @@ def run_dg_table_engine(model: DGModel, top_n: int, test: Sequence[str],
     """
     arcs, occurrences, update = model.arc_counts, model.node_counts, model.update
     threshold = model.config.effective_threshold
-    dg_cache, dg_hits, dg_misses = set(), set(), set()
-    mp_cache, mp_hits, mp_misses = set(), set(), set()
-    naive_hits, naive_misses = set(), set()
-    dg_hit_count = mp_hit_count = naive_hit_count = 0
+    dg_cache, mp_cache = set(), set()
+    dg_hits, mp_hits, naive_hits = [], [], []
     source = pre_context[-1] if pre_context else None
 
     for current in test:
@@ -160,41 +155,28 @@ def run_dg_table_engine(model: DGModel, top_n: int, test: Sequence[str],
                     break
             else:
                 dg_cache.update(ranked)
-        if current in dg_cache:
-            dg_hit_count += 1
-            dg_hits.add(current)
-        else:
-            dg_misses.add(current)
-        if current in mp_cache:
-            mp_hit_count += 1
-            mp_hits.add(current)
-        else:
-            mp_misses.add(current)
-        if current in occurrences:
-            naive_hit_count += 1
-            naive_hits.add(current)
-        else:
-            naive_misses.add(current)
+        dg_hits.append(current in dg_cache)
+        mp_hits.append(current in mp_cache)
+        naive_hits.append(current in occurrences)
         update(current)
         source = current
 
     # Naive's last prediction held every key but the last request, if that was new
     naive_cache = len(occurrences) - (occurrences[test[-1]] == 1) if test else 0
-    steps = len(test)
-    return (_outcome(len(dg_cache), dg_hits, dg_misses, dg_hit_count, steps),
-            _outcome(len(mp_cache), mp_hits, mp_misses, mp_hit_count, steps),
-            _outcome(naive_cache, naive_hits, naive_misses, naive_hit_count, steps))
+    return (_outcome(len(dg_cache), test, dg_hits), _outcome(len(mp_cache), test, mp_hits),
+            _outcome(naive_cache, test, naive_hits))
 
 
-def _outcome(cache_size: int, hit_set: set[str], miss_set: set[str],
-             hit_count: int, steps: int) -> TestOutcome:
+def _outcome(cache_size: int, test: Sequence[str], hits: list[bool]) -> TestOutcome:
+    """The outcome of a replay of ``test`` whose i-th request hit when ``hits[i]``."""
+    hit_count = sum(hits)
     return TestOutcome(
         cache_size=cache_size,
-        hit_set=frozenset(hit_set),
-        miss_set=frozenset(miss_set),
+        hit_set=frozenset(compress(test, hits)),
+        miss_set=frozenset(compress(test, map(not_, hits))),
         prefetch_count=cache_size,
         hit_count=hit_count,
-        miss_count=steps - hit_count,
+        miss_count=len(test) - hit_count,
     )
 
 

@@ -16,10 +16,11 @@ next window's front slice would build. Only the first window of each size
 is trained, and ``forget`` runs once per slide.
 
 DG and MP with the same lookahead window read one arc table, and Naive's seen
-set is the key set of the same model's node counts: ``sweep_dg_mp`` slides one
-DG model per size for DG, MP and, when asked, Naive, and replays each window
-once. Each of the window's two or three records gets an even share of its time
-(train or forget, and replay).
+set is the key set of the same model's node counts: given DG and MP configs
+that agree on the window, ``sweep_user`` slides one DG model per size for DG,
+MP and, when it runs, Naive, and replays each window once. Each of the
+window's two or three records gets an even share of its time (train or
+forget, and replay). Every other config slides its own model.
 """
 
 from __future__ import annotations
@@ -104,38 +105,37 @@ class SweepResult(NamedTuple):
     skipped: dict[int, int]  # window_size -> users too short for that size
 
 
-def sweep_user(trace: UserTrace, config: PredictorConfig, spec: SlidingWindowSpec) -> UserSweep:
-    """Evaluate every window of every size on one trace.
+def sweep_user(trace: UserTrace, configs: Sequence[PredictorConfig],
+               spec: SlidingWindowSpec) -> list[UserSweep]:
+    """Evaluate every window of every size on one trace; one sweep per config, in order.
 
     One model per size slides along the trace (see the module docstring); its
     records equal those of a fresh model per window. A window's ``elapsed_s``
-    covers train and replay, or for a slid window ``forget`` and replay.
+    covers train and replay, or for a slid window ``forget`` and replay, split
+    evenly over the configs that share the window's model.
     """
-    depth = config.trigger_depth
+    algorithms = [config.algorithm for config in configs]
+    if len(set(algorithms)) != len(algorithms):
+        raise ValueError(f"one config per algorithm, got {algorithms}")
+    by_algorithm = dict(zip(algorithms, configs))
+    dg, mp = by_algorithm.get("dg"), by_algorithm.get("mp")
+    sweeps: dict[str, UserSweep] = {}
+    if dg and mp and dg.lookahead_window == mp.lookahead_window:
+        shared = ("dg", "mp", "naive") if "naive" in by_algorithm else ("dg", "mp")
 
-    def replay(model, test, context):
-        return (run_test_engine(model, test, context, depth),)
+        def replay_table(model, test, context):
+            return run_dg_table_engine(model, mp.top_n, test, context)
 
-    return _slide(trace, config, spec, (config.algorithm,), replay)[0]
+        sweeps.update(zip(shared, _slide(trace, dg, spec, shared, replay_table)))
+    for config in configs:
+        if config.algorithm not in sweeps:
+            sweeps[config.algorithm], = _slide(trace, config, spec, (config.algorithm,), _replay)
+    return [sweeps[algorithm] for algorithm in algorithms]
 
 
-def sweep_dg_mp(trace: UserTrace, dg: PredictorConfig, mp: PredictorConfig,
-                spec: SlidingWindowSpec, naive: bool = False) -> tuple[UserSweep, ...]:
-    """``sweep_user`` for a DG and an MP config at once, and for Naive too when
-    ``naive``: (DG sweep, MP sweep) or (DG sweep, MP sweep, Naive sweep).
-
-    The two configs must share a lookahead window. Each window's train or
-    ``forget`` and replay run once for all, and each of its records gets an
-    even share of that time as ``elapsed_s``. No Naive model is built.
-    """
-    if dg.lookahead_window != mp.lookahead_window:
-        raise ValueError("DG and MP share a model only with the same lookahead_window")
-    algorithms = ("dg", "mp", "naive") if naive else ("dg", "mp")
-
-    def replay(model, test, context):
-        return run_dg_table_engine(model, mp.top_n, test, context)[:len(algorithms)]
-
-    return _slide(trace, dg, spec, algorithms, replay)
+def _replay(model: PredictionModel, test: Sequence[str], context: Sequence[str]
+            ) -> tuple[TestOutcome]:
+    return (run_test_engine(model, test, context, model.config.trigger_depth),)
 
 
 def _slide(trace: UserTrace, config: PredictorConfig, spec: SlidingWindowSpec,
@@ -144,8 +144,8 @@ def _slide(trace: UserTrace, config: PredictorConfig, spec: SlidingWindowSpec,
                             tuple[TestOutcome, ...]]) -> tuple[UserSweep, ...]:
     """Slide one model of ``config`` per size along the trace, and replay each
     window once with ``replay(model, test, trigger context)``, which returns
-    one outcome per algorithm; returns one ``UserSweep`` per algorithm. Each
-    window's time is split evenly over its records."""
+    the algorithms' outcomes in order, and maybe more; returns one ``UserSweep``
+    per algorithm. Each window's time is split evenly over its records."""
     keys = trace.url_keys
     n = len(keys)
     depth = config.trigger_depth
@@ -167,7 +167,7 @@ def _slide(trace: UserTrace, config: PredictorConfig, spec: SlidingWindowSpec,
             else:
                 model = train(config, keys[start:split_at])
             outcomes = replay(model, keys[split_at:end], keys[max(start, split_at - depth):split_at])
-            elapsed = (time.perf_counter() - started) / len(outcomes)
+            elapsed = (time.perf_counter() - started) / len(algorithms)
             for algorithm, outcome, into in zip(algorithms, outcomes, records):
                 into.append(WindowRecord(
                     user_id=trace.user_id,
@@ -199,7 +199,7 @@ def build_sweep_result(per_user: Iterable[UserSweep], spec: SlidingWindowSpec) -
 
 def run_sweep(traces: Mapping[str, UserTrace], config: PredictorConfig,
               spec: SlidingWindowSpec) -> SweepResult:
-    per_user = (sweep_user(traces[user_id], config, spec) for user_id in sorted(traces))
+    per_user = (sweep_user(traces[user_id], [config], spec)[0] for user_id in sorted(traces))
     return build_sweep_result(per_user, spec)
 
 

@@ -174,6 +174,18 @@ def test_traced_sweep_workload_steps_give_every_layer_metric_a_finite_value(tmp_
     assert {name for name, value in values.items() if not math.isfinite(value)} == set()
 
 
+def test_traced_sweep_times_each_user_s_shared_pass_in_a_sweep_user_span(tmp_path):
+    # the DG+MP pass runs inside sweep_user, so the traced run books it to the sweep layer
+    tracing = _perfbench_tracing()
+    log = _make_log(tmp_path, count=3)
+    rec, codes = tracing.traced_commands([
+        ("analyze", ["sweep", "--algo", "dg", "--algo", "mp", "--sizes", "10,20",
+                     "--input", str(log), "--workers", "1", "--out", str(tmp_path / "o")]),
+    ])
+    assert codes == [0]
+    assert [span[0] for span in rec.spans].count("sweep.sweep_user") == 3
+
+
 # ---------------------------------------------------------------- trace store
 
 def _valid_store() -> dict:
@@ -772,6 +784,18 @@ def test_sweep_whose_job_fails_leaves_no_out_directory(tmp_path, capsys, monkeyp
     assert rc == 2
     assert capsys.readouterr().err == "error: cannot sweep\n"
     assert not (tmp_path / "partial_out").exists()
+
+
+def test_sweep_with_two_configs_for_one_algorithm_exits_2_and_writes_nothing(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_algo_list", lambda args: ["dg", "mp", "dg"])
+    log = _make_log(tmp_path, count=2)
+    out = tmp_path / "o"
+    rc = main(["sweep", "--input", str(log), "--out", str(out), "--sizes", "5,10",
+               "--workers", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: one config per algorithm, got ['dg', 'mp', 'dg']\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- golden digests

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -18,7 +19,6 @@ from prefetchlab.sweep import (
     cutoff_scan,
     enumerate_windows,
     run_sweep,
-    sweep_dg_mp,
     sweep_user,
 )
 from prefetchlab.traces import UserTrace
@@ -89,7 +89,7 @@ def test_spec_training_length_and_distance():
     assert spec.training_length(5) == 4
     assert spec.training_length(10) == 8
     # windows slide by the test-slice length: 1 for size 5, 2 for size 10
-    result = sweep_user(_trace("u1", _urls(14)), PredictorConfig(algorithm="naive"), spec)
+    result = sweep_user(_trace("u1", _urls(14)), [PredictorConfig(algorithm="naive")], spec)[0]
     assert [(r.window_size, r.window_index) for r in result.records] == (
         [(5, i) for i in range(10)] + [(10, i) for i in range(3)])
 
@@ -106,7 +106,7 @@ def test_sweep_user_emits_one_record_per_window():
     trace = _trace("u1", _urls(10))
     spec = SlidingWindowSpec(window_sizes=(5,))
     config = PredictorConfig(algorithm="naive")
-    result = sweep_user(trace, config, spec)
+    result = sweep_user(trace, [config], spec)[0]
     assert len(result.records) == 6
     assert [r.window_index for r in result.records] == list(range(6))
     assert all(r.window_size == 5 and r.user_id == "u1" for r in result.records)
@@ -117,7 +117,7 @@ def test_sweep_user_records_match_fresh_per_window_models():
     trace = _trace("u1", _urls(12, distinct=3))
     spec = SlidingWindowSpec(window_sizes=(5,))
     config = PredictorConfig(algorithm="dg")
-    result = sweep_user(trace, config, spec)
+    result = sweep_user(trace, [config], spec)[0]
     keys = trace.url_keys
     record = result.records[2]
     start, cut = 2, spec.training_length(5)
@@ -136,7 +136,7 @@ def test_auto_distance_records_equal_fresh_training_at_that_distance(algorithm):
     config = PredictorConfig(algorithm=algorithm, lookahead_window=3, ppm_order=3)
     depth = 3 if algorithm == "ppm" else 1
     spec = SlidingWindowSpec(window_sizes=(3, 5, 12, 40), training_ratio=0.7)
-    slid = sweep_user(trace, config, spec)
+    slid = sweep_user(trace, [config], spec)[0]
     for size in spec.window_sizes:
         cut = math.floor(0.7 * size)
         fresh = []
@@ -151,7 +151,7 @@ def test_auto_distance_records_equal_fresh_training_at_that_distance(algorithm):
 def test_sweep_user_skips_sizes_longer_than_trace():
     trace = _trace("u1", _urls(6))
     spec = SlidingWindowSpec(window_sizes=(5, 50))
-    result = sweep_user(trace, PredictorConfig(algorithm="naive"), spec)
+    result = sweep_user(trace, [PredictorConfig(algorithm="naive")], spec)[0]
     assert result.skipped_sizes == (50,)
     assert {r.window_size for r in result.records} == {5}
 
@@ -159,7 +159,7 @@ def test_sweep_user_skips_sizes_longer_than_trace():
 def test_constant_trace_gets_perfect_dynamic_recall():
     trace = _trace("u1", ["https://a.example/only"] * 20)
     spec = SlidingWindowSpec(window_sizes=(5, 10))
-    result = sweep_user(trace, PredictorConfig(algorithm="naive"), spec)
+    result = sweep_user(trace, [PredictorConfig(algorithm="naive")], spec)[0]
     assert result.records
     assert all(r.metrics.dynamic_recall == 1.0 for r in result.records)
 
@@ -177,32 +177,25 @@ def _without_time(user_sweep):
        st.sampled_from([0.3, 0.5, 0.7, 0.8, 0.95]),
        st.integers(1, 5),
        st.sampled_from([None, 0.0, 0.3, 1.0]),
-       st.integers(1, 6))
+       st.integers(1, 6),
+       st.lists(st.sampled_from(ALGORITHMS), min_size=1, max_size=len(ALGORITHMS),
+                unique=True))
 def test_dg_and_mp_in_one_pass_equal_their_own_sweeps(pages, sizes, ratio, window,
-                                                       threshold, top_n):
+                                                       threshold, top_n, algorithms):
     # six pages, so a request repeats inside the lookahead window; a weight
     # can equal 0.3 or 1, and the ranked row is often longer than top_n
     assume(all(math.floor(ratio * size) >= 1 for size in sizes))
     spec = SlidingWindowSpec(window_sizes=sizes, training_ratio=ratio)
     trace = _trace("u1", [f"https://site.example/p{page}" for page in pages])
-    dg = PredictorConfig("dg", lookahead_window=window, confidence_threshold=threshold,
-                         top_n=top_n)
-    mp = PredictorConfig("mp", lookahead_window=window, confidence_threshold=threshold,
-                         top_n=top_n)
-    naive = PredictorConfig("naive")
-    paired = sweep_dg_mp(trace, dg, mp, spec)
-    alone = [_without_time(sweep_user(trace, config, spec)) for config in (dg, mp, naive)]
-    assert [_without_time(s) for s in paired] == alone[:2]
-    assert [_without_time(s) for s in _sweep_job((trace, [dg, mp], spec))] == [
-        _without_time(s) for s in paired]
-    # Naive's seen set is the DG model's node-count keys: the same pass scores it
-    shared = sweep_dg_mp(trace, dg, mp, spec, naive=True)
-    assert [_without_time(s) for s in shared] == alone
-    ppm = PredictorConfig("ppm", lookahead_window=window, confidence_threshold=threshold,
-                          top_n=top_n)
-    configs = [dg, ppm, mp, naive]
-    assert [_without_time(s) for s in _sweep_job((trace, configs, spec))] == [
-        _without_time(sweep_user(trace, config, spec)) for config in configs]
+    configs = {a: PredictorConfig(a, lookahead_window=window, confidence_threshold=threshold,
+                                  top_n=top_n) for a in ALGORITHMS}
+    alone = {a: _without_time(sweep_user(trace, [config], spec)[0])
+             for a, config in configs.items()}
+    # any subset in any order, and the shared passes of DG and MP, with and
+    # without Naive, whose seen set is the DG model's node-count keys
+    for chosen in (algorithms, ["dg", "mp"], ["mp", "naive", "dg"], ALGORITHMS):
+        assert [_without_time(s) for s in sweep_user(trace, [configs[a] for a in chosen],
+                                                     spec)] == [alone[a] for a in chosen]
 
 
 def test_unequal_lookahead_windows_sweep_dg_and_mp_apart():
@@ -210,10 +203,29 @@ def test_unequal_lookahead_windows_sweep_dg_and_mp_apart():
     spec = SlidingWindowSpec(window_sizes=(5, 12), training_ratio=0.7)
     configs = [PredictorConfig("dg", lookahead_window=1, confidence_threshold=0.0),
                PredictorConfig("naive"), PredictorConfig("mp", lookahead_window=3, top_n=1)]
-    with pytest.raises(ValueError, match="lookahead_window"):
-        sweep_dg_mp(trace, configs[0], configs[2], spec)
     assert [_without_time(s) for s in _sweep_job((trace, configs, spec))] == [
-        _without_time(sweep_user(trace, config, spec)) for config in configs]
+        _without_time(sweep_user(trace, [config], spec)[0]) for config in configs]
+
+
+def test_a_window_s_time_is_split_evenly_over_the_records_of_its_pass(monkeypatch):
+    # each window reads the clock twice, one tick apart
+    ticks = itertools.count()
+    monkeypatch.setattr(sweep.time, "perf_counter", lambda: float(next(ticks)))
+    trace = _trace("u1", _urls(20, distinct=3))
+    spec = SlidingWindowSpec(window_sizes=(5, 10))
+    dg, mp, naive, ppm = (PredictorConfig(a) for a in ("dg", "mp", "naive", "ppm"))
+    for configs, share in (([dg, mp], 0.5), ([dg, mp, naive], 1 / 3), ([ppm], 1.0)):
+        for user_sweep in sweep_user(trace, configs, spec):
+            assert user_sweep.records
+            assert {r.elapsed_s for r in user_sweep.records} == {share}
+
+
+def test_sweep_user_rejects_two_configs_for_one_algorithm():
+    # a second DG config must not silently get the first one's sweep
+    configs = [PredictorConfig("dg"), PredictorConfig("mp"),
+               PredictorConfig("dg", confidence_threshold=0.5)]
+    with pytest.raises(ValueError, match=r"one config per algorithm, got \['dg', 'mp', 'dg'\]"):
+        sweep_user(_trace("u1", _urls(10)), configs, SlidingWindowSpec(window_sizes=(5,)))
 
 
 def test_default_sweep_trains_one_dg_and_one_ppm_model_per_size(monkeypatch):
@@ -241,7 +253,7 @@ def test_default_sweep_trains_one_dg_and_one_ppm_model_per_size(monkeypatch):
 def test_build_sweep_result_is_user_order_invariant():
     spec = SlidingWindowSpec(window_sizes=(5,))
     config = PredictorConfig(algorithm="dg")
-    sweeps = [sweep_user(_trace(f"u{i}", _urls(10 + i, distinct=3)), config, spec)
+    sweeps = [sweep_user(_trace(f"u{i}", _urls(10 + i, distinct=3)), [config], spec)[0]
               for i in range(3)]
     forward = build_sweep_result(sweeps, spec)
     backward = build_sweep_result(list(reversed(sweeps)), spec)
