@@ -20,7 +20,7 @@ trace = UserTrace.build("demo", [1_700_000_000_000 + i * 1000 for i in range(len
                         pages)
 
 config = PredictorConfig(algorithm="dg", lookahead_window=2)
-result = run_user(trace, config, SplitSpec(training_ratio=0.8))
+result = run_user(trace, [config], SplitSpec(training_ratio=0.8))[0]
 outcome = result.outcome
 
 # 10 requests -> 8 train, 2 test ("api", "faq")

@@ -23,16 +23,18 @@ for strategy in ("mor", "mad", "msd"):
           f"({result.groups_kept}/{result.groups_total} groups, "
           f"{result.size_reduction:.0%} smaller)")
 
-# accuracy cost: replay the same trace with and without mor pruning
-config = PredictorConfig(algorithm="dg")
+# accuracy cost: replay the same trace with and without mor pruning; run_user
+# prunes the training slice once and trains every config it is given on it
+configs = [PredictorConfig(algorithm="dg"), PredictorConfig(algorithm="mp")]
 spec = SplitSpec(training_ratio=0.8)
-full = run_user(trace, config, spec)
-cut = run_user(trace, config, spec, prune_spec=PruneSpec("mor", keep_fraction=0.2))
+full = run_user(trace, configs, spec)
+cut = run_user(trace, configs, spec, prune_spec=PruneSpec("mor", keep_fraction=0.2))
 
-for label, rr in (("full training", full), ("mor-pruned", cut)):
-    report = metrics_report("demo", "dg", rr.outcome)
-    dr = report.dynamic_recall
-    print(f"{label:<14} dynamic recall {dr:.3f}  train+replay {rr.elapsed_s * 1000:.1f} ms")
+for label, runs in (("full training", full), ("mor-pruned", cut)):
+    for config, rr in zip(configs, runs):
+        dr = metrics_report("demo", config.algorithm, rr.outcome).dynamic_recall
+        print(f"{label:<14} {config.algorithm:<3} dynamic recall {dr:.3f}  "
+              f"train+replay {rr.elapsed_s * 1000:.1f} ms")
 
 # mor keeps only the most-revisited urls, the ones most worth
 # prefetching -- the model shrinks a lot while recall gives up a little

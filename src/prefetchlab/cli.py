@@ -9,14 +9,16 @@ kept by ``ingest``, none evaluated, none long enough for a sweep window)
 prints one ``error:`` line, exits 1 and writes nothing.
 
 The unit of work is the user. ``evaluate`` and ``sweep`` make one job per
-user that runs every algorithm on that user's trace (for ``evaluate
---prune``, both unpruned and pruned). With more than one worker the command
-forks (``forkjoin``): the jobs are dealt into one share per worker, the
-command's own process maps the first share and a forked child each other
-share, and the results are put back in job order, so the worker count never
-changes any output outside "runtime". ``evaluate()`` is the library form of the evaluate
-command: it returns the report.json dict, and ``cmd_evaluate`` only loads
-the input and writes the files.
+user that hands all of the user's configs to one library call:
+``sweep_user``, or ``run_user`` once per prune regime (for ``evaluate
+--prune``, unpruned, then pruned, with the training slice pruned once). With
+more than one worker the command forks (``forkjoin``): the jobs are dealt
+into one share per worker, the command's own process maps the first share
+and a forked child each other share, and the results are put back in job
+order, so the worker count never changes any output outside "runtime".
+``evaluate()`` is the library form of the evaluate command: it returns the
+report.json dict, and ``cmd_evaluate`` only loads the input and writes the
+files.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .ingest import (FORMATS, LogParseError, load_traces, read_trace_files,
 from .metrics import (METRIC_NAMES, NORMALIZED_NAMES, aggregate_reports, metrics_report,
                       normalize_against_naive)
 from .predictors import (ALGORITHMS, DEFAULT_LOOKAHEAD_WINDOW, DEFAULT_PPM_ORDER,
-                         DEFAULT_TOP_N, PredictorConfig)
+                         DEFAULT_TOP_N, PredictorConfig, _config_algorithms)
 from .pruning import STRATEGIES, PruneSpec, domain_cutoff_filter
 from .sweep import (DEFAULT_CUTOFF_EPSILON, DEFAULT_WINDOW_SIZES, SWEEP_METRICS,
                     SlidingWindowSpec, UserSweep, build_sweep_result, cutoff_scan,
@@ -191,8 +193,7 @@ def cmd_stats(args) -> int:
 def _evaluate_job(payload) -> list[list[RunResult]]:
     """One user's runs: per prune regime (unpruned first), one per config."""
     trace, configs, spec, prune_specs = payload
-    return [[run_user(trace, config, spec, prune_spec) for config in configs]
-            for prune_spec in prune_specs]
+    return [run_user(trace, configs, spec, prune_spec) for prune_spec in prune_specs]
 
 
 def _score(runs: dict[str, dict[str, RunResult]]) -> tuple[dict, dict]:
@@ -221,9 +222,7 @@ def evaluate(traces: dict[str, UserTrace], configs: list[PredictorConfig], spec:
     runs are then the primary results and the unpruned ones the baseline.
     """
     started = time.perf_counter()
-    algorithms = [c.algorithm for c in configs]
-    if len(set(algorithms)) != len(algorithms):
-        raise ValueError(f"one config per algorithm, got {algorithms}")
+    algorithms = _config_algorithms(configs)
     _check_options(domain_cutoff, workers)
 
     eligible: dict[str, UserTrace] = {}
@@ -269,7 +268,6 @@ def evaluate(traces: dict[str, UserTrace], configs: list[PredictorConfig], spec:
     pruning_section = None
     if prune_spec:
         _, base_aggregates = _score(runs[0])
-        # the prune result depends only on (training, spec): identical across algorithms
         reductions = [rr.prune_result.size_reduction for rr in primary[algorithms[0]].values()
                       if rr.prune_result is not None]
         delta_means = {}

@@ -186,26 +186,23 @@ class RunResult(NamedTuple):
     prune_result: PruneResult | None = None
 
 
-def run_user(trace: UserTrace, config: PredictorConfig, spec: SplitSpec,
-             prune_spec: PruneSpec | None = None) -> RunResult:
-    """Split, train, and replay one user; wall-clock covers train + replay.
-
-    With a prune_spec, only the model's training input is pruned; the
-    trigger context stays the tail of the real (unpruned) request stream,
-    and the test slice is never touched.
-    """
+def run_user(trace: UserTrace, configs: Sequence[PredictorConfig], spec: SplitSpec,
+             prune_spec: PruneSpec | None = None) -> list[RunResult]:
+    """Split one user and prune its training slice once, then train and replay
+    each config; returns one result per config, in order. Each result times its
+    own train + replay and holds the user's one PruneResult (None unpruned or
+    when the training slice is empty). Only the models' training input is
+    pruned: the trigger context is the tail of the unpruned training slice."""
     training, test = split(trace, spec)
-    trigger_depth = config.trigger_depth
-    pre_context = training[-trigger_depth:]
-
-    prune_result = None
-    model_input = training
+    prune_result, model_input = None, training
     if prune_spec is not None and training:
         prune_result = prune(training, prune_spec)
         model_input = prune_result.kept_training
 
-    started = time.perf_counter()
-    model = train(config, model_input)
-    outcome = run_test_engine(model, test, pre_context, trigger_depth)
-    elapsed = time.perf_counter() - started
-    return RunResult(outcome=outcome, elapsed_s=elapsed, prune_result=prune_result)
+    results = []
+    for config in configs:
+        depth = config.trigger_depth
+        started = time.perf_counter()
+        outcome = run_test_engine(train(config, model_input), test, training[-depth:], depth)
+        results.append(RunResult(outcome, time.perf_counter() - started, prune_result))
+    return results

@@ -98,6 +98,16 @@ class PredictorConfig(namedtuple("PredictorConfig", "algorithm lookahead_window 
         return {**self._asdict(), "confidence_threshold": self.effective_threshold}
 
 
+def _config_algorithms(configs: Sequence[PredictorConfig]) -> list[str]:
+    """The configs' algorithms, in order; a run takes at least one config, one per algorithm."""
+    algorithms = [config.algorithm for config in configs]
+    if not algorithms:
+        raise ValueError("at least one config is required")
+    if len(set(algorithms)) != len(algorithms):
+        raise ValueError(f"one config per algorithm, got {algorithms}")
+    return algorithms
+
+
 def _ranked(keys: list[str], count: Callable[[str], int]) -> list[str]:
     """Sort ``keys`` in place by ``count(key)`` descending, then lexicographically.
 

@@ -43,16 +43,15 @@ def check_oracle_equivalence(seed: int, trace_count: int) -> CheckResult:
     for index in range(trace_count):
         trace = uniform_trace(rng, f"u{index}", rng.randint(2, 100), rng.randint(2, 15))
         spec = SplitSpec(training_ratio=_random_ratio(rng))
-        for algorithm in ALGORITHMS:
-            config = random_config(rng, algorithm)
-            training, test = split(trace, spec)
-            expected = oracle_run(config, training, test)
-            actual = run_user(trace, config, spec).outcome
+        training, test = split(trace, spec)
+        configs = [random_config(rng, algorithm) for algorithm in ALGORITHMS]
+        for config, run in zip(configs, run_user(trace, configs, spec)):
+            expected, actual = oracle_run(config, training, test), run.outcome
             cases += 1
             if actual != expected:
                 return CheckResult(
                     "oracle-equivalence", False, cases,
-                    f"seed={seed} trace={index} algorithm={algorithm}: "
+                    f"seed={seed} trace={index} algorithm={config.algorithm}: "
                     f"engine={actual.to_dict()} reference={expected.to_dict()}")
     return CheckResult("oracle-equivalence", True, cases)
 
@@ -110,27 +109,25 @@ def check_naive_dominance(seed: int, trace_count: int) -> CheckResult:
         trace = uniform_trace(rng, f"u{index}", rng.randint(4, 80), rng.randint(2, 12))
         spec = SplitSpec(training_ratio=_random_ratio(rng))
         training, test = split(trace, spec)
-
-        naive_outcome = run_user(trace, PredictorConfig("naive"), spec).outcome
+        configs = [PredictorConfig("naive")] + [random_config(rng, a) for a in ("dg", "ppm", "mp")]
+        naive, *others = run_user(trace, configs, spec)
         expected_hits = count_previously_seen(training, test)
-        if naive_outcome.hit_count != expected_hits:
+        if naive.outcome.hit_count != expected_hits:
             return CheckResult(
                 "naive-dominance", False, cases,
-                f"seed={seed} trace={index}: naive hit_count {naive_outcome.hit_count} "
+                f"seed={seed} trace={index}: naive hit_count {naive.outcome.hit_count} "
                 f"!= previously-seen count {expected_hits}")
-        naive_metrics = metrics_report(trace.user_id, "naive", naive_outcome)
+        naive_metrics = metrics_report(trace.user_id, "naive", naive.outcome)
 
-        for algorithm in ("dg", "ppm", "mp"):
-            config = random_config(rng, algorithm)
-            outcome = run_user(trace, config, spec).outcome
-            other = metrics_report(trace.user_id, algorithm, outcome)
+        for config, run in zip(configs[1:], others):
+            other = metrics_report(trace.user_id, config.algorithm, run.outcome)
             cases += 1
             for metric in ("static_recall", "dynamic_recall"):
                 ours, bound = getattr(other, metric), getattr(naive_metrics, metric)
                 if ours is not None and bound is not None and ours > bound:
                     return CheckResult(
                         "naive-dominance", False, cases,
-                        f"seed={seed} trace={index} algorithm={algorithm}: "
+                        f"seed={seed} trace={index} algorithm={config.algorithm}: "
                         f"{metric} {ours} exceeds naive {bound}")
     return CheckResult("naive-dominance", True, cases)
 
@@ -148,7 +145,7 @@ def check_normalization_identity(seed: int, trace_count: int) -> CheckResult:
         else:
             trace = uniform_trace(rng, f"u{index}", rng.randint(2, 60), rng.randint(2, 10))
         spec = SplitSpec(training_ratio=_random_ratio(rng))
-        outcome = run_user(trace, PredictorConfig("naive"), spec).outcome
+        outcome = run_user(trace, [PredictorConfig("naive")], spec)[0].outcome
         report = metrics_report(trace.user_id, "naive", outcome)
         normalized = normalize_against_naive(report, report)
         cases += 1

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .engine import SplitSpec, TestOutcome, run_dg_table_engine, run_test_engine
 from .metrics import MetricsReport, aggregate_reports, metrics_report
-from .predictors import PredictionModel, PredictorConfig, train
+from .predictors import PredictionModel, PredictorConfig, _config_algorithms, train
 from .traces import UserTrace
 
 DEFAULT_WINDOW_SIZES = (50, 100, 200, 300, 400, 500, 600, 700, 800, 900, 1000)
@@ -114,9 +114,7 @@ def sweep_user(trace: UserTrace, configs: Sequence[PredictorConfig],
     covers train and replay, or for a slid window ``forget`` and replay, split
     evenly over the configs that share the window's model.
     """
-    algorithms = [config.algorithm for config in configs]
-    if len(set(algorithms)) != len(algorithms):
-        raise ValueError(f"one config per algorithm, got {algorithms}")
+    algorithms = _config_algorithms(configs)
     by_algorithm = dict(zip(algorithms, configs))
     dg, mp = by_algorithm.get("dg"), by_algorithm.get("mp")
     sweeps: dict[str, UserSweep] = {}

@@ -115,7 +115,7 @@ def test_criterion_05_hand_traced_fixtures():
 
         # dg with default tuning on a strict A,B,C cycle
         outcome = run_user(_trace("u", ["A", "B", "C"] * 10),
-                           PredictorConfig("dg"), SplitSpec()).outcome
+                           [PredictorConfig("dg")], SplitSpec())[0].outcome
         assert outcome.to_dict() == {
             "cache_size": 3, "hit_set": ["A", "B", "C"], "miss_set": [],
             "prefetch_count": 3, "hit_count": 6, "miss_count": 0}
@@ -257,8 +257,9 @@ def test_criterion_10_throughput_ordering():
         for trace in traces.values():
             for algorithm in ALGORITHMS:
                 # best of 3, so that one run slowed by other processes cannot decide the order
-                totals[algorithm] += min(run_user(trace, PredictorConfig(algorithm), spec).elapsed_s
-                                         for _ in range(3))
+                totals[algorithm] += min(
+                    run_user(trace, [PredictorConfig(algorithm)], spec)[0].elapsed_s
+                    for _ in range(3))
         means_ms = {a: totals[a] / len(traces) * 1000 for a in ALGORITHMS}
         print("per-model means:",
               " ".join(f"{a}={means_ms[a]:.2f}ms" for a in ALGORITHMS))

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from prefetchlab import cli
+from prefetchlab import cli, engine
 from prefetchlab.cli import _run_jobs, evaluate, main
 from prefetchlab.engine import SplitSpec
 from prefetchlab.ingest import LogParseError, load_traces
@@ -977,6 +977,33 @@ def test_library_evaluate_rejects_two_configs_for_one_algorithm():
     traces = bursty_traces(seed=3, count=2, min_length=20, max_length=20)
     with pytest.raises(ValueError, match="one config per algorithm"):
         evaluate(traces, [PredictorConfig("dg"), PredictorConfig("dg", top_n=2)], SplitSpec())
+
+
+@pytest.mark.parametrize("prune_spec", [None, PruneSpec("mor")])
+def test_library_evaluate_rejects_an_empty_config_list(prune_spec):
+    # with pruning, an empty list once reached the size reductions and raised IndexError
+    traces = bursty_traces(seed=3, count=2, min_length=20, max_length=20)
+    with pytest.raises(ValueError, match="at least one config is required"):
+        evaluate(traces, [], SplitSpec(), prune_spec)
+
+
+def test_evaluate_prune_prunes_each_user_once_for_all_algorithms(tmp_path, monkeypatch):
+    # the prune result depends on the user and the regime alone, not on the algorithm
+    calls = []
+    prune = engine.prune
+
+    def counting_prune(training, spec):
+        calls.append(len(training))
+        return prune(training, spec)
+
+    monkeypatch.setattr(engine, "prune", counting_prune)
+    log = _make_log(tmp_path, count=5)
+    out = tmp_path / "o"
+    assert main(["evaluate", "--input", str(log), "--out", str(out), "--workers", "1",
+                 "--prune", "mor"]) == 0
+    report = _read_json(out / "report.json")
+    assert report["config"]["algorithms"] == list(ALGORITHMS)
+    assert len(calls) == report["users"]["evaluated"] == 5
 
 
 # ---------------------------------------------------------------- selftest

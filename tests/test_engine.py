@@ -10,6 +10,7 @@ from prefetchlab.engine import (SplitSpec, TestOutcome, TraceTooShortError,
                                 run_test_engine, run_user, split)
 from prefetchlab.oracle import oracle_run
 from prefetchlab.predictors import ALGORITHMS, PredictorConfig, model_to_json, train
+from prefetchlab.pruning import STRATEGIES, PruneSpec, prune
 from prefetchlab.traces import UserTrace
 
 A, B, C = "A", "B", "C"
@@ -111,9 +112,36 @@ def test_model_updates_expand_cache_over_replay():
 
 
 def test_run_user_returns_timing_and_outcome():
-    result = run_user(_trace([A, B] * 10), PredictorConfig("naive"), SplitSpec())
+    result = run_user(_trace([A, B] * 10), [PredictorConfig("naive")], SplitSpec())[0]
     assert result.elapsed_s >= 0
     assert result.outcome.hit_count + result.outcome.miss_count == 4  # 20 -> 16/4
+
+
+@settings(max_examples=150)
+@given(st.lists(st.sampled_from([f"https://{host}.example/{page}" for host in "ab"
+                                 for page in range(4)]), min_size=2, max_size=40),
+       st.lists(st.sampled_from(ALGORITHMS), min_size=1, max_size=len(ALGORITHMS),
+                unique=True),
+       st.sampled_from([0.3, 0.5, 0.8]),
+       st.one_of(st.none(), st.builds(PruneSpec, st.sampled_from(STRATEGIES),
+                                      st.sampled_from([0.2, 0.5, 1.0]))))
+def test_run_user_prunes_once_and_runs_each_config_on_the_pruned_input(keys, algorithms,
+                                                                       ratio, prune_spec):
+    # a ratio of 0.3 leaves an empty training slice for 2 or 3 requests
+    configs = [PredictorConfig(a, lookahead_window=2, ppm_order=3) for a in algorithms]
+    trace = _trace(keys)
+    spec = SplitSpec(ratio)
+    training, test = split(trace, spec)
+    results = run_user(trace, configs, spec, prune_spec)
+    assert len(results) == len(configs)
+    pruned = prune(training, prune_spec) if prune_spec and training else None
+    model_input = pruned.kept_training if pruned else training
+    for config, result in zip(configs, results):
+        depth = config.trigger_depth
+        assert result.outcome == run_test_engine(train(config, model_input), test,
+                                                 training[-depth:], depth)
+        assert result.prune_result is results[0].prune_result
+    assert results[0].prune_result == pruned
 
 
 # ---------------------------------------------------------------- properties
@@ -124,7 +152,7 @@ algo_st = st.sampled_from(ALGORITHMS)
 
 @given(keys_st, algo_st)
 def test_prefetch_count_equals_cache_size(keys, algorithm):
-    result = run_user(_trace(keys), PredictorConfig(algorithm), SplitSpec())
+    result = run_user(_trace(keys), [PredictorConfig(algorithm)], SplitSpec())[0]
     assert result.outcome.prefetch_count == result.outcome.cache_size
 
 
@@ -132,7 +160,7 @@ def test_prefetch_count_equals_cache_size(keys, algorithm):
 def test_counts_match_test_slice_length(keys, algorithm):
     trace = _trace(keys)
     _, test = split(trace, SplitSpec())
-    outcome = run_user(trace, PredictorConfig(algorithm), SplitSpec()).outcome
+    outcome = run_user(trace, [PredictorConfig(algorithm)], SplitSpec())[0].outcome
     assert outcome.hit_count + outcome.miss_count == len(test)
     assert outcome.hit_set <= frozenset(test)
 
@@ -162,7 +190,7 @@ def test_engine_matches_reference_replay(keys, algorithm):
     trace = _trace(keys)
     training, test = split(trace, SplitSpec())
     expected = oracle_run(config, training, test)
-    assert run_user(trace, config, SplitSpec()).outcome == expected
+    assert run_user(trace, [config], SplitSpec())[0].outcome == expected
 
 
 def _copying_predict(model, calls):

@@ -228,6 +228,11 @@ def test_sweep_user_rejects_two_configs_for_one_algorithm():
         sweep_user(_trace("u1", _urls(10)), configs, SlidingWindowSpec(window_sizes=(5,)))
 
 
+def test_sweep_user_rejects_an_empty_config_list():
+    with pytest.raises(ValueError, match="at least one config is required"):
+        sweep_user(_trace("u1", _urls(10)), [], SlidingWindowSpec(window_sizes=(5,)))
+
+
 def test_default_sweep_trains_one_dg_and_one_ppm_model_per_size(monkeypatch):
     # DG, MP and Naive share the DG model's pass; only PPM sweeps on its own
     trained = []
