@@ -9,16 +9,18 @@ kept by ``ingest``, none evaluated, none long enough for a sweep window)
 prints one ``error:`` line, exits 1 and writes nothing.
 
 The unit of work is the user. ``evaluate`` and ``sweep`` make one job per
-user that hands all of the user's configs to one library call:
-``sweep_user``, or ``run_user`` once per prune regime (for ``evaluate
---prune``, unpruned, then pruned, with the training slice pruned once). With
-more than one worker the command forks (``forkjoin``): the jobs are dealt
-into one share per worker, the command's own process maps the first share
-and a forked child each other share, and the results are put back in job
-order, so the worker count never changes any output outside "runtime".
-``evaluate()`` is the library form of the evaluate command: it returns the
-report.json dict, and ``cmd_evaluate`` only loads the input and writes the
-files.
+user that does all of the user's work under all of its configs: a sweep job
+is one ``sweep_user`` call; an evaluate job applies the domain cut-off,
+names the user's skip reason or calls ``run_user`` once per prune regime
+(for ``evaluate --prune``, unpruned, then pruned, with the training slice
+pruned once), and scores the runs. With more than one worker the command
+forks (``forkjoin``): the jobs are dealt into one share per worker, the
+command's own process maps the first share and a forked child each other
+share, and the results are put back in job order, so the worker count never
+changes any output outside "runtime". ``evaluate()`` is the library form of
+the evaluate command: it checks its options, sends the jobs and builds the
+report.json dict from their results; ``cmd_evaluate`` only loads the input
+and writes the files.
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ import sys
 import time
 from pathlib import Path
 
-from .engine import RunResult, SplitSpec, TraceTooShortError, run_user, split
+from .engine import RunResult, SplitSpec, TraceTooShortError, run_user
 from .ingest import (FORMATS, LogParseError, load_traces, read_trace_files,
                      remove_outlier_users, write_trace_files)
-from .metrics import (METRIC_NAMES, NORMALIZED_NAMES, aggregate_reports, metrics_report,
-                      normalize_against_naive)
+from .metrics import (METRIC_NAMES, NORMALIZED_NAMES, MetricsReport, aggregate_reports,
+                      metrics_report, normalize_against_naive)
 from .predictors import (ALGORITHMS, DEFAULT_LOOKAHEAD_WINDOW, DEFAULT_PPM_ORDER,
                          DEFAULT_TOP_N, PredictorConfig, _config_algorithms)
 from .pruning import STRATEGIES, PruneSpec, domain_cutoff_filter
@@ -71,21 +73,11 @@ def _load_input(path_str: str, fmt: str, strict: bool) -> dict[str, UserTrace]:
     return traces
 
 
-def _algo_list(args) -> list[str]:
-    if not args.algo:
-        return list(ALGORITHMS)
-    chosen = set(args.algo)
-    return [a for a in ALGORITHMS if a in chosen]
-
-
-def _predictor_config(args, algorithm: str) -> PredictorConfig:
-    return PredictorConfig(
-        algorithm=algorithm,
-        lookahead_window=args.window,
-        confidence_threshold=args.threshold,
-        ppm_order=args.ppm_order,
-        top_n=args.top_n,
-    )
+def _configs(args) -> list[PredictorConfig]:
+    """The model flags' config for each chosen algorithm (all four by default), in order."""
+    chosen = set(args.algo or ALGORITHMS)
+    return [PredictorConfig(a, args.window, args.threshold, args.ppm_order, args.top_n)
+            for a in ALGORITHMS if a in chosen]
 
 
 def _run_jobs(fn, payloads: list, workers: int) -> list:
@@ -190,25 +182,31 @@ def cmd_stats(args) -> int:
 
 # ---------------------------------------------------------------- evaluate
 
-def _evaluate_job(payload) -> list[list[RunResult]]:
-    """One user's runs: per prune regime (unpruned first), one per config."""
-    trace, configs, spec, prune_specs = payload
-    return [run_user(trace, configs, spec, prune_spec) for prune_spec in prune_specs]
+def _evaluate_job(payload) -> str | list[list[tuple[RunResult, MetricsReport]]]:
+    """One user's skip reason, or per prune regime (unpruned first) one scored run per config.
 
-
-def _score(runs: dict[str, dict[str, RunResult]]) -> tuple[dict, dict]:
-    """Per-run metrics and per-algorithm aggregates of one regime's runs[algorithm][user].
-
-    Recalls are normalised against the same user's naive run when naive ran.
+    With a ``domain_cutoff`` the trace first keeps only its domains at or
+    above it. The user is skipped when that empties the trace or the trace is
+    too short to split. Recalls are normalised against the user's Naive run
+    when Naive runs.
     """
-    reports = {a: {uid: metrics_report(uid, a, rr.outcome) for uid, rr in per_user.items()}
-               for a, per_user in runs.items()}
-    if "naive" in reports:
-        naive = reports["naive"]
-        reports = {a: {uid: normalize_against_naive(r, naive[uid]) for uid, r in per_user.items()}
-                   for a, per_user in reports.items()}
-    aggregates = {a: aggregate_reports(per_user.values()) for a, per_user in reports.items()}
-    return reports, aggregates
+    uid, trace, configs, spec, prune_specs, domain_cutoff = payload
+    if domain_cutoff is not None:
+        trace = domain_cutoff_filter(trace, domain_cutoff)
+        if len(trace) == 0:
+            return "all domains below repeated-request cut-off"
+    try:
+        regimes = [run_user(trace, configs, spec, prune_spec) for prune_spec in prune_specs]
+    except TraceTooShortError:
+        return "too short to split"
+    scored = []
+    for runs in regimes:
+        reports = [metrics_report(uid, c.algorithm, run.outcome) for c, run in zip(configs, runs)]
+        naive = next((r for r in reports if r.algorithm == "naive"), None)
+        if naive:
+            reports = [normalize_against_naive(r, naive) for r in reports]
+        scored.append(list(zip(runs, reports)))
+    return scored
 
 
 def evaluate(traces: dict[str, UserTrace], configs: list[PredictorConfig], spec: SplitSpec,
@@ -216,60 +214,40 @@ def evaluate(traces: dict[str, UserTrace], configs: list[PredictorConfig], spec:
              workers: int = 1) -> dict:
     """Train, replay and score every user under every config; returns report.json.
 
-    Users whose trace empties under ``domain_cutoff`` or is too short to
-    split are skipped with a reason. Each remaining user is one job that runs
-    every config, unpruned and, with a ``prune_spec``, pruned; the pruned
-    runs are then the primary results and the unpruned ones the baseline.
+    Each user is one ``_evaluate_job``, which skips the user with a reason
+    or runs and scores every config, unpruned and, with a ``prune_spec``,
+    pruned; the pruned runs are then the primary results and the unpruned
+    ones the baseline.
     """
     started = time.perf_counter()
     algorithms = _config_algorithms(configs)
     _check_options(domain_cutoff, workers)
-
-    eligible: dict[str, UserTrace] = {}
-    skips: dict[str, str] = {}
-    for uid in sorted(traces):
-        trace = traces[uid]
-        if domain_cutoff is not None:
-            trace = domain_cutoff_filter(trace, domain_cutoff)
-            if len(trace) == 0:
-                skips[uid] = "all domains below repeated-request cut-off"
-                continue
-        try:
-            split(trace, spec)
-        except TraceTooShortError:
-            skips[uid] = "too short to split"
-            continue
-        eligible[uid] = trace
-    users = list(eligible)
-
+    users = sorted(traces)
     regimes = [None, prune_spec] if prune_spec else [None]
-    jobs = _run_jobs(_evaluate_job, [(eligible[uid], configs, spec, regimes) for uid in users],
-                     workers)
-    # runs[regime][algorithm][user]
-    runs = [{a: {} for a in algorithms} for _ in regimes]
-    for uid, user_runs in zip(users, jobs):
-        for regime_runs, config_runs in zip(runs, user_runs):
-            for a, rr in zip(algorithms, config_runs):
-                regime_runs[a][uid] = rr
-    primary = runs[-1]
-    reports, aggregates = _score(primary)
+    jobs = _run_jobs(_evaluate_job, [(uid, traces[uid], configs, spec, regimes, domain_cutoff)
+                                     for uid in users], workers)
+    skips = {uid: job for uid, job in zip(users, jobs) if isinstance(job, str)}
+    # scored[user][regime][config] is a (RunResult, MetricsReport)
+    scored = {uid: job for uid, job in zip(users, jobs) if not isinstance(job, str)}
 
-    results = {}
-    for a in algorithms:
-        results[a] = {}
-        for uid in users:
-            entry = {"outcome": primary[a][uid].outcome.to_dict(),
-                     "metrics": reports[a][uid]._asdict()}
+    def aggregates_of(regime: int) -> dict:
+        return {a: aggregate_reports(job[regime][i][1] for job in scored.values())
+                for i, a in enumerate(algorithms)}
+
+    results = {a: {} for a in algorithms}
+    for uid, job in scored.items():
+        for a, (run, report) in zip(algorithms, job[-1]):
+            entry = results[a][uid] = {"outcome": run.outcome.to_dict(),
+                                       "metrics": report._asdict()}
             if prune_spec:
-                prune_result = primary[a][uid].prune_result
-                entry["prune"] = prune_result.to_dict() if prune_result else None
-            results[a][uid] = entry
+                entry["prune"] = run.prune_result.to_dict() if run.prune_result else None
+    aggregates = aggregates_of(-1)
 
     pruning_section = None
     if prune_spec:
-        _, base_aggregates = _score(runs[0])
-        reductions = [rr.prune_result.size_reduction for rr in primary[algorithms[0]].values()
-                      if rr.prune_result is not None]
+        base_aggregates = aggregates_of(0)
+        reductions = [entry["prune"]["size_reduction"]
+                      for entry in results[algorithms[0]].values() if entry["prune"]]
         delta_means = {}
         for a in algorithms:
             deltas = {}
@@ -289,9 +267,9 @@ def evaluate(traces: dict[str, UserTrace], configs: list[PredictorConfig], spec:
             "delta_means": delta_means,
         }
 
-    per_model_ms = {a: _timing_summary([regime_runs[a][uid].elapsed_s * 1000
-                                        for regime_runs in runs for uid in users])
-                    for a in algorithms}
+    per_model_ms = {a: _timing_summary([runs[i][0].elapsed_s * 1000
+                                        for job in scored.values() for runs in job])
+                    for i, a in enumerate(algorithms)}
     return {
         "format": REPORT_FORMAT,
         "command": "evaluate",
@@ -303,7 +281,7 @@ def evaluate(traces: dict[str, UserTrace], configs: list[PredictorConfig], spec:
             "prune": prune_spec._asdict() if prune_spec else None,
             "domain_cutoff": domain_cutoff,
         },
-        "users": {"loaded": len(traces), "evaluated": len(users), "skipped": skips},
+        "users": {"loaded": len(traces), "evaluated": len(scored), "skipped": skips},
         "results": results,
         "aggregates": aggregates,
         "pruning": pruning_section,
@@ -318,7 +296,7 @@ def evaluate(traces: dict[str, UserTrace], configs: list[PredictorConfig], spec:
 def cmd_evaluate(args) -> int:
     # every option is checked before the input, which may be large, is read
     spec = SplitSpec(training_ratio=args.ratio)
-    configs = [_predictor_config(args, a) for a in _algo_list(args)]
+    configs = _configs(args)
     prune_spec = PruneSpec(args.prune, args.keep_fraction) if args.prune else None
     _check_options(args.domain_cutoff, args.workers)
     traces = _load_input(args.input, args.format, args.strict)
@@ -366,7 +344,7 @@ def _sweep_job(payload) -> list[UserSweep]:
 def cmd_sweep(args) -> int:
     started = time.perf_counter()
     swspec = SlidingWindowSpec(args.sizes or DEFAULT_WINDOW_SIZES, args.ratio)
-    configs = [_predictor_config(args, a) for a in _algo_list(args)]
+    configs = _configs(args)
     _check_options(None, args.workers)
     traces = _load_input(args.input, args.format, args.strict)
     users = sorted(traces)

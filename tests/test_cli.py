@@ -20,6 +20,7 @@ from prefetchlab.engine import SplitSpec
 from prefetchlab.ingest import LogParseError, load_traces
 from prefetchlab.predictors import ALGORITHMS, PredictorConfig
 from prefetchlab.pruning import PruneSpec
+from prefetchlab.sweep import SWEEP_METRICS, SlidingWindowSpec, build_sweep_result, sweep_user
 from prefetchlab.synth import bursty_traces, write_log
 
 HEADER = "user_id,timestamp_ms,method,url\n"
@@ -445,7 +446,8 @@ def test_evaluate_with_prune_reports_baseline_and_deltas(tmp_path):
             assert 0 < entry["prune"]["kept_requests"]
 
 
-def test_evaluate_skips_ineligible_users(tmp_path):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_evaluate_skips_ineligible_users(tmp_path, workers):
     lines = [HEADER]
     # u1: one domain, no repeated requests at all
     lines += [f"u1,{1000 + i},GET,https://unique.example/p{i}\n" for i in range(12)]
@@ -458,7 +460,7 @@ def test_evaluate_skips_ineligible_users(tmp_path):
 
     out = tmp_path / "eval_cutoff"
     rc = main(["evaluate", "--input", str(log), "--out", str(out),
-               "--algo", "naive", "--domain-cutoff", "0.1", "--workers", "1"])
+               "--algo", "naive", "--domain-cutoff", "0.1", "--workers", workers])
     assert rc == 0
     report = _read_json(out / "report.json")
     assert report["users"]["evaluated"] == 1
@@ -471,7 +473,7 @@ def test_evaluate_skips_ineligible_users(tmp_path):
 
     out = tmp_path / "eval_plain"
     rc = main(["evaluate", "--input", str(log), "--out", str(out),
-               "--algo", "naive", "--workers", "1"])
+               "--algo", "naive", "--workers", workers])
     assert rc == 0
     report = _read_json(out / "report.json")
     assert report["users"]["evaluated"] == 2
@@ -788,7 +790,8 @@ def test_sweep_whose_job_fails_leaves_no_out_directory(tmp_path, capsys, monkeyp
 
 def test_sweep_with_two_configs_for_one_algorithm_exits_2_and_writes_nothing(
         tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_algo_list", lambda args: ["dg", "mp", "dg"])
+    monkeypatch.setattr(cli, "_configs",
+                        lambda args: [PredictorConfig(a) for a in ("dg", "mp", "dg")])
     log = _make_log(tmp_path, count=2)
     out = tmp_path / "o"
     rc = main(["sweep", "--input", str(log), "--out", str(out), "--sizes", "5,10",
@@ -837,6 +840,34 @@ GOLDEN_DIGESTS = {
         "sweep_summary.json":
             "07e614e8db04c6c70373e2adeb2514836e273a35abfc13e689ba1a5bba5911c8",
     },
+    # the two runs with non-default model flags were recorded before
+    # evaluate's per-user job took over the cut-off, the skips and the scoring
+    "evaluate-flags": {
+        "metrics.csv":
+            "e3e0a2f1c40962846a7b046ca1e9b37c327a25bf20a6864676228ed19f001bf5",
+        "report.json":
+            "e8c6703eb5da7691d4f916d98c428441b53f360ed9f66497d95d311659c6a6a5",
+    },
+    "sweep-flags": {
+        "sweep_dg.csv":
+            "2c9c766e9c03b5f10729a6cbb4c6e87a876bac083b554d4c4dee446bfd09a614",
+        "sweep_dg_means.csv":
+            "d416accbafe45868d7294c1a6b53681f95f7cff4f797bfd00eba93a30cea46a5",
+        "sweep_mp.csv":
+            "6b0da42764cd0efb4ee62261726c7fab0b028ebdbf7d2c808fd5f9b552d91c8c",
+        "sweep_mp_means.csv":
+            "97342c42a1bb93881bb2d64e62c8d54303a6abc95755a8f47aa2dc675f3a6da3",
+        "sweep_naive.csv":
+            "cf2092dae701412b96d9120b34960f0b4ae18310c079e22d656a373932cb9dd5",
+        "sweep_naive_means.csv":
+            "c1635345866443b6e700d4affa01f8504fd09843550c7dc09be999cc202e4c34",
+        "sweep_ppm.csv":
+            "4a322853b2f135df88e1920cfc687dcad77dad8024faf897ebf1d68eb8ca5358",
+        "sweep_ppm_means.csv":
+            "b0cbe9cd1b8c768bff1311bc16abd2ea8fa52b447d5a0d88f758e34a29b158b1",
+        "sweep_summary.json":
+            "5c17b1815f135253fdc5e995f491d6f58904a50822445b693f095ec44857affa",
+    },
 }
 
 
@@ -884,6 +915,10 @@ GOLDEN_RUNS = {
     "evaluate-prune": ["evaluate", "--prune", "mor"],
     "evaluate-cutoff": ["evaluate", "--domain-cutoff", "0.1"],
     "sweep": ["sweep", "--sizes", "10,20,40"],
+    "evaluate-flags": ["evaluate", "--window", "1", "--threshold", "0", "--top-n", "1",
+                       "--ppm-order", "3", "--prune", "msd", "--keep-fraction", "0.5"],
+    "sweep-flags": ["sweep", "--sizes", "10,20,40", "--window", "2", "--top-n", "2",
+                    "--ratio", "0.6"],
 }
 
 
@@ -1004,6 +1039,102 @@ def test_evaluate_prune_prunes_each_user_once_for_all_algorithms(tmp_path, monke
     report = _read_json(out / "report.json")
     assert report["config"]["algorithms"] == list(ALGORITHMS)
     assert len(calls) == report["users"]["evaluated"] == 5
+
+
+# ---------------------------------------------------------------- flags reach the report
+
+# Each case sets every model flag away from its default; the configs the
+# flags must become are built here directly, without the CLI.
+MODEL_FLAG_CASES = {
+    "narrow": (["--window", "1", "--threshold", "0", "--top-n", "1", "--ppm-order", "3"],
+               {"lookahead_window": 1, "confidence_threshold": 0.0, "top_n": 1,
+                "ppm_order": 3}),
+    "wide": (["--window", "6", "--threshold", "0.5", "--top-n", "8", "--ppm-order", "1"],
+             {"lookahead_window": 6, "confidence_threshold": 0.5, "top_n": 8,
+              "ppm_order": 1}),
+}
+# (model flags, --ratio, --prune, --keep-fraction)
+EVALUATE_FLAG_CASES = [
+    ("narrow", 0.8, "msd", 0.5),
+    ("wide", 0.6, "mad", 0.3),
+    ("narrow", 0.7, "mor", 0.8),
+]
+# (model flags, --ratio)
+SWEEP_FLAG_CASES = [("narrow", 0.6), ("wide", 0.8)]
+
+
+def _flag_configs(model: str) -> list[PredictorConfig]:
+    return [PredictorConfig(a, **MODEL_FLAG_CASES[model][1]) for a in ALGORITHMS]
+
+
+def _evaluate_report(log, out, *flags) -> dict:
+    assert main(["evaluate", "--input", str(log), "--out", str(out), "--workers", "1",
+                 *flags]) == 0
+    report = _read_json(out / "report.json")
+    report.pop("runtime")
+    return report
+
+
+@pytest.mark.parametrize("model, ratio, strategy, keep", EVALUATE_FLAG_CASES)
+def test_evaluate_flags_reach_the_report(tmp_path, model, ratio, strategy, keep):
+    log = _golden_log(tmp_path)
+    report = _evaluate_report(log, tmp_path / "flags", *MODEL_FLAG_CASES[model][0],
+                              "--ratio", str(ratio), "--prune", strategy,
+                              "--keep-fraction", str(keep))
+    configs = _flag_configs(model)
+    prune_spec = PruneSpec(strategy, keep)
+    assert report["config"]["predictors"] == {c.algorithm: c.to_dict() for c in configs}
+    assert report["config"]["prune"] == {"strategy": strategy, "keep_fraction": keep}
+    assert report["config"]["split"]["training_ratio"] == ratio
+
+    traces, _ = load_traces(log)
+    expected = evaluate(traces, configs, SplitSpec(ratio), prune_spec)
+    expected.pop("runtime")
+    assert report == json.loads(json.dumps(expected))
+
+    default = _evaluate_report(log, tmp_path / "default", "--prune", "mor")
+    assert report["aggregates"] != default["aggregates"]
+    assert report["pruning"]["size_reduction"] != default["pruning"]["size_reduction"]
+
+
+def _sweep_rows(path) -> list[list[str]]:
+    with path.open(encoding="utf-8") as fh:
+        return [row[:-1] for row in csv.reader(fh)][1:]  # no header, no elapsed_ms
+
+
+@pytest.mark.parametrize("model, ratio", SWEEP_FLAG_CASES)
+def test_sweep_flags_reach_the_outputs(tmp_path, model, ratio):
+    log = _golden_log(tmp_path)
+    sizes = "10,20,40"
+    outs = {}
+    for name, flags in (("flags", [*MODEL_FLAG_CASES[model][0], "--ratio", str(ratio)]),
+                        ("default", [])):
+        outs[name] = tmp_path / name
+        assert main(["sweep", "--input", str(log), "--out", str(outs[name]), "--sizes", sizes,
+                     "--workers", "1", *flags]) == 0
+    summary = _read_json(outs["flags"] / "sweep_summary.json")
+    configs = _flag_configs(model)
+    assert summary["config"]["predictors"] == {c.algorithm: c.to_dict() for c in configs}
+    assert summary["config"]["window"]["training_ratio"] == ratio
+
+    traces, _ = load_traces(log)
+    spec = SlidingWindowSpec([10, 20, 40], ratio)
+    per_user = [sweep_user(traces[uid], configs, spec) for uid in sorted(traces)]
+    for i, a in enumerate(ALGORITHMS):
+        result = build_sweep_result([sweeps[i] for sweeps in per_user], spec)
+        section = summary["algorithms_results"][a]
+        assert section["model_count"] == len(result.records)
+        assert section["skipped_users"] == {str(s): n for s, n in result.skipped.items()}
+        assert section["means"] == {str(s): m for s, m in result.means.items()}
+        assert _sweep_rows(outs["flags"] / f"sweep_{a}.csv") == [
+            [str(r.window_size), str(r.window_index), r.user_id,
+             *("" if v is None else repr(v) for v in (getattr(r.metrics, m)
+                                                      for m in SWEEP_METRICS))]
+            for r in result.records]
+        # the flags change every algorithm's windows but Naive's, which only the ratio moves
+        if a != "naive" or ratio != 0.8:
+            assert (_sweep_rows(outs["flags"] / f"sweep_{a}.csv")
+                    != _sweep_rows(outs["default"] / f"sweep_{a}.csv"))
 
 
 # ---------------------------------------------------------------- selftest
