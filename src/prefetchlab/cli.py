@@ -6,7 +6,8 @@ the worker count are the only nondeterministic values, so they live in a
 dedicated "runtime" section (JSON) or column (CSV) that consumers and
 golden-file comparisons can drop. A command with no user to report on (none
 kept by ``ingest``, none evaluated, none long enough for a sweep window)
-prints one ``error:`` line, exits 1 and writes nothing.
+prints one ``error:`` line, exits 1 and writes nothing. ``evaluate`` and
+``sweep`` write all of their files or none (``_publish``).
 
 The unit of work is the user. ``evaluate`` and ``sweep`` make one job per
 user that does all of the user's work under all of its configs: a sweep job
@@ -58,6 +59,31 @@ def _write_json(path: Path, obj: dict) -> None:
     with path.open("w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _publish(out: Path, outputs: dict) -> None:
+    """Write each ``outputs[name] = (writer, *args)`` as ``writer(temporary, *args)`` under a
+    temporary name in ``out``; rename them all into place once all are written, or none."""
+    out.mkdir(parents=True, exist_ok=True)
+    staged = {out / name: out / f".{name}.{os.getpid()}.tmp" for name in outputs}
+    try:
+        for (write, *args), temporary in zip(outputs.values(), staged.values()):
+            write(temporary, *args)
+        for path in staged:  # checked first: a rename onto a directory fails after earlier ones
+            if path.is_dir():
+                raise IsADirectoryError(f"{path} is a directory")
+        for path, temporary in staged.items():
+            temporary.replace(path)
+    finally:
+        for temporary in staged.values():
+            temporary.unlink(missing_ok=True)
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _fmt(value: float | None) -> str:
@@ -307,8 +333,8 @@ def cmd_evaluate(args) -> int:
               f"{len(users['skipped'])} skipped", file=sys.stderr)
         return 1
     out = Path(args.out)
-    _write_json(out / "report.json", report)
-    _write_metrics_csv(out / "metrics.csv", report)
+    _publish(out, {"report.json": (_write_json, report),
+                   "metrics.csv": (_write_metrics_csv, report)})
 
     print(f"users: {users['evaluated']} evaluated, {len(users['skipped'])} skipped")
     for a, aggregate in report["aggregates"].items():
@@ -323,15 +349,11 @@ def cmd_evaluate(args) -> int:
 
 
 def _write_metrics_csv(path: Path, report: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    rows = sorted((uid, a, name, _fmt(entry["metrics"][name]))
-                  for a, per_user in report["results"].items()
-                  for uid, entry in per_user.items()
-                  for name in ALL_METRIC_NAMES)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user_id", "algorithm", "metric", "value"])
-        writer.writerows(rows)
+    _write_csv(path, ["user_id", "algorithm", "metric", "value"],
+               sorted((uid, a, name, _fmt(entry["metrics"][name]))
+                      for a, per_user in report["results"].items()
+                      for uid, entry in per_user.items()
+                      for name in ALL_METRIC_NAMES))
 
 
 # ---------------------------------------------------------------- sweep
@@ -355,16 +377,11 @@ def cmd_sweep(args) -> int:
         return 1
     jobs = _run_jobs(_sweep_job, [(traces[uid], configs, swspec) for uid in users],
                      args.workers)
-    out = Path(args.out)  # made only now: a job that fails leaves no directory behind
-    out.mkdir(parents=True, exist_ok=True)
-    algo_sections = {}
-    for i, config in enumerate(configs):
-        a = config.algorithm
-        result = build_sweep_result([user_sweeps[i] for user_sweeps in jobs], swspec)
-
-        _write_sweep_rows_csv(out / f"sweep_{a}.csv", result)
-        _write_sweep_means_csv(out / f"sweep_{a}_means.csv", result, swspec)
-
+    results = [build_sweep_result(sweeps, swspec) for sweeps in zip(*jobs)]  # one per config
+    algo_sections, outputs = {}, {}
+    for config, result in zip(configs, results):
+        outputs[f"sweep_{config.algorithm}.csv"] = (_write_sweep_rows_csv, result)
+        outputs[f"sweep_{config.algorithm}_means.csv"] = (_write_sweep_means_csv, result, swspec)
         cutoffs = {}
         for metric in SWEEP_METRICS:
             by_size = {size: result.means[size][metric]["mean"] for size in result.means}
@@ -374,16 +391,16 @@ def cmd_sweep(args) -> int:
                                    "epsilon": DEFAULT_CUTOFF_EPSILON}
             except ValueError:
                 cutoffs[metric] = None
-        algo_sections[a] = {
+        algo_sections[config.algorithm] = {
             "model_count": len(result.records),
             "skipped_users": {str(size): n for size, n in result.skipped.items()},
             "means": {str(size): result.means[size] for size in swspec.window_sizes},
             "cutoffs": cutoffs,
         }
-        print(f"{a:<6} {len(result.records)} models "
+        print(f"{config.algorithm:<6} {len(result.records)} models "
               f"({sum(result.skipped.values())} per-size user skips)")
 
-    _write_json(out / "sweep_summary.json", {
+    outputs["sweep_summary.json"] = (_write_json, {
         "format": SWEEP_FORMAT,
         "command": "sweep",
         "config": {
@@ -396,29 +413,24 @@ def cmd_sweep(args) -> int:
         "algorithms_results": algo_sections,
         "runtime": {"workers": args.workers, "elapsed_s": time.perf_counter() - started},
     })
+    out = Path(args.out)  # made only now: a job that fails leaves no directory behind
+    _publish(out, outputs)
     print(f"sweep summary: {out / 'sweep_summary.json'}")
     return 0
 
 
 def _write_sweep_rows_csv(path: Path, result) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["window_size", "window_index", "user_id", *SWEEP_METRICS,
-                         "elapsed_ms"])
-        for rec in result.records:
-            writer.writerow([rec.window_size, rec.window_index, rec.user_id,
-                             *(_fmt(getattr(rec.metrics, m)) for m in SWEEP_METRICS),
-                             f"{rec.elapsed_s * 1000:.3f}"])
+    _write_csv(path, ["window_size", "window_index", "user_id", *SWEEP_METRICS, "elapsed_ms"],
+               ([rec.window_size, rec.window_index, rec.user_id,
+                 *(_fmt(getattr(rec.metrics, m)) for m in SWEEP_METRICS),
+                 f"{rec.elapsed_s * 1000:.3f}"] for rec in result.records))
 
 
 def _write_sweep_means_csv(path: Path, result, swspec: SlidingWindowSpec) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["window_size", "metric", "mean", "count"])
-        for size in swspec.window_sizes:
-            for metric in SWEEP_METRICS:
-                cell = result.means[size][metric]
-                writer.writerow([size, metric, _fmt(cell["mean"]), cell["count"]])
+    _write_csv(path, ["window_size", "metric", "mean", "count"],
+               ([size, metric, _fmt(result.means[size][metric]["mean"]),
+                 result.means[size][metric]["count"]]
+                for size in swspec.window_sizes for metric in SWEEP_METRICS))
 
 
 # ---------------------------------------------------------------- selftest

@@ -15,6 +15,11 @@ deleted rather than kept at zero, so the canonical serializations of the
 two models are equal; the sliding-window sweep relies on this to move a
 model forward instead of retraining it.
 
+Every model's state is dicts keyed by url_key: DG's ``node_counts`` and
+``arc_counts`` rows hold counts, Naive's ``seen`` holds its keys in
+first-seen order, and a PPM trie node is the dict of its children, with
+its path's count in its one slot.
+
 DG and MP are two readings of one table: ``arc_counts[a][b]`` counts how
 often b followed a within the lookahead window. They share ``update`` and
 ``forget``. DG keeps the arcs whose weight count / occurrences(a) reaches the
@@ -176,10 +181,10 @@ class DGModel:
             return []
         source = context[-1]
         targets = self.arc_counts.get(source)
-        occurrences = self.node_counts.get(source)
-        if not targets or not occurrences:
+        if not targets:
             return []
-        threshold = self._threshold
+        # a source keeps its row only while it occurs: forget drops both together
+        occurrences, threshold = self.node_counts[source], self._threshold
         return _ranked([t for t, n in targets.items() if n / occurrences >= threshold],
                        targets.__getitem__)
 
@@ -192,12 +197,13 @@ class DGModel:
         }
 
 
-class _TrieNode:
-    __slots__ = ("count", "children")
+class _TrieNode(dict):
+    """A PPM trie node: the dict of its children by url_key, plus its path's count."""
+
+    __slots__ = ("count",)
 
     def __init__(self):
         self.count = 0
-        self.children: dict[str, _TrieNode] = {}
 
 
 class PPMModel:
@@ -227,9 +233,9 @@ class PPMModel:
         # paths of length 1..order+1, all ending at `key`
         suffixes = [self.root]
         for node in self._suffixes:
-            child = node.children.get(key)
+            child = node.get(key)
             if child is None:
-                child = node.children[key] = _TrieNode()
+                child = node[key] = _TrieNode()
             child.count += 1
             suffixes.append(child)
         del suffixes[self._order + 1:]
@@ -242,10 +248,10 @@ class PPMModel:
             # the paths of length 1..order+1 that begin at `start`
             node = self.root
             for key in stream[start:start + depth]:
-                child = node.children[key]
+                child = node[key]
                 if child.count == 1:
                     # every longer path through this node began here too
-                    del node.children[key]
+                    del node[key]
                     break
                 child.count -= 1
                 node = child
@@ -257,7 +263,7 @@ class PPMModel:
     def _lookup(self, path: Sequence[str]) -> _TrieNode | None:
         node = self.root
         for key in path:
-            node = node.children.get(key)
+            node = node.get(key)
             if node is None:
                 return None
         return node
@@ -270,19 +276,19 @@ class PPMModel:
             tail = list(context)[-self._order:]
             nodes = (self._lookup(tail[-length:]) for length in range(len(tail), 0, -1))
         for node in nodes:
-            if node is None or not node.children:
+            if not node:  # missing, or without children
                 continue
-            children, total, threshold = node.children, node.count, self._threshold
-            return _ranked([key for key, child in children.items()
+            total, threshold = node.count, self._threshold
+            return _ranked([key for key, child in node.items()
                             if child.count / total >= threshold],
-                           lambda key: children[key].count)
+                           lambda key: node[key].count)
         return []
 
     def state_dict(self) -> dict:
         def encode(node: _TrieNode) -> dict:
             return {
                 "count": node.count,
-                "children": {k: encode(c) for k, c in sorted(node.children.items())},
+                "children": {k: encode(c) for k, c in sorted(node.items())},
             }
         return {
             "trie": encode(self.root),

@@ -694,6 +694,25 @@ def test_out_under_a_file_exits_1_before_the_input_is_read(tmp_path, capsys, com
     assert taken.read_text(encoding="utf-8") == "not a directory\n"
 
 
+@pytest.mark.parametrize("command, blocked", [
+    (["evaluate"], "metrics.csv"),
+    (["sweep", "--sizes", "5,10"], "sweep_ppm_means.csv"),
+], ids=["evaluate", "sweep"])
+def test_failed_write_leaves_no_partial_outputs(tmp_path, capsys, command, blocked):
+    # one output path is a directory, so that output cannot be written
+    log = _make_log(tmp_path, count=2)
+    out = tmp_path / "o"
+    (out / blocked).mkdir(parents=True)
+    (out / "earlier.txt").write_text("an earlier file\n", encoding="utf-8")
+    rc = main(command + ["--input", str(log), "--out", str(out), "--workers", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and blocked in err
+    assert sorted(p.name for p in out.iterdir()) == sorted([blocked, "earlier.txt"])
+    assert not any((out / blocked).iterdir())
+    assert (out / "earlier.txt").read_text(encoding="utf-8") == "an earlier file\n"
+
+
 @pytest.mark.parametrize("cutoff", ["0", "1"])
 def test_evaluate_accepts_domain_cutoff_at_the_bounds(tmp_path, cutoff):
     log = _make_log(tmp_path, count=2)

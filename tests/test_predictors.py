@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given
@@ -135,8 +135,8 @@ def test_ppm_order_1_deterministic_successor():
     model = train(_config("ppm", ppm_order=1), [A, B, A, B])
     root = model.root
     assert root.count == 4
-    assert root.children[A].count == 2
-    assert root.children[A].children[B].count == 2  # P(B|A) = 1.0
+    assert root[A].count == 2
+    assert root[A][B].count == 2  # P(B|A) = 1.0
     assert model.predict([A]) == [B]
 
 
@@ -178,8 +178,33 @@ def test_ppm_probabilities_at_most_one():
         node = model._lookup(context[-1:])
         if node is None:
             continue
-        for child in node.children.values():
+        for child in node.values():
             assert 0 < child.count <= node.count
+
+
+def _trie_counts(node, path=()):
+    """Every node of a PPM trie as (path from the root, count)."""
+    yield path, node.count
+    for key, child in node.items():
+        yield from _trie_counts(child, path + (key,))
+
+
+def _assert_counts_are_path_occurrences(model, stream, order):
+    # each node counts how often its path, of length <= order + 1, occurs in the stream
+    counts = dict(_trie_counts(model.root))
+    assert counts.pop(()) == len(stream)
+    assert 0 not in counts.values()
+    assert counts == Counter(tuple(stream[start:end]) for start in range(len(stream))
+                             for end in range(start + 1, min(start + order + 1, len(stream)) + 1))
+
+
+@given(st.lists(st.sampled_from(KEYS[:3]), max_size=40), st.data(), st.integers(1, 4))
+def test_ppm_node_counts_are_path_occurrences(keys, data, order):
+    model = train(_config("ppm", ppm_order=order), keys)
+    _assert_counts_are_path_occurrences(model, keys, order)
+    count = data.draw(st.integers(0, len(keys)))
+    model.forget(keys, count)
+    _assert_counts_are_path_occurrences(model, keys[count:], order)
 
 
 # ---------------------------------------------------------------- naive
@@ -245,6 +270,17 @@ def test_forget_everything_leaves_an_empty_model(algorithm):
     assert model_to_json(model) == model_to_json(empty_model(config))
 
 
+@pytest.mark.parametrize("algorithm", ["dg", "mp"])
+def test_forget_of_every_occurrence_of_a_source_leaves_no_prediction_from_it(algorithm):
+    # A occurs at 0 and 2 only: forgetting both drops its count and its arc row together
+    keys = [A, B, A, C, B, C]
+    model = train(_config(algorithm, lookahead_window=2), keys)
+    assert model.predict([A]) == [B, A, C]
+    model.forget(keys, 3)
+    assert A not in model.node_counts and A not in model.arc_counts
+    assert model.predict([A]) == []
+
+
 def test_dg_forget_trims_window_to_retained_stream():
     # 4-key window, 1 key retained: a fresh model on [C] remembers only C
     model = train(_config("dg", lookahead_window=4), [A, B, C])
@@ -266,7 +302,7 @@ def test_ppm_forget_removes_paths_that_began_in_the_prefix():
     model.forget([A, B, A, C], 1)
     assert model_to_json(model) == model_to_json(train(_config("ppm", ppm_order=2), [B, A, C]))
     assert model.root.count == 3
-    assert B not in model.root.children[A].children  # [A,B] began only at 0
+    assert B not in model.root[A]  # [A,B] began only at 0
     assert list(model.recent_context) == [A, C]
 
 

@@ -1,0 +1,44 @@
+"""The mutant list stays in step with the code it mutates and the tests that kill it."""
+
+from __future__ import annotations
+
+import importlib.util
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _mutants():
+    spec = importlib.util.spec_from_file_location("referees_mutants",
+                                                  ROOT / "referees" / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.MUTANTS
+
+
+MUTANTS = _mutants()
+SOURCES = {path: path.read_text(encoding="utf-8") for path in (ROOT / "src").rglob("*.py")}
+
+
+def test_mutant_names_are_unique():
+    names = [m.name for m in MUTANTS]
+    assert len(names) == len(set(names))
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
+def test_each_mutant_replaces_text_that_occurs_exactly_once_in_src(mutant):
+    assert mutant.new != mutant.old
+    assert sum(text.count(mutant.old) for text in SOURCES.values()) == 1
+    assert SOURCES[ROOT / mutant.path].count(mutant.old) == 1
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
+def test_each_mutant_names_tests_that_exist(mutant):
+    assert mutant.tests
+    for test in mutant.tests:
+        file, name = test.split("::")
+        source = (ROOT / file).read_text(encoding="utf-8")
+        assert re.search(rf"^def {re.escape(name)}\(", source, re.MULTILINE), test
