@@ -22,6 +22,8 @@ class Mutant(NamedTuple):
 
 
 PREDICTORS = "src/prefetchlab/predictors.py"
+ENGINE = "src/prefetchlab/engine.py"
+SWEEP = "src/prefetchlab/sweep.py"
 CLI = "src/prefetchlab/cli.py"
 
 MUTANTS = (
@@ -63,8 +65,79 @@ MUTANTS = (
     ),
     Mutant(
         "prune-always-mor", CLI,
-        old="PruneSpec(args.prune, args.keep_fraction)",
+        old="PruneSpec(args.prune or STRATEGIES[0], args.keep_fraction)",
         new='PruneSpec("mor", args.keep_fraction)',
         tests=("tests/test_cli.py::test_evaluate_flags_reach_the_report",),
+    ),
+    Mutant(
+        "publish-skips-the-directory-check", CLI,
+        old="for path in staged:  # checked first",
+        new="for path in ():  # checked first",  # renames until one meets the directory
+        tests=("tests/test_cli.py::test_failed_write_leaves_no_partial_outputs",),
+    ),
+    Mutant(
+        "outcome-swaps-hits-and-misses", ENGINE,
+        old=("hit_set=frozenset(compress(test, hits)),\n"
+             "        miss_set=frozenset(compress(test, map(not_, hits))),"),
+        new=("hit_set=frozenset(compress(test, map(not_, hits))),\n"
+             "        miss_set=frozenset(compress(test, hits)),"),
+        tests=("tests/test_engine.py::test_naive_replay_all_hits",
+               "tests/test_engine.py::test_engine_matches_reference_replay"),
+    ),
+    Mutant(
+        "slide-splits-time-over-outcomes", SWEEP,
+        old="/ len(algorithms)",
+        new="/ len(outcomes)",  # the table pass returns three outcomes for DG and MP alone
+        tests=("tests/test_sweep.py::"
+               "test_a_window_s_time_is_split_evenly_over_the_records_of_its_pass",),
+    ),
+    Mutant(
+        "table-cuts-mp-one-short", ENGINE,
+        old="mp_cache.update(ranked[:top_n])",
+        new="mp_cache.update(ranked[:top_n - 1])",
+        tests=("tests/test_sweep.py::test_dg_and_mp_in_one_pass_equal_their_own_sweeps",),
+    ),
+    Mutant(
+        "table-dg-threshold-cut-inclusive", ENGINE,
+        old="if row[key] / seen < threshold:",
+        new="if row[key] / seen <= threshold:",
+        tests=("tests/test_sweep.py::test_dg_and_mp_in_one_pass_equal_their_own_sweeps",),
+    ),
+    Mutant(
+        "table-naive-cache-counts-the-last-request", ENGINE,
+        old="naive_cache = len(occurrences) - (occurrences[test[-1]] == 1) if test else 0",
+        new="naive_cache = len(occurrences)",
+        tests=("tests/test_sweep.py::test_dg_and_mp_in_one_pass_equal_their_own_sweeps",),
+    ),
+    Mutant(
+        "sweep-shares-unequal-windows", SWEEP,
+        old="if dg and mp and dg.lookahead_window == mp.lookahead_window:",
+        new="if dg and mp:",
+        tests=("tests/test_sweep.py::test_unequal_lookahead_windows_sweep_dg_and_mp_apart",),
+    ),
+    Mutant(
+        "run-user-triggers-from-the-pruned-tail", ENGINE,
+        old="training[-depth:], depth)",
+        new="model_input[-depth:], depth)",
+        tests=("tests/test_engine.py::"
+               "test_run_user_prunes_once_and_runs_each_config_on_the_pruned_input",),
+    ),
+    Mutant(
+        "config-list-accepts-empty", PREDICTORS,
+        old="if not algorithms:",
+        new="if algorithms is None:",
+        tests=("tests/test_cli.py::test_library_evaluate_rejects_an_empty_config_list",
+               "tests/test_sweep.py::test_sweep_user_rejects_an_empty_config_list"),
+    ),
+    Mutant(
+        "dg-forget-keeps-zero-node-counts", PREDICTORS,
+        old=("left = nodes[source] - 1\n"
+             "            if left:\n"
+             "                nodes[source] = left\n"
+             "            else:\n"
+             "                del nodes[source]"),
+        new="nodes[source] -= 1",
+        tests=("tests/test_predictors.py::test_forget_everything_leaves_an_empty_model",
+               "tests/test_predictors.py::test_sliding_with_forget_equals_fresh_training"),
     ),
 )

@@ -6,8 +6,9 @@ the worker count are the only nondeterministic values, so they live in a
 dedicated "runtime" section (JSON) or column (CSV) that consumers and
 golden-file comparisons can drop. A command with no user to report on (none
 kept by ``ingest``, none evaluated, none long enough for a sweep window)
-prints one ``error:`` line, exits 1 and writes nothing. ``evaluate`` and
-``sweep`` write all of their files or none (``_publish``).
+prints one ``error:`` line, exits 1 and writes nothing. Every command writes
+all of its files or none: each goes through ``_publish``, the only code that
+creates ``--out``.
 
 The unit of work is the user. ``evaluate`` and ``sweep`` make one job per
 user that does all of the user's work under all of its configs: a sweep job
@@ -35,7 +36,7 @@ import time
 from pathlib import Path
 
 from .engine import RunResult, SplitSpec, TraceTooShortError, run_user
-from .ingest import (FORMATS, LogParseError, load_traces, read_trace_files,
+from .ingest import (FORMATS, STORE_NAME, LogParseError, load_traces, read_trace_files,
                      remove_outlier_users, write_trace_files)
 from .metrics import (METRIC_NAMES, NORMALIZED_NAMES, MetricsReport, aggregate_reports,
                       metrics_report, normalize_against_naive)
@@ -55,15 +56,14 @@ ALL_METRIC_NAMES = METRIC_NAMES + NORMALIZED_NAMES
 # ---------------------------------------------------------------- plumbing
 
 def _write_json(path: Path, obj: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _publish(out: Path, outputs: dict) -> None:
-    """Write each ``outputs[name] = (writer, *args)`` as ``writer(temporary, *args)`` under a
-    temporary name in ``out``; rename them all into place once all are written, or none."""
+    """Make ``out`` and write each ``outputs[name] = (writer, *args)`` as ``writer(temporary,
+    *args)`` under a temporary name there; rename all into place once all are written, or none."""
     out.mkdir(parents=True, exist_ok=True)
     staged = {out / name: out / f".{name}.{os.getpid()}.tmp" for name in outputs}
     try:
@@ -159,21 +159,22 @@ def cmd_ingest(args) -> int:
               f"{outliers.min_request_floor} requests, outlier fence {outliers.upper_fence:.1f})",
               file=sys.stderr)
         return 1
-    out = Path(args.out)
-    store = write_trace_files(kept, out)
-    _write_json(out / "ingest_summary.json", {
+    report = {
         "format": REPORT_FORMAT,
         "command": "ingest",
         "load": summary._asdict(),
         "outliers": outliers._asdict(),
         "users": {"parsed": len(traces), "kept": len(kept),
                   "removed": len(traces) - len(kept)},
-    })
+    }
+    out = Path(args.out)
+    _publish(out, {STORE_NAME: (write_trace_files, kept),
+                   "ingest_summary.json": (_write_json, report)})
     print(f"rows read: {summary.rows_read}, kept GET: {summary.kept}, "
           f"non-GET dropped: {summary.dropped_non_get}, malformed: {summary.skipped_malformed}")
     print(f"users: {len(traces)} parsed, {len(kept)} kept "
           f"(outlier fence {outliers.upper_fence:.1f}, floor {outliers.min_request_floor})")
-    print(f"traces written to {store}")
+    print(f"traces written to {out / STORE_NAME}")
     return 0
 
 
@@ -196,7 +197,7 @@ def cmd_stats(args) -> int:
         "per_user": {uid: s._asdict() for uid, s in per_user.items()},
     }
     if args.out:
-        _write_json(Path(args.out) / "stats.json", report)
+        _publish(Path(args.out), {"stats.json": (_write_json, report)})
         print(f"stats written to {Path(args.out) / 'stats.json'}")
     print(f"users: {len(per_user)}")
     print(f"repeated pct  min {pct['min']:.3f}  avg {pct['avg']:.3f}  "
@@ -320,13 +321,15 @@ def evaluate(traces: dict[str, UserTrace], configs: list[PredictorConfig], spec:
 
 
 def cmd_evaluate(args) -> int:
-    # every option is checked before the input, which may be large, is read
+    # every option is checked before the input, which may be large, is read;
+    # --keep-fraction too, with or without --prune
     spec = SplitSpec(training_ratio=args.ratio)
     configs = _configs(args)
-    prune_spec = PruneSpec(args.prune, args.keep_fraction) if args.prune else None
+    prune_spec = PruneSpec(args.prune or STRATEGIES[0], args.keep_fraction)
     _check_options(args.domain_cutoff, args.workers)
     traces = _load_input(args.input, args.format, args.strict)
-    report = evaluate(traces, configs, spec, prune_spec, args.domain_cutoff, args.workers)
+    report = evaluate(traces, configs, spec, prune_spec if args.prune else None,
+                      args.domain_cutoff, args.workers)
     users = report["users"]
     if not users["evaluated"]:
         print(f"error: no user to evaluate: {users['loaded']} loaded, "
@@ -447,12 +450,12 @@ def cmd_selftest(args) -> int:
             line += f" - {r.detail}"
         print(line)
     if args.out:
-        _write_json(Path(args.out) / "selftest.json", {
+        _publish(Path(args.out), {"selftest.json": (_write_json, {
             "format": REPORT_FORMAT,
             "command": "selftest",
             "seed": args.seed,
             "checks": [r._asdict() for r in results],
-        })
+        })})
     return 0 if all(r.passed for r in results) else 1
 
 

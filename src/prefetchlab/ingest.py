@@ -259,23 +259,19 @@ STORE_NAME = "traces.json"
 STORE_FORMAT = "prefetchlab-traces/v2"
 
 
-def write_trace_files(traces: dict[str, UserTrace], out_dir: str | Path) -> Path:
-    """Write all traces into one columnar JSON store; returns the store's path.
+def write_trace_files(path: str | Path, traces: dict[str, UserTrace]) -> None:
+    """Write all traces as one columnar JSON store to the file ``path``.
 
     The store is ``{"format": STORE_FORMAT, "users": {user_id: {"timestamp_ms":
     [...], "url": [...]}}}`` with each user's columns in trace order. User ids
     are JSON keys, so any two distinct ids stay distinct.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     users = {uid: {"timestamp_ms": traces[uid].timestamps, "url": traces[uid].url_keys}
              for uid in sorted(traces)}
-    path = out / STORE_NAME
-    with path.open("w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         # dumps, not dump: json.dump streams through the pure-Python encoder
         fh.write(json.dumps({"format": STORE_FORMAT, "users": users},
                             separators=(",", ":")))
-    return path
 
 
 def _trace_from_columns(user_id: str, columns) -> UserTrace:

@@ -638,7 +638,8 @@ def test_evaluate_rejects_domain_cutoff_outside_unit_interval(tmp_path, capsys, 
 @pytest.mark.parametrize("args", [["evaluate", "--ratio", "1.5"],
                                   ["evaluate", "--domain-cutoff", "nan"],
                                   ["evaluate", "--prune", "mor", "--keep-fraction", "2"],
-                                  ["sweep", "--sizes", "1"]])
+                                  ["sweep", "--sizes", "1"],
+                                  ["evaluate", "--keep-fraction", "2"]])
 def test_bad_option_exits_2_before_the_input_is_read(tmp_path, capsys, args):
     missing = tmp_path / "nope.csv"
     rc = main(args + ["--input", str(missing), "--out", str(tmp_path / "o"), "--workers", "1"])
@@ -695,16 +696,20 @@ def test_out_under_a_file_exits_1_before_the_input_is_read(tmp_path, capsys, com
 
 
 @pytest.mark.parametrize("command, blocked", [
-    (["evaluate"], "metrics.csv"),
-    (["sweep", "--sizes", "5,10"], "sweep_ppm_means.csv"),
-], ids=["evaluate", "sweep"])
+    (["ingest", "--input", "{log}"], "ingest_summary.json"),
+    (["stats", "--input", "{log}"], "stats.json"),
+    (["evaluate", "--input", "{log}", "--workers", "1"], "metrics.csv"),
+    (["sweep", "--sizes", "5,10", "--input", "{log}", "--workers", "1"], "sweep_ppm_means.csv"),
+    (["selftest"], "selftest.json"),
+], ids=["ingest", "stats", "evaluate", "sweep", "selftest"])
 def test_failed_write_leaves_no_partial_outputs(tmp_path, capsys, command, blocked):
-    # one output path is a directory, so that output cannot be written
+    # one output path is a directory, so that output cannot be written; the
+    # log's two users of 40 requests each pass ingest's 10-request floor
     log = _make_log(tmp_path, count=2)
     out = tmp_path / "o"
     (out / blocked).mkdir(parents=True)
     (out / "earlier.txt").write_text("an earlier file\n", encoding="utf-8")
-    rc = main(command + ["--input", str(log), "--out", str(out), "--workers", "1"])
+    rc = main([arg.format(log=log) for arg in command] + ["--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and blocked in err

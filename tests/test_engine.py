@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prefetchlab.engine import (SplitSpec, TestOutcome, TraceTooShortError,
@@ -125,6 +125,10 @@ def test_run_user_returns_timing_and_outcome():
        st.sampled_from([0.3, 0.5, 0.8]),
        st.one_of(st.none(), st.builds(PruneSpec, st.sampled_from(STRATEGIES),
                                       st.sampled_from([0.2, 0.5, 1.0]))))
+# pruning drops the training slice's last request, a3: DG triggered from the
+# pruned tail, a2, would prefetch a2, and from the unpruned tail nothing
+@example([f"https://a.example/{page}" for page in (2, 2, 3, 1)], ["dg"], 0.8,
+         PruneSpec("mor", 0.2))
 def test_run_user_prunes_once_and_runs_each_config_on_the_pruned_input(keys, algorithms,
                                                                        ratio, prune_spec):
     # a ratio of 0.3 leaves an empty training slice for 2 or 3 requests

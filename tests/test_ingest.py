@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import prefetchlab
 from prefetchlab.cli import main
-from prefetchlab.ingest import (LogParseError, _quartiles, load_traces, read_trace_files,
-                                remove_outlier_users, write_trace_files)
+from prefetchlab.ingest import (STORE_NAME, LogParseError, _quartiles, load_traces,
+                                read_trace_files, remove_outlier_users, write_trace_files)
 from prefetchlab.synth import bursty_traces, write_log
 from prefetchlab.traces import UserTrace
 
@@ -464,7 +464,7 @@ def test_remove_outliers_requires_users():
 
 def test_trace_files_round_trip(tmp_path):
     traces = _traces_with_counts({"u one": 3, "u/two": 4})  # ids needing escaping
-    write_trace_files(traces, tmp_path)
+    write_trace_files(tmp_path / STORE_NAME, traces)
     loaded = read_trace_files(tmp_path)
     assert sorted(loaded) == sorted(traces)
     for uid in traces:
@@ -480,7 +480,7 @@ def test_trace_store_keeps_users_with_colliding_escapes(tmp_path):
     # "a\u2014" (EM DASH) and "a 14" escaped to the same per-user file name in
     # the former one-file-per-user layout, so one trace overwrote the other
     traces = _traces_with_counts({"a\u2014": 10, "a 14": 12, "plain": 11, "other": 13})
-    write_trace_files(traces, tmp_path)
+    write_trace_files(tmp_path / STORE_NAME, traces)
     loaded = read_trace_files(tmp_path)
     assert sorted(loaded) == sorted(traces)
     for uid, trace in traces.items():
@@ -491,8 +491,8 @@ def test_raw_log_traces_share_url_strings_like_store_traces(tmp_path):
     traces = bursty_traces(seed=5, count=3, min_length=200, max_length=200,
                            repertoire_size=10, noise_rate=0.1)
     raw, _ = load_traces(write_log(traces, tmp_path / "log.csv"))
-    write_trace_files(raw, tmp_path / "store")
-    stored = read_trace_files(tmp_path / "store")
+    write_trace_files(tmp_path / STORE_NAME, raw)
+    stored = read_trace_files(tmp_path)
     for uid, trace in raw.items():
         assert len({id(url) for url in trace.url_keys}) == len(set(trace.url_keys))
         assert len(pickle.dumps(trace)) == len(pickle.dumps(stored[uid]))

@@ -4,7 +4,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from prefetchlab import sweep
@@ -180,6 +180,8 @@ def _without_time(user_sweep):
        st.integers(1, 6),
        st.lists(st.sampled_from(ALGORITHMS), min_size=1, max_size=len(ALGORITHMS),
                 unique=True))
+# a DG weight lands on the default threshold, 1/4: the cut keeps it
+@example([1, 3, 1, 1, 0, 1, 1], [7], 0.8, 2, None, 6, ["dg"])
 def test_dg_and_mp_in_one_pass_equal_their_own_sweeps(pages, sizes, ratio, window,
                                                        threshold, top_n, algorithms):
     # six pages, so a request repeats inside the lookahead window; a weight
