@@ -25,6 +25,7 @@ PREDICTORS = "src/prefetchlab/predictors.py"
 ENGINE = "src/prefetchlab/engine.py"
 SWEEP = "src/prefetchlab/sweep.py"
 CLI = "src/prefetchlab/cli.py"
+INGEST = "src/prefetchlab/ingest.py"
 
 MUTANTS = (
     Mutant(
@@ -95,19 +96,25 @@ MUTANTS = (
         "table-cuts-mp-one-short", ENGINE,
         old="mp_cache.update(ranked[:top_n])",
         new="mp_cache.update(ranked[:top_n - 1])",
-        tests=("tests/test_sweep.py::test_dg_and_mp_in_one_pass_equal_their_own_sweeps",),
+        tests=("tests/test_engine.py::"
+               "test_dg_table_pass_equals_dg_mp_and_naive_each_replayed_alone",
+               "tests/test_sweep.py::test_dg_and_mp_in_one_pass_equal_their_own_sweeps"),
     ),
     Mutant(
         "table-dg-threshold-cut-inclusive", ENGINE,
         old="if row[key] / seen < threshold:",
         new="if row[key] / seen <= threshold:",
-        tests=("tests/test_sweep.py::test_dg_and_mp_in_one_pass_equal_their_own_sweeps",),
+        tests=("tests/test_engine.py::"
+               "test_dg_table_pass_equals_dg_mp_and_naive_each_replayed_alone",
+               "tests/test_sweep.py::test_dg_and_mp_in_one_pass_equal_their_own_sweeps"),
     ),
     Mutant(
         "table-naive-cache-counts-the-last-request", ENGINE,
         old="naive_cache = len(occurrences) - (occurrences[test[-1]] == 1) if test else 0",
         new="naive_cache = len(occurrences)",
-        tests=("tests/test_sweep.py::test_dg_and_mp_in_one_pass_equal_their_own_sweeps",),
+        tests=("tests/test_engine.py::"
+               "test_dg_table_pass_equals_dg_mp_and_naive_each_replayed_alone",
+               "tests/test_sweep.py::test_dg_and_mp_in_one_pass_equal_their_own_sweeps"),
     ),
     Mutant(
         "sweep-shares-unequal-windows", SWEEP,
@@ -139,5 +146,36 @@ MUTANTS = (
         new="nodes[source] -= 1",
         tests=("tests/test_predictors.py::test_forget_everything_leaves_an_empty_model",
                "tests/test_predictors.py::test_sliding_with_forget_equals_fresh_training"),
+    ),
+    Mutant(
+        "jsonl-fast-path-accepts-trailing-text", INGEST,
+        old=r'if line[end:].strip(" \t\n\r"):',
+        new="if end > len(line):",  # never true: what follows the first value is not read
+        tests=("tests/test_ingest.py::test_jsonl_row_parses_as_json_loads_reads_it",),
+    ),
+    Mutant(
+        "quartiles-swap-interpolation-weights", INGEST,
+        old="(ordered[j] * (4 - delta) + ordered[j + 1] * delta) / 4",
+        new="(ordered[j] * delta + ordered[j + 1] * (4 - delta)) / 4",
+        tests=("tests/test_ingest.py::test_quartiles_equal_inclusive_statistics_quantiles",
+               "tests/test_ingest.py::test_tukey_upper_fence_removes_heavy_user"),
+    ),
+    Mutant(
+        "outlier-fence-inclusive", INGEST,
+        old="if n > upper or n < MIN_REQUEST_FLOOR",
+        new="if n >= upper or n < MIN_REQUEST_FLOOR",
+        tests=("tests/test_ingest.py::test_fence_is_strict_inequality",),
+    ),
+    Mutant(
+        "leading-bom-kept", INGEST,
+        old='encoding="utf-8-sig"',
+        new='encoding="utf-8"',
+        tests=("tests/test_ingest.py::test_leading_utf8_bom_is_ignored",),
+    ),
+    Mutant(
+        "field-strip-skipped", INGEST,
+        old="user_id, method, url = user_id.strip(), method.strip(), url.strip()",
+        new="pass",
+        tests=("tests/test_ingest.py::test_padded_fields_load_alike_from_csv_and_jsonl",),
     ),
 )

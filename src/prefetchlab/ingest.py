@@ -8,7 +8,10 @@ Input formats (declared, not sniffed):
   string or an integer, ``method`` and ``url`` strings, ``timestamp_ms`` an
   integer, an integer-valued number or an integer string (as in CSV). An
   integer ``user_id`` is read as its decimal string, so ``1`` and ``"1"``
-  are one user, without a warning.
+  are one user, without a warning. A line that is one JSON value followed
+  only by JSON whitespace is decoded once, with ``JSONDecoder.raw_decode``;
+  any other line goes through ``json.loads``, so values and error messages
+  are always those of ``json.loads``.
 
 Every field is stripped of surrounding whitespace (``str.strip``) in both
 formats, so a padded row loads as the same row unpadded: ``" 1 "`` is user
@@ -37,6 +40,8 @@ from .traces import UserTrace
 
 FORMATS = ("csv", "jsonl")
 CSV_HEADER = ["user_id", "timestamp_ms", "method", "url"]
+_FIELDS = frozenset(CSV_HEADER)
+_DECODER = json.JSONDecoder()  # json.loads' own settings
 
 # retained in LoadSummary for human inspection; the full count is always exact
 MAX_RECORDED_ERRORS = 20
@@ -86,27 +91,35 @@ Record = tuple[str, int, str, str]  # (user_id, timestamp_ms, method uppercased,
 
 
 def _parse_jsonl_row(line_no: int, line: str) -> Record:
+    # one decode when the rest of the line is JSON whitespace; any other line (padding
+    # first, extra data, a BOM, bad JSON) gets json.loads' own value or error message
     try:
-        obj = json.loads(line)
-    # ValueError: also an integer over the int() digit limit; RecursionError: deep nesting
-    except (ValueError, RecursionError) as exc:
-        raise LogParseError(line_no, f"invalid JSON: {exc}") from None
+        obj, end = _DECODER.raw_decode(line)
+        if line[end:].strip(" \t\n\r"):
+            raise ValueError
+    except (ValueError, RecursionError):
+        try:
+            obj = json.loads(line)
+        # ValueError: also an integer over the int() digit limit; RecursionError: deep nesting
+        except (ValueError, RecursionError) as exc:
+            raise LogParseError(line_no, f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise LogParseError(line_no, "row is not a JSON object")
-    missing = [k for k in CSV_HEADER if k not in obj]
-    if missing:
+    if not _FIELDS <= obj.keys():
+        missing = [k for k in CSV_HEADER if k not in obj]
         raise LogParseError(line_no, f"missing fields: {', '.join(missing)}")
+    user_id, method, url, ts = obj["user_id"], obj["method"], obj["url"], obj["timestamp_ms"]
     # type(), not isinstance(): JSON true/false load as bool, a subclass of int
-    for key in ("user_id", "method", "url"):
-        value = obj[key]
-        if not (type(value) is str or (key == "user_id" and type(value) is int)):
+    if type(user_id) is int:
+        user_id = str(user_id)
+    for key, value in (("user_id", user_id), ("method", method), ("url", url)):
+        if type(value) is not str:
             raise LogParseError(line_no, f"{key} is not a string: {value!r}")
-    ts = obj["timestamp_ms"]
     if type(ts) is float and ts.is_integer():
         ts = int(ts)
     elif type(ts) not in (int, str):  # a string goes through int() as CSV text does
         raise LogParseError(line_no, f"timestamp_ms is not an integer: {ts!r}")
-    return _build_record(line_no, str(obj["user_id"]), ts, obj["method"], obj["url"])
+    return _build_record(line_no, user_id, ts, method, url)
 
 
 def _build_record(line_no: int, user_id: str, ts_raw, method: str, url: str) -> Record:
@@ -216,13 +229,14 @@ def load_traces(path: str | Path, fmt: str = "csv", strict: bool = False,
 
 
 def _quartiles(values: list[int]) -> tuple[float, float]:
-    """First and third quartile of a non-empty list, as remove_outlier_users uses them."""
-    if len(values) == 1:
-        # statistics.quantiles needs two points before Python 3.13
+    """First and third quartile of a non-empty list: ``statistics.quantiles(values, n=4,
+    method="inclusive")`` written out, since statistics imports fractions and decimal."""
+    if len(values) == 1:  # ordered[j + 1] would pass the end
         return float(values[0]), float(values[0])
-    import statistics  # here: it pulls fractions and decimal into every command's start-up
-
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    ordered, last = sorted(values), len(values) - 1
+    # the i-th quartile lies delta quarters of the way from ordered[j] to ordered[j + 1]
+    q1, q3 = ((ordered[j] * (4 - delta) + ordered[j + 1] * delta) / 4
+              for j, delta in (divmod(i * last, 4) for i in (1, 3)))
     return q1, q3
 
 

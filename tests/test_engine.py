@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prefetchlab.engine import (SplitSpec, TestOutcome, TraceTooShortError,
-                                run_test_engine, run_user, split)
+                                run_dg_table_engine, run_test_engine, run_user, split)
 from prefetchlab.oracle import oracle_run
 from prefetchlab.predictors import ALGORITHMS, PredictorConfig, model_to_json, train
 from prefetchlab.pruning import STRATEGIES, PruneSpec, prune
@@ -146,6 +146,25 @@ def test_run_user_prunes_once_and_runs_each_config_on_the_pruned_input(keys, alg
                                                  training[-depth:], depth)
         assert result.prune_result is results[0].prune_result
     assert results[0].prune_result == pruned
+
+
+pages_st = st.lists(st.sampled_from([f"p{i}" for i in range(6)]), max_size=40)
+
+
+@settings(max_examples=150)
+@given(pages_st, st.lists(st.sampled_from(["p0", "p1", "p9"]), max_size=2), pages_st,
+       st.integers(1, 4), st.sampled_from([None, 0.0, 0.3, 0.5, 1.0]), st.integers(1, 6))
+# p0 occurs four times, and each of its successors weighs 1/4, the default threshold
+@example(["p0", "p1", "p0", "p2", "p0", "p3", "p0", "p4"], ["p0"], ["p1", "p5"], 1, None, 2)
+# no pre_context: the first test request is predicted from nothing
+@example(["p0", "p1", "p0"], [], ["p1", "p0", "p1"], 1, None, 1)
+def test_dg_table_pass_equals_dg_mp_and_naive_each_replayed_alone(training, pre_context, test,
+                                                                  window, threshold, top_n):
+    configs = [PredictorConfig("dg", window, threshold),
+               PredictorConfig("mp", window, top_n=top_n), PredictorConfig("naive")]
+    alone = tuple(run_test_engine(train(config, training), test, pre_context, 1)
+                  for config in configs)
+    assert run_dg_table_engine(train(configs[0], training), top_n, test, pre_context) == alone
 
 
 # ---------------------------------------------------------------- properties

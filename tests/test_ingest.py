@@ -2,18 +2,20 @@ from __future__ import annotations
 
 import json
 import pickle
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import prefetchlab
 from prefetchlab.cli import main
-from prefetchlab.ingest import (STORE_NAME, LogParseError, _quartiles, load_traces,
-                                read_trace_files, remove_outlier_users, write_trace_files)
+from prefetchlab.ingest import (STORE_NAME, LogParseError, _build_record, _parse_jsonl_row,
+                                _quartiles, load_traces, read_trace_files,
+                                remove_outlier_users, write_trace_files)
 from prefetchlab.synth import bursty_traces, write_log
 from prefetchlab.traces import UserTrace
 
@@ -292,6 +294,80 @@ def test_jsonl_row_that_json_cannot_load_is_malformed(tmp_path, capsys, row):
     assert len(err_lines) == 1 and err_lines[0].startswith("error: line 2:")
 
 
+def _json_loads_row(line_no: int, line: str):
+    """The JSONL row rule written with json.loads alone: the reference for _parse_jsonl_row."""
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise LogParseError(line_no, f"invalid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise LogParseError(line_no, "row is not a JSON object")
+    missing = [k for k in ("user_id", "timestamp_ms", "method", "url") if k not in obj]
+    if missing:
+        raise LogParseError(line_no, f"missing fields: {', '.join(missing)}")
+    for key in ("user_id", "method", "url"):
+        value = obj[key]
+        if not (type(value) is str or (key == "user_id" and type(value) is int)):
+            raise LogParseError(line_no, f"{key} is not a string: {value!r}")
+    ts = obj["timestamp_ms"]
+    if type(ts) is float and ts.is_integer():
+        ts = int(ts)
+    elif type(ts) not in (int, str):
+        raise LogParseError(line_no, f"timestamp_ms is not an integer: {ts!r}")
+    return _build_record(line_no, str(obj["user_id"]), ts, obj["method"], obj["url"])
+
+
+def _row_or_message(parse, line):
+    try:
+        return parse(3, line)
+    except LogParseError as exc:
+        return str(exc)
+
+
+# JSON texts of every type; nested at most three deep, since near the recursion
+# limit whether a value decodes depends on the caller's stack depth
+JSON_TEXTS = st.one_of(
+    st.sampled_from(["true", "false", "null", "NaN", "-Infinity", "1e400", "2.0", "1.5", "-0",
+                     "[]", '[1, ["u1"]]', "{}", '{"a": {"b": 1}}', "9" * 5000, '"\\ud800"',
+                     '""', '" 7 "', '"1_000"', '" get "', '"GET"', '"https://a.example/x"']),
+    st.integers().map(str),
+    st.text(max_size=6).map(lambda text: json.dumps(text, ensure_ascii=False)),
+)
+GOOD_JSONL_TEXTS = {"user_id": '"u1"', "timestamp_ms": "12", "method": '"GET"',
+                    "url": '"https://a.example/x"'}
+# JSON whitespace, other Unicode whitespace, a BOM and extra data
+PADDING = st.sampled_from(["", " ", "\t", "\r", " \t\r", "\x0c", "\u00a0", "\ufeff", " x",
+                           "{}", ", 1", "]", '"u1"'])
+
+
+@st.composite
+def jsonl_lines(draw):
+    # each field is its good value, another JSON value or absent; no row needs "extra"
+    members = []
+    for key, good in [*GOOD_JSONL_TEXTS.items(), ("extra", None)]:
+        text = draw(st.one_of(st.just(good), st.just(good), st.just(good), st.none(), JSON_TEXTS))
+        if text is not None:
+            members.append(f'"{key}": {text}')
+    separator = draw(st.sampled_from([", ", ",", " ,\t"]))
+    body = "{" + separator.join(draw(st.permutations(members))) + "}"
+    if draw(st.integers(0, 4)) == 0:  # a row that is not an object
+        body = draw(JSON_TEXTS)
+    padding = st.one_of(st.just(""), st.just(""), PADDING)
+    return draw(padding) + body + draw(padding) + draw(st.sampled_from(["\n", "\r\n", ""]))
+
+
+GOOD_JSONL_LINE = json.dumps(GOOD_JSONL_ROW)
+
+
+@given(jsonl_lines())
+@example(GOOD_JSONL_LINE + " x\n")  # extra data
+@example(GOOD_JSONL_LINE + "\x0c\n")  # whitespace that is not JSON whitespace
+@example(" \t" + GOOD_JSONL_LINE + "\r\n")  # padding that is
+@example("\ufeff" + GOOD_JSONL_LINE + "\n")  # a BOM
+def test_jsonl_row_parses_as_json_loads_reads_it(line):
+    assert _row_or_message(_parse_jsonl_row, line) == _row_or_message(_json_loads_row, line)
+
+
 @pytest.mark.parametrize("field", ["user_id", "method", "url"])
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_invalid_utf8_byte_in_a_raw_log_is_a_malformed_row(tmp_path, capsys, fmt, field):
@@ -457,6 +533,14 @@ def test_quartiles_equal_numpy_percentile(np, counts):
     assert _quartiles(counts) == expected
 
 
+@given(st.lists(st.integers(min_value=0, max_value=10**15), min_size=1, max_size=60))
+def test_quartiles_equal_inclusive_statistics_quantiles(counts):
+    # before Python 3.13 quantiles needs two points; [c, c] has the quartiles of [c]
+    q1, _, q3 = statistics.quantiles(counts * 2 if len(counts) == 1 else counts, n=4,
+                                     method="inclusive")
+    assert _quartiles(counts) == (q1, q3)
+
+
 def test_remove_outliers_requires_users():
     with pytest.raises(ValueError):
         remove_outlier_users({})
@@ -510,3 +594,17 @@ def test_cli_import_leaves_numpy_and_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_ingest_leaves_statistics_fractions_and_decimal_unloaded(tmp_path):
+    # statistics pulls in fractions and decimal, a few milliseconds of every ingest
+    log = write_log(bursty_traces(seed=3, count=5, min_length=20, max_length=40,
+                                  repertoire_size=10, noise_rate=0.1), tmp_path / "log.csv")
+    src = str(Path(prefetchlab.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from prefetchlab.cli import main; "
+            "code = main(['ingest', '--input', sys.argv[2], '--out', sys.argv[3]]); "
+            "print(code, sorted(m for m in ('statistics', 'fractions', 'decimal') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code, src, str(log), str(tmp_path / "o")],
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.splitlines()[-1] == "0 []"
