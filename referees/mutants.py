@@ -26,6 +26,7 @@ ENGINE = "src/prefetchlab/engine.py"
 SWEEP = "src/prefetchlab/sweep.py"
 CLI = "src/prefetchlab/cli.py"
 INGEST = "src/prefetchlab/ingest.py"
+FORKJOIN = "src/prefetchlab/forkjoin.py"
 
 MUTANTS = (
     Mutant(
@@ -177,5 +178,52 @@ MUTANTS = (
         old="user_id, method, url = user_id.strip(), method.strip(), url.strip()",
         new="pass",
         tests=("tests/test_ingest.py::test_padded_fields_load_alike_from_csv_and_jsonl",),
+    ),
+    Mutant(
+        "run-user-drops-its-last-config", ENGINE,
+        old="    for config in configs:\n        depth = config.trigger_depth",
+        new="    for config in configs[:-1]:\n        depth = config.trigger_depth",
+        tests=("tests/test_engine.py::"
+               "test_run_user_prunes_once_and_runs_each_config_on_the_pruned_input",
+               "tests/test_engine.py::test_run_user_returns_timing_and_outcome"),
+    ),
+    Mutant(
+        "ppm-suffix-walk-root-first", PREDICTORS,
+        old="for node in suffixes[:0:-1]:",
+        new="for node in suffixes[1:]:",  # the shortest suffix wins
+        tests=("tests/test_predictors.py::test_ppm_longest_suffix_wins",
+               "tests/test_acceptance.py::test_criterion_01_oracle_equivalence"),
+    ),
+    Mutant(
+        "naive-update-keeps-a-stale-list", PREDICTORS,
+        old="            self.seen[key] = None\n            self._offered = None",
+        new="            self.seen[key] = None",
+        tests=("tests/test_predictors.py::test_naive_returns_one_list_until_a_new_key_arrives",
+               "tests/test_acceptance.py::test_criterion_01_oracle_equivalence"),
+    ),
+    Mutant(
+        "dead-private-function", CLI,
+        old="def _fmt(value: float | None) -> str:",
+        new="def _unused() -> None:\n    pass\n\n\ndef _fmt(value: float | None) -> str:",
+        tests=("tests/test_imports.py::test_every_private_function_and_class_is_referenced",),
+    ),
+    Mutant(
+        "check-out-accepts-an-out-under-a-file", CLI,
+        old="if not existing.is_dir():",
+        new="if not existing.exists():",  # never true: the first existing path is accepted
+        tests=("tests/test_cli.py::test_out_under_a_file_exits_1_before_the_input_is_read",),
+    ),
+    Mutant(
+        "forkjoin-raises-the-latest-failure", FORKJOIN,
+        old="raise min(failures)[1]",
+        new="raise max(failures)[1]",
+        tests=("tests/test_cli.py::test_run_jobs_raises_the_earliest_payloads_exception",),
+    ),
+    Mutant(
+        "main-misses-nothing-to-report", CLI,
+        old="except (OSError, ValueError, NothingToReport) as exc:",
+        new="except (OSError, ValueError) as exc:",  # a traceback instead of one error line
+        tests=("tests/test_cli.py::test_ingest_without_get_rows_fails",
+               "tests/test_cli.py::test_store_without_users_exits_1_and_writes_nothing"),
     ),
 )

@@ -6,19 +6,20 @@ the worker count are the only nondeterministic values, so they live in a
 dedicated "runtime" section (JSON) or column (CSV) that consumers and
 golden-file comparisons can drop. A command with no user to report on (none
 kept by ``ingest``, none evaluated, none long enough for a sweep window)
-prints one ``error:`` line, exits 1 and writes nothing. Every command writes
-all of its files or none: each goes through ``_publish``, the only code that
-creates ``--out``.
+raises ``NothingToReport`` and writes nothing; only ``main`` prints an error,
+as one ``error:`` line. Every command writes all of its files or none: each
+goes through ``_publish``, the only code that creates ``--out``.
 
-The unit of work is the user. ``evaluate`` and ``sweep`` make one job per
-user that does all of the user's work under all of its configs: a sweep job
-is one ``sweep_user`` call; an evaluate job applies the domain cut-off,
-names the user's skip reason or calls ``run_user`` once per prune regime
-(for ``evaluate --prune``, unpruned, then pruned, with the training slice
-pruned once), and scores the runs. With more than one worker the command
-forks (``forkjoin``): the jobs are dealt into one share per worker, the
+The unit of work is the user. ``evaluate`` and ``sweep`` map a job over the
+sorted user ids that closes over the command's inputs and does all of one
+user's work under all of its configs: a sweep job is one ``sweep_user``
+call; an evaluate job, ``_evaluate_job``, applies the domain cut-off, names
+the user's skip reason or calls ``run_user`` once per prune regime (for
+``evaluate --prune``, unpruned, then pruned, with the training slice pruned
+once), and scores the runs. With more than one worker the command forks
+(``forkjoin``): the user ids are dealt into one share per worker, the
 command's own process maps the first share and a forked child each other
-share, and the results are put back in job order, so the worker count never
+share, and the results are put back in user order, so the worker count never
 changes any output outside "runtime". ``evaluate()`` is the library form of
 the evaluate command: it checks its options, sends the jobs and builds the
 report.json dict from their results; ``cmd_evaluate`` only loads the input
@@ -44,13 +45,16 @@ from .predictors import (ALGORITHMS, DEFAULT_LOOKAHEAD_WINDOW, DEFAULT_PPM_ORDER
                          DEFAULT_TOP_N, PredictorConfig, _config_algorithms)
 from .pruning import STRATEGIES, PruneSpec, domain_cutoff_filter
 from .sweep import (DEFAULT_CUTOFF_EPSILON, DEFAULT_WINDOW_SIZES, SWEEP_METRICS,
-                    SlidingWindowSpec, UserSweep, build_sweep_result, cutoff_scan,
-                    sweep_user)
+                    SlidingWindowSpec, build_sweep_result, cutoff_scan, sweep_user)
 from .traces import UserTrace, _running_sum, population_summary, repetition_stats
 
 REPORT_FORMAT = "prefetchlab-report/v1"
 SWEEP_FORMAT = "prefetchlab-sweep/v1"
 ALL_METRIC_NAMES = METRIC_NAMES + NORMALIZED_NAMES
+
+
+class NothingToReport(Exception):
+    """A command has no user to report on; ``main`` prints it and exits 1."""
 
 
 # ---------------------------------------------------------------- plumbing
@@ -106,19 +110,20 @@ def _configs(args) -> list[PredictorConfig]:
             for a in ALGORITHMS if a in chosen]
 
 
-def _run_jobs(fn, payloads: list, workers: int) -> list:
-    """Order-preserving map over up to ``workers`` processes, in-process for one.
+def _run_jobs(job, users: list[str], workers: int) -> list:
+    """``[job(uid) for uid in users]`` over up to ``workers`` processes, in-process for one.
 
-    More than one share forks (see ``forkjoin``); without ``os.fork`` the map
-    runs in-process.
+    ``job`` closes over the command's inputs: forked children inherit it, so
+    only its results are pickled. More than one share forks (see
+    ``forkjoin``); without ``os.fork`` the map runs in-process.
     """
-    shares = min(workers, len(payloads)) if hasattr(os, "fork") else 1
+    shares = min(workers, len(users)) if hasattr(os, "fork") else 1
     if shares <= 1:
-        return [fn(p) for p in payloads]
+        return [job(uid) for uid in users]
     # imported here: only a run with more than one worker compiles and loads it
     from .forkjoin import fork_map
 
-    return fork_map(fn, payloads, shares)
+    return fork_map(job, users, shares)
 
 
 def _check_options(domain_cutoff: float | None, workers: int) -> None:
@@ -151,14 +156,12 @@ def _timing_summary(samples_ms: list[float]) -> dict | None:
 def cmd_ingest(args) -> int:
     traces, summary = load_traces(args.input, fmt=args.format, strict=args.strict)
     if not traces:
-        print("error: no GET requests parsed from input", file=sys.stderr)
-        return 1
+        raise NothingToReport("no GET requests parsed from input")
     kept, outliers = remove_outlier_users(traces)
     if not kept:
-        print(f"error: no user kept of {len(traces)} parsed (floor "
-              f"{outliers.min_request_floor} requests, outlier fence {outliers.upper_fence:.1f})",
-              file=sys.stderr)
-        return 1
+        raise NothingToReport(f"no user kept of {len(traces)} parsed (floor "
+                              f"{outliers.min_request_floor} requests, outlier fence "
+                              f"{outliers.upper_fence:.1f})")
     report = {
         "format": REPORT_FORMAT,
         "command": "ingest",
@@ -183,8 +186,7 @@ def cmd_ingest(args) -> int:
 def cmd_stats(args) -> int:
     traces = _load_input(args.input, args.format, args.strict)
     if not traces:
-        print("error: no traces in input", file=sys.stderr)
-        return 1
+        raise NothingToReport("no traces in input")
     per_user = {uid: repetition_stats(traces[uid]) for uid in sorted(traces)}
     pct = population_summary([s.repeated_pct for s in per_user.values()])
     count = population_summary([float(s.repeated_count) for s in per_user.values()])
@@ -209,7 +211,8 @@ def cmd_stats(args) -> int:
 
 # ---------------------------------------------------------------- evaluate
 
-def _evaluate_job(payload) -> str | list[list[tuple[RunResult, MetricsReport]]]:
+def _evaluate_job(uid, trace, configs, spec, prune_specs, domain_cutoff
+                  ) -> str | list[list[tuple[RunResult, MetricsReport]]]:
     """One user's skip reason, or per prune regime (unpruned first) one scored run per config.
 
     With a ``domain_cutoff`` the trace first keeps only its domains at or
@@ -217,7 +220,6 @@ def _evaluate_job(payload) -> str | list[list[tuple[RunResult, MetricsReport]]]:
     too short to split. Recalls are normalised against the user's Naive run
     when Naive runs.
     """
-    uid, trace, configs, spec, prune_specs, domain_cutoff = payload
     if domain_cutoff is not None:
         trace = domain_cutoff_filter(trace, domain_cutoff)
         if len(trace) == 0:
@@ -251,8 +253,8 @@ def evaluate(traces: dict[str, UserTrace], configs: list[PredictorConfig], spec:
     _check_options(domain_cutoff, workers)
     users = sorted(traces)
     regimes = [None, prune_spec] if prune_spec else [None]
-    jobs = _run_jobs(_evaluate_job, [(uid, traces[uid], configs, spec, regimes, domain_cutoff)
-                                     for uid in users], workers)
+    jobs = _run_jobs(lambda uid: _evaluate_job(uid, traces[uid], configs, spec, regimes,
+                                               domain_cutoff), users, workers)
     skips = {uid: job for uid, job in zip(users, jobs) if isinstance(job, str)}
     # scored[user][regime][config] is a (RunResult, MetricsReport)
     scored = {uid: job for uid, job in zip(users, jobs) if not isinstance(job, str)}
@@ -332,9 +334,8 @@ def cmd_evaluate(args) -> int:
                       args.domain_cutoff, args.workers)
     users = report["users"]
     if not users["evaluated"]:
-        print(f"error: no user to evaluate: {users['loaded']} loaded, "
-              f"{len(users['skipped'])} skipped", file=sys.stderr)
-        return 1
+        raise NothingToReport(f"no user to evaluate: {users['loaded']} loaded, "
+                              f"{len(users['skipped'])} skipped")
     out = Path(args.out)
     _publish(out, {"report.json": (_write_json, report),
                    "metrics.csv": (_write_metrics_csv, report)})
@@ -361,25 +362,18 @@ def _write_metrics_csv(path: Path, report: dict) -> None:
 
 # ---------------------------------------------------------------- sweep
 
-def _sweep_job(payload) -> list[UserSweep]:
-    """One user's sweep under each config (``sweep_user`` decides which share a pass)."""
-    return sweep_user(*payload)
-
-
 def cmd_sweep(args) -> int:
-    started = time.perf_counter()
     swspec = SlidingWindowSpec(args.sizes or DEFAULT_WINDOW_SIZES, args.ratio)
     configs = _configs(args)
     _check_options(None, args.workers)
     traces = _load_input(args.input, args.format, args.strict)
+    started = time.perf_counter()  # as in evaluate, the input's loading is not timed
     users = sorted(traces)
     smallest = min(swspec.window_sizes)
     if not any(len(traces[uid]) >= smallest for uid in users):  # then no window at all
-        print(f"error: no user to sweep: {len(users)} loaded, none of "
-              f"{smallest} requests or more", file=sys.stderr)
-        return 1
-    jobs = _run_jobs(_sweep_job, [(traces[uid], configs, swspec) for uid in users],
-                     args.workers)
+        raise NothingToReport(f"no user to sweep: {len(users)} loaded, none of "
+                              f"{smallest} requests or more")
+    jobs = _run_jobs(lambda uid: sweep_user(traces[uid], configs, swspec), users, args.workers)
     results = [build_sweep_result(sweeps, swspec) for sweeps in zip(*jobs)]  # one per config
     algo_sections, outputs = {}, {}
     for config, result in zip(configs, results):
@@ -553,12 +547,10 @@ def main(argv=None) -> int:
         if args.out is not None:  # checked before the input, which may be large, is read
             _check_out(Path(args.out))
         return args.func(args)
-    except (LogParseError, OSError) as exc:  # a bad row, or a path that cannot be read or written
+    except (OSError, ValueError, NothingToReport) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # 1: a bad row, an unusable path or nothing to report; 2: a bad option or a bad store
+        return 1 if isinstance(exc, (LogParseError, OSError, NothingToReport)) else 2
 
 
 if __name__ == "__main__":

@@ -257,8 +257,12 @@ class PPMModel:
                 node = child
         self.root.count -= count
         _trim(self.recent_context, len(stream) - count)
-        context = list(self.recent_context)
-        self._suffixes = [self._lookup(context[i:]) for i in range(len(context), -1, -1)]
+        self._suffixes = self._suffix_nodes(self.recent_context)
+
+    def _suffix_nodes(self, context: Sequence[str]) -> list[_TrieNode | None]:
+        """Each suffix of the last ``order`` keys as its trie node or None, root first."""
+        tail = list(context)[-self._order:]
+        return [self._lookup(tail[start:]) for start in range(len(tail), -1, -1)]
 
     def _lookup(self, path: Sequence[str]) -> _TrieNode | None:
         node = self.root
@@ -269,13 +273,9 @@ class PPMModel:
         return node
 
     def predict(self, context: Sequence[str]) -> list[str]:
-        if context == self.recent_context:
-            # the nodes are at hand: longest suffix first, the root left out
-            nodes = self._suffixes[:0:-1]
-        else:
-            tail = list(context)[-self._order:]
-            nodes = (self._lookup(tail[-length:]) for length in range(len(tail), 0, -1))
-        for node in nodes:
+        # the model's own context has its nodes at hand, kept by update
+        suffixes = self._suffixes if context == self.recent_context else self._suffix_nodes(context)
+        for node in suffixes[:0:-1]:  # longest suffix first, the root left out
             if not node:  # missing, or without children
                 continue
             total, threshold = node.count, self._threshold

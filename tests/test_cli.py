@@ -10,6 +10,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -799,10 +800,10 @@ def test_sweep_rejects_a_repeated_window_size_and_writes_nothing(tmp_path, capsy
 
 
 def test_sweep_whose_job_fails_leaves_no_out_directory(tmp_path, capsys, monkeypatch):
-    def failing_sweep_job(payload):
+    def failing_sweep_user(trace, configs, spec):
         raise ValueError("cannot sweep")
 
-    monkeypatch.setattr(cli, "_sweep_job", failing_sweep_job)
+    monkeypatch.setattr(cli, "sweep_user", failing_sweep_user)
     log = _make_log(tmp_path, count=2)
     out = tmp_path / "partial_out" / "x"
     rc = main(["sweep", "--input", str(log), "--out", str(out), "--sizes", "5,10",
@@ -810,6 +811,22 @@ def test_sweep_whose_job_fails_leaves_no_out_directory(tmp_path, capsys, monkeyp
     assert rc == 2
     assert capsys.readouterr().err == "error: cannot sweep\n"
     assert not (tmp_path / "partial_out").exists()
+
+
+def test_sweep_elapsed_time_leaves_out_loading_the_input(tmp_path, monkeypatch):
+    # as in evaluate, runtime.elapsed_s times the sweep, not the reading of the log
+    load_traces = cli.load_traces
+
+    def slow_load_traces(*args, **kwargs):
+        time.sleep(0.3)
+        return load_traces(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_traces", slow_load_traces)
+    log = _make_log(tmp_path, count=2)
+    out = tmp_path / "o"
+    assert main(["sweep", "--input", str(log), "--out", str(out), "--sizes", "5,10",
+                 "--workers", "1"]) == 0
+    assert _read_json(out / "sweep_summary.json")["runtime"]["elapsed_s"] < 0.3
 
 
 def test_sweep_with_two_configs_for_one_algorithm_exits_2_and_writes_nothing(

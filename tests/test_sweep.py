@@ -8,7 +8,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from prefetchlab import sweep
-from prefetchlab.cli import _sweep_job
 from prefetchlab.predictors import ALGORITHMS, PredictorConfig, train
 from prefetchlab.engine import run_test_engine
 from prefetchlab.metrics import metrics_report
@@ -205,7 +204,7 @@ def test_unequal_lookahead_windows_sweep_dg_and_mp_apart():
     spec = SlidingWindowSpec(window_sizes=(5, 12), training_ratio=0.7)
     configs = [PredictorConfig("dg", lookahead_window=1, confidence_threshold=0.0),
                PredictorConfig("naive"), PredictorConfig("mp", lookahead_window=3, top_n=1)]
-    assert [_without_time(s) for s in _sweep_job((trace, configs, spec))] == [
+    assert [_without_time(s) for s in sweep_user(trace, configs, spec)] == [
         _without_time(sweep_user(trace, [config], spec)[0]) for config in configs]
 
 
@@ -247,7 +246,7 @@ def test_default_sweep_trains_one_dg_and_one_ppm_model_per_size(monkeypatch):
     spec = SlidingWindowSpec(window_sizes=(5, 12, 30), training_ratio=0.7)
     configs = [PredictorConfig(algorithm) for algorithm in ALGORITHMS]
     trace = _trace("u1", [f"https://site.example/p{(i * i) % 7}" for i in range(40)])
-    user_sweeps = _sweep_job((trace, configs, spec))
+    user_sweeps = sweep_user(trace, configs, spec)
     assert [s.skipped_sizes for s in user_sweeps] == [()] * len(configs)
     # the first window of each size is trained, so its training length names the size
     assert sorted(trained) == sorted((algorithm, spec.training_length(size))
