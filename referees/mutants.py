@@ -27,6 +27,19 @@ SWEEP = "src/prefetchlab/sweep.py"
 CLI = "src/prefetchlab/cli.py"
 INGEST = "src/prefetchlab/ingest.py"
 FORKJOIN = "src/prefetchlab/forkjoin.py"
+TRACES = "src/prefetchlab/traces.py"
+
+# fork_map's loop over the children's pipes, which follows the parent's own slice
+READ_CHILDREN = """\
+        for pid, reader in zip(pids, readers):
+            data = reader.read()
+            if not data:
+                raise ChildProcessError(f"worker process {pid} ended without its results")
+            results, exc = pickle.loads(data)
+            if exc is not None:
+                raise exc
+            merged += results
+"""
 
 MUTANTS = (
     Mutant(
@@ -215,8 +228,10 @@ MUTANTS = (
     ),
     Mutant(
         "forkjoin-raises-the-latest-failure", FORKJOIN,
-        old="raise min(failures)[1]",
-        new="raise max(failures)[1]",
+        old="merged = [fn(p) for p in payloads[:bounds[1]]]\n" + READ_CHILDREN,
+        # the parent reads the children before it maps its own slice
+        new=("merged = []\n" + READ_CHILDREN
+             + "        merged[:0] = [fn(p) for p in payloads[:bounds[1]]]\n"),
         tests=("tests/test_cli.py::test_run_jobs_raises_the_earliest_payloads_exception",),
     ),
     Mutant(
@@ -225,5 +240,78 @@ MUTANTS = (
         new="except (OSError, ValueError) as exc:",  # a traceback instead of one error line
         tests=("tests/test_cli.py::test_ingest_without_get_rows_fails",
                "tests/test_cli.py::test_store_without_users_exits_1_and_writes_nothing"),
+    ),
+    Mutant(
+        "fork-parent-takes-the-child-branch", FORKJOIN,
+        old="if pid == 0:",
+        new="if pid != 0:",  # the pytest process itself ends in the child's os._exit
+        tests=("tests/test_cli.py::test_run_jobs_equals_the_serial_map",),
+    ),
+    Mutant(
+        "one-worker-loads-forkjoin", CLI,
+        old="if shares <= 1:",
+        new="if shares < 1:",  # one share goes through fork_map, which forks nothing
+        tests=("tests/test_cli.py::test_one_worker_evaluate_leaves_forkjoin_unloaded",),
+    ),
+    Mutant(
+        "cutoff-trend-from-the-second-mean", SWEEP,
+        old="total = values[-1] - values[0]",
+        new="total = values[-1] - values[1]",
+        tests=("tests/test_sweep.py::test_cutoff_scan_equals_its_definition",),
+    ),
+    Mutant(
+        "cutoff-settles-only-below-epsilon", SWEEP,
+        old="if abs(values[i + 1] - values[i]) > epsilon:",
+        new="if abs(values[i + 1] - values[i]) >= epsilon:",
+        tests=("tests/test_sweep.py::test_cutoff_scan_equals_its_definition",),
+    ),
+    Mutant(
+        "cutoff-flat-only-below-epsilon", SWEEP,
+        old="if abs(total) <= epsilon:",
+        new="if abs(total) < epsilon:",
+        tests=("tests/test_sweep.py::test_cutoff_scan_equals_its_definition",),
+    ),
+    Mutant(
+        "user-traces-always-equal", TRACES,
+        old="return type(other) is UserTrace and (",
+        new="return type(other) is UserTrace or (",
+        tests=("tests/test_traces.py::test_traces_that_differ_in_one_field_compare_unequal",),
+    ),
+    Mutant(
+        "pairwise-sum-runs-8-values", TRACES,
+        old="if n < 8:",
+        new="if n <= 8:",
+        tests=("tests/test_traces.py::test_population_summary_equals_numpy_bit_for_bit",),
+    ),
+    Mutant(
+        "prune-reductions-of-the-second-algorithm", CLI,
+        old="for entry in results[algorithms[0]].values() if entry[\"prune\"]]",
+        new="for entry in results[algorithms[1]].values() if entry[\"prune\"]]",
+        tests=("tests/test_cli.py::test_evaluate_prune_with_one_algorithm_reports_its_deltas",),
+    ),
+    Mutant(
+        "prune-delta-of-a-none-mean", CLI,
+        old="None if after is None or before is None else after - before",
+        new="None if after is None and before is None else after - before",
+        tests=("tests/test_cli.py::"
+               "test_prune_delta_is_none_where_a_mean_is_none_in_one_regime_only",),
+    ),
+    Mutant(
+        "bad-header-on-line-2", INGEST,
+        old='raise LogParseError(1, f"bad header',
+        new='raise LogParseError(2, f"bad header',
+        tests=("tests/test_ingest.py::test_bad_header_error_names_line_1",),
+    ),
+    Mutant(
+        "selftest-default-seed-1", CLI,
+        old='p.add_argument("--seed", type=int, default=0,',
+        new='p.add_argument("--seed", type=int, default=1,',
+        tests=("tests/test_cli.py::test_selftest_without_seed_runs_and_records_seed_0",),
+    ),
+    Mutant(
+        "workers-default-one", CLI,
+        old="default=os.cpu_count() or 1,",
+        new="default=os.cpu_count() and 1,",
+        tests=("tests/test_cli.py::test_workers_defaults_to_the_cpu_count",),
     ),
 )

@@ -3,10 +3,10 @@
     python referees/run.py
 
 The script copies ``src/``, ``tests/``, ``perfbench/``, ``referees/``,
-``demos/`` and ``pyproject.toml``, everything the test suite reads, into a
-temporary directory. There it first runs every mutant's tests on the
-unmutated copy, which must pass; then it applies each mutant alone, runs its
-tests, which must fail, and puts the file back. A mutant whose tests
+``demos/``, ``pyproject.toml`` and ``conftest.py``, everything the test suite
+reads, into a temporary directory. There it first runs every mutant's tests
+on the unmutated copy, which must pass; then it applies each mutant alone,
+runs its tests, which must fail, and puts the file back. A mutant whose tests
 still pass survived. The exit status is 0 when every mutant is killed and 1
 otherwise. It runs pytest once per mutant, so it is not part of the tier-1
 suite.
@@ -24,7 +24,7 @@ from pathlib import Path
 from mutants import MUTANTS
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "perfbench", "referees", "demos", "pyproject.toml")
+COPIED = ("src", "tests", "perfbench", "referees", "demos", "pyproject.toml", "conftest.py")
 TESTS_FAILED = 1  # pytest's exit code when tests ran and some failed
 
 

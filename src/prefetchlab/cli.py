@@ -17,13 +17,13 @@ call; an evaluate job, ``_evaluate_job``, applies the domain cut-off, names
 the user's skip reason or calls ``run_user`` once per prune regime (for
 ``evaluate --prune``, unpruned, then pruned, with the training slice pruned
 once), and scores the runs. With more than one worker the command forks
-(``forkjoin``): the user ids are dealt into one share per worker, the
-command's own process maps the first share and a forked child each other
-share, and the results are put back in user order, so the worker count never
-changes any output outside "runtime". ``evaluate()`` is the library form of
-the evaluate command: it checks its options, sends the jobs and builds the
-report.json dict from their results; ``cmd_evaluate`` only loads the input
-and writes the files.
+(``forkjoin``): the user ids are cut into one contiguous slice per worker,
+the command's own process maps the first slice and a forked child each
+other slice, and the slices' results are joined in user order, so the
+worker count never changes any output outside "runtime". ``evaluate()`` is
+the library form of the evaluate command: it checks its options, sends the
+jobs and builds the report.json dict from their results; ``cmd_evaluate``
+only loads the input and writes the files.
 """
 
 from __future__ import annotations
@@ -113,9 +113,9 @@ def _configs(args) -> list[PredictorConfig]:
 def _run_jobs(job, users: list[str], workers: int) -> list:
     """``[job(uid) for uid in users]`` over up to ``workers`` processes, in-process for one.
 
-    ``job`` closes over the command's inputs: forked children inherit it, so
-    only its results are pickled. More than one share forks (see
-    ``forkjoin``); without ``os.fork`` the map runs in-process.
+    ``job`` closes over the command's inputs, which forked children inherit:
+    only its results are pickled. Each process maps one contiguous slice of
+    ``users`` (``forkjoin``); without ``os.fork`` the map runs in-process.
     """
     shares = min(workers, len(users)) if hasattr(os, "fork") else 1
     if shares <= 1:

@@ -1,12 +1,12 @@
 """Order-preserving map over forked worker processes (POSIX only).
 
-``fork_map(fn, payloads, shares)`` deals the payloads round-robin into
-``shares`` shares. The calling process forks one child for each share but
-the first and maps share 0 itself. A child inherits ``fn`` and the payloads
-through the fork, so neither is pickled; it pickles only its outcome (the
-results, or the exception that stopped it) to its own pipe and exits with
-``os._exit``, never returning into the caller's code. The parent then reads
-every pipe, reaps every child, and puts the results back in payload order.
+``fork_map(fn, payloads, shares)`` cuts the payloads into ``shares``
+contiguous slices. The calling process forks one child for each slice but
+the first, then maps the first slice itself. A child inherits ``fn`` and the
+payloads through the fork, so neither is pickled; it pickles only its outcome
+(its results, or the exception that stopped it) to its own pipe and exits
+with ``os._exit``, never returning into the caller's code. The parent reads
+the pipes in slice order, reaps every child, and concatenates the results.
 
 A forked child holds a copy of every lock as it was at the fork, so call
 ``fork_map`` only from a process that runs no other threads, as the CLI
@@ -21,19 +21,8 @@ import pickle
 from typing import NoReturn
 
 
-def _map_share(fn, payloads: list) -> tuple[list, Exception | None]:
-    """``fn`` over ``payloads`` until one raises: the results before it and the exception."""
-    results = []
-    try:
-        for payload in payloads:
-            results.append(fn(payload))
-    except Exception as exc:
-        return results, exc
-    return results, None
-
-
-def _run_child_share(fn, payloads: list, writer, readers: list) -> NoReturn:
-    """In a forked child: map one share, pickle the outcome to ``writer`` and exit.
+def _run_child(fn, payloads: list, writer, readers: list) -> NoReturn:
+    """In a forked child: map one slice, pickle the outcome to ``writer`` and exit.
 
     The child ends here whatever happens, so it never returns into the caller's code.
     """
@@ -41,9 +30,13 @@ def _run_child_share(fn, payloads: list, writer, readers: list) -> NoReturn:
         for reader in readers:  # its own read end and those of earlier children
             reader.close()
         try:
-            data = pickle.dumps(_map_share(fn, payloads))
-        except Exception as exc:  # a result that cannot be pickled
-            data = pickle.dumps(([], exc))
+            outcome = ([fn(p) for p in payloads], None)
+        except Exception as exc:
+            outcome = (None, exc)
+        try:
+            data = pickle.dumps(outcome)
+        except Exception as exc:  # a result or an exception that cannot be pickled
+            data = pickle.dumps((None, exc))
         writer.write(data)
         writer.flush()
     finally:
@@ -53,11 +46,13 @@ def _run_child_share(fn, payloads: list, writer, readers: list) -> NoReturn:
 def fork_map(fn, payloads: list, shares: int) -> list:
     """``[fn(p) for p in payloads]``, computed in ``shares`` processes (``shares >= 2``).
 
-    Share ``k`` is ``payloads[k::shares]``. When jobs raise, the exception of
-    the earliest payload is raised, as the serial map would raise it. The
-    parent reaps every child before it returns or raises, also when its own
-    share or reading a pipe fails.
+    Slice ``k`` runs from ``len(payloads) * k // shares`` up to the next
+    bound. When jobs raise, the first slice that fails holds the earliest
+    failing payload, and its exception is raised, as the serial map would
+    raise it. The parent reaps every child before it returns or raises, also
+    when its own slice or reading a pipe fails.
     """
+    bounds = [len(payloads) * k // shares for k in range(shares + 1)]
     pids, readers = [], []
     try:
         for k in range(1, shares):
@@ -66,26 +61,20 @@ def fork_map(fn, payloads: list, shares: int) -> list:
             with open(write_fd, "wb") as writer:
                 pid = os.fork()
                 if pid == 0:
-                    _run_child_share(fn, payloads[k::shares], writer, readers)
+                    _run_child(fn, payloads[bounds[k]:bounds[k + 1]], writer, readers)
                 pids.append(pid)
-        outcomes = [_map_share(fn, payloads[::shares])]
+        merged = [fn(p) for p in payloads[:bounds[1]]]
         for pid, reader in zip(pids, readers):
             data = reader.read()
             if not data:
                 raise ChildProcessError(f"worker process {pid} ended without its results")
-            outcomes.append(pickle.loads(data))
+            results, exc = pickle.loads(data)
+            if exc is not None:
+                raise exc
+            merged += results
     finally:
         for reader in readers:
             reader.close()
         for pid in pids:
             os.waitpid(pid, 0)
-
-    # (index of the payload that raised, exception); no two shares hold one index
-    failures = [(k + len(results) * shares, exc)
-                for k, (results, exc) in enumerate(outcomes) if exc is not None]
-    if failures:
-        raise min(failures)[1]
-    merged = [None] * len(payloads)
-    for k, (results, _) in enumerate(outcomes):
-        merged[k::shares] = results
     return merged

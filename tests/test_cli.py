@@ -23,6 +23,7 @@ from prefetchlab.predictors import ALGORITHMS, PredictorConfig
 from prefetchlab.pruning import PruneSpec
 from prefetchlab.sweep import SWEEP_METRICS, SlidingWindowSpec, build_sweep_result, sweep_user
 from prefetchlab.synth import bursty_traces, write_log
+from prefetchlab.traces import UserTrace
 
 HEADER = "user_id,timestamp_ms,method,url\n"
 
@@ -447,6 +448,28 @@ def test_evaluate_with_prune_reports_baseline_and_deltas(tmp_path):
             assert 0 < entry["prune"]["kept_requests"]
 
 
+def test_evaluate_prune_with_one_algorithm_reports_its_deltas(tmp_path):
+    log = _make_log(tmp_path)
+    assert main(["evaluate", "--input", str(log), "--out", str(tmp_path / "o"),
+                 "--algo", "dg", "--prune", "mor", "--workers", "1"]) == 0
+    section = _read_json(tmp_path / "o" / "report.json")["pruning"]
+    assert list(section["delta_means"]) == ["dg"]
+    assert section["size_reduction"]["mean"] is not None
+
+
+def test_prune_delta_is_none_where_a_mean_is_none_in_one_regime_only():
+    # mor keeps only a's requests, and DG trained on them prefetches nothing in the test
+    a, b, c = (f"https://{d}.example/" for d in "abc")
+    keys = [a, a, a, b, c, b, c]
+    trace = UserTrace("u", list(range(len(keys))), keys)
+    report = evaluate({"u": trace}, [PredictorConfig("dg")], SplitSpec(0.7),
+                      PruneSpec("mor", 0.2))
+    section = report["pruning"]
+    assert report["aggregates"]["dg"]["static_precision"]["mean"] is None
+    assert section["baseline_aggregates"]["dg"]["static_precision"]["mean"] is not None
+    assert section["delta_means"]["dg"]["static_precision"] is None
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_evaluate_skips_ineligible_users(tmp_path, workers):
     lines = [HEADER]
@@ -521,15 +544,17 @@ def test_run_jobs_without_fork_maps_in_process(monkeypatch):
         (p, os.getpid()) for p in (1, 2, 3)]
 
 
-@pytest.mark.parametrize("failing", [{3, 4}, {2, 5}, {5}])
+# slices of 8 payloads: [0, 4) [4, 8) at 2 shares, [0, 2) [2, 5) [5, 8) at 3;
+# of 7 payloads at 3 shares: [0, 2) [2, 4) [4, 7)
+@pytest.mark.parametrize("failing", [{3, 4}, {2, 5}, {5}, {1, 6}, {1, 2}])
 def test_run_jobs_raises_the_earliest_payloads_exception(failing):
     def job(p):
         if p in failing:
             raise ValueError(f"payload {p}")
         return p
-    for workers in (1, 2, 3):
+    for count, workers in ((8, 1), (8, 2), (8, 3), (7, 3)):
         with pytest.raises(ValueError, match=f"payload {min(failing)}"):
-            _run_jobs(job, list(range(8)), workers)
+            _run_jobs(job, list(range(count)), workers)
         _assert_no_child_left()
 
 
@@ -540,7 +565,7 @@ def test_value_error_in_a_childs_share_exits_2_as_with_one_worker(tmp_path, caps
     users = sorted(load_traces(log)[0])
 
     def failing_run_user(trace, *args):
-        if trace.user_id == users[1]:  # the first payload of the first child's share
+        if trace.user_id == users[2]:  # the first payload of the first child's slice
             raise ValueError(f"cannot evaluate {trace.user_id}")
         return run_user(trace, *args)
 
@@ -551,13 +576,13 @@ def test_value_error_in_a_childs_share_exits_2_as_with_one_worker(tmp_path, caps
                      "--workers", workers]) == 2
         errors.append(capsys.readouterr().err)
         _assert_no_child_left()
-    assert errors[0] == errors[1] == f"error: cannot evaluate {users[1]}\n"
+    assert errors[0] == errors[1] == f"error: cannot evaluate {users[2]}\n"
 
 
 def test_log_parse_error_in_a_childs_share_reaches_the_parent_intact(tmp_path, capsys,
                                                                      monkeypatch):
     def job(p):
-        if p == 2:  # the first payload of the child's share
+        if p == 3:  # the first payload of the child's slice
             raise LogParseError(3, "bad")
         return p
 
@@ -566,11 +591,16 @@ def test_log_parse_error_in_a_childs_share_reaches_the_parent_intact(tmp_path, c
     assert err.value.line_no == 3 and str(err.value) == "line 3: bad"
     _assert_no_child_left()
 
+    log = _make_log(tmp_path)
+    run_user = cli.run_user
+    users = sorted(load_traces(log)[0])
+
     def failing_run_user(trace, *args):
-        raise LogParseError(3, "bad")
+        if trace.user_id == users[2]:  # the first payload of the child's slice
+            raise LogParseError(3, "bad")
+        return run_user(trace, *args)
 
     monkeypatch.setattr(cli, "run_user", failing_run_user)
-    log = _make_log(tmp_path)
     assert main(["evaluate", "--input", str(log), "--out", str(tmp_path / "o"),
                  "--workers", "2"]) == 1
     assert capsys.readouterr().err == "error: line 3: bad\n"
@@ -585,6 +615,17 @@ def test_run_jobs_result_that_cannot_be_pickled_raises_in_the_parent_alone(tmp_p
     with after.open("a") as fh:
         fh.write(f"{os.getpid()}\n")
     assert after.read_text().split() == [str(os.getpid())]
+    _assert_no_child_left()
+
+
+def test_run_jobs_exception_that_cannot_be_pickled_raises_its_pickling_error():
+    def job(p):
+        if p == 3:  # the first payload of the child's slice
+            raise ValueError(lambda: p)
+        return p
+
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        _run_jobs(job, [1, 2, 3, 4], 2)
     _assert_no_child_left()
 
 
@@ -615,6 +656,17 @@ def test_forked_evaluate_loads_no_process_pool_module(tmp_path):
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.splitlines()[-1] == "0 []"
     assert (tmp_path / "out" / "report.json").is_file()
+
+
+def test_one_worker_evaluate_leaves_forkjoin_unloaded(tmp_path):
+    log = _make_log(tmp_path, count=3)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from prefetchlab.cli import main; "
+            "rc = main(['evaluate', '--input', sys.argv[2], '--out', sys.argv[3], "
+            "'--workers', '1']); print(rc, 'prefetchlab.forkjoin' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src, str(log), str(tmp_path / "out")],
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.splitlines()[-1] == "0 False"
 
 
 def test_evaluate_rejects_bad_ratio_with_exit_2(tmp_path, capsys):
@@ -660,6 +712,13 @@ def test_workers_below_one_exit_2_before_the_input_is_read(tmp_path, capsys, com
     err = capsys.readouterr().err
     assert err.startswith("error:") and "workers" in err and "nope.csv" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_workers_defaults_to_the_cpu_count():
+    parser = cli.build_parser()
+    for command in ("evaluate", "sweep"):
+        args = parser.parse_args([command, "--input", "log.csv", "--out", "o"])
+        assert args.workers == (os.cpu_count() or 1)
 
 
 def test_library_evaluate_rejects_workers_below_one(tmp_path):
@@ -1192,6 +1251,21 @@ def test_selftest_passes_and_writes_report(tmp_path, capsys):
     assert [c["passed"] for c in report["checks"]] == [True] * 5
     assert "forget-equals-fresh" in [c["name"] for c in report["checks"]]
     assert _sha((out / "selftest.json").read_bytes()) == SELFTEST_GOLDEN_DIGEST
+
+
+def test_selftest_without_seed_runs_and_records_seed_0(monkeypatch, tmp_path):
+    from prefetchlab import selftest
+
+    seeds = []
+
+    def run_selftest(seed):
+        seeds.append(seed)
+        return [selftest.CheckResult("only", True, 1)]
+
+    monkeypatch.setattr(selftest, "run_selftest", run_selftest)
+    assert main(["selftest", "--out", str(tmp_path / "st")]) == 0
+    assert seeds == [0]
+    assert _read_json(tmp_path / "st" / "selftest.json")["seed"] == 0
 
 
 def test_selftest_prints_a_failing_check_with_its_detail_and_exits_1(monkeypatch, capsys):

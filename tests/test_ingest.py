@@ -458,6 +458,13 @@ def test_bad_header_rejected(tmp_path):
         load_traces(path, fmt="csv")
 
 
+def test_bad_header_error_names_line_1(tmp_path):
+    path = _write(tmp_path, "log.csv", "who,when,how,where\nu1,1,GET,https://a.example/\n")
+    with pytest.raises(LogParseError) as err:
+        load_traces(path, fmt="csv")
+    assert err.value.line_no == 1
+
+
 @pytest.mark.parametrize(("fmt", "text"), [("csv", ""), ("jsonl", ""), ("jsonl", "\n \t\n\n")],
                          ids=["csv", "jsonl", "jsonl-blank-lines"])
 def test_ingest_of_an_empty_file_exits_1(tmp_path, capsys, fmt, text):

@@ -325,6 +325,36 @@ def test_cutoff_scan_needs_two_defined_points():
         cutoff_scan({50: 0.2})
 
 
+def _cutoff_by_definition(means, epsilon):
+    """(cutoff, trend) read off ``cutoff_scan``'s docstring, by brute force; None if undefined."""
+    points = sorted((size, value) for size, value in means.items() if value is not None)
+    if len(points) < 2:
+        return None
+    sizes = [size for size, _ in points]
+    values = [value for _, value in points]
+    # the smallest size after which every successive delta is within epsilon
+    cutoff = next(sizes[i] for i in range(len(points))
+                  if all(abs(b - a) <= epsilon for a, b in zip(values[i:], values[i + 1:])))
+    total = values[-1] - values[0]
+    trend = "flat" if abs(total) <= epsilon else "positive" if total > 0 else "negative"
+    return cutoff, trend
+
+
+# means are multiples of 1/64 and epsilon is 1/32, so deltas equal to epsilon occur exactly;
+# a band of nine means makes them common
+@given(st.dictionaries(st.integers(1, 1000),
+                       st.none() | st.integers(28, 36).map(lambda k: k / 64), max_size=8))
+@example({50: 0.5, 100: 0.5 + 1 / 32})  # one delta, and the trend, exactly at epsilon
+@example({50: 0.0, 100: 0.5, 150: 0.25})  # last minus second falls, last minus first rises
+def test_cutoff_scan_equals_its_definition(means):
+    expected = _cutoff_by_definition(means, 1 / 32)
+    if expected is None:
+        with pytest.raises(ValueError):
+            cutoff_scan(means, epsilon=1 / 32)
+    else:
+        assert cutoff_scan(means, epsilon=1 / 32) == expected
+
+
 @given(st.lists(st.floats(0, 1, allow_nan=False), min_size=2, max_size=8),
        st.floats(0.001, 0.2))
 def test_cutoff_scan_cutoff_is_a_scanned_size(values, epsilon):

@@ -60,6 +60,14 @@ def test_user_trace_build_sorts_by_timestamp_stably():
     ]
 
 
+def test_traces_that_differ_in_one_field_compare_unequal():
+    trace = UserTrace("u", [1, 2], ["a", "b"])
+    assert trace == UserTrace("u", [1, 2], ["a", "b"])
+    for other in (UserTrace("v", [1, 2], ["a", "b"]), UserTrace("u", [1, 3], ["a", "b"]),
+                  UserTrace("u", [1, 2], ["a", "c"])):
+        assert trace != other
+
+
 def test_user_trace_build_rejects_unequal_columns():
     with pytest.raises(ValueError, match="2 timestamps but 1 url_keys"):
         UserTrace.build("u1", [1, 2], ["https://a.example/"])
@@ -137,6 +145,7 @@ def np():
 
 @given(st.one_of(st.lists(summary_values, min_size=1, max_size=300), long_lists))
 @example([-0.0] * 40)  # numpy's mean of these is 0.0
+@example([0.1] * 8)  # 8 strided accumulators sum these to 0.8, a running sum to 0.7999...
 def test_population_summary_equals_numpy_bit_for_bit(np, values):
     arr = np.asarray(values, dtype=float)
     got = population_summary(values)
