@@ -314,4 +314,16 @@ MUTANTS = (
         new="default=os.cpu_count() and 1,",
         tests=("tests/test_cli.py::test_workers_defaults_to_the_cpu_count",),
     ),
+    Mutant(
+        "workers-default-two-without-a-cpu-count", CLI,
+        old="default=os.cpu_count() or 1,",
+        new="default=os.cpu_count() or 2,",
+        tests=("tests/test_cli.py::test_workers_defaults_to_the_cpu_count",),
+    ),
+    Mutant(
+        "evaluate-elapsed-adds-the-start", CLI,
+        old='"elapsed_s": time.perf_counter() - started,',  # the comma leaves out cmd_sweep's
+        new='"elapsed_s": time.perf_counter() + started,',
+        tests=("tests/test_cli.py::test_runtime_is_bounded_by_the_wall_time_around_main",),
+    ),
 )

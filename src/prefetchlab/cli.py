@@ -378,7 +378,7 @@ def cmd_sweep(args) -> int:
     algo_sections, outputs = {}, {}
     for config, result in zip(configs, results):
         outputs[f"sweep_{config.algorithm}.csv"] = (_write_sweep_rows_csv, result)
-        outputs[f"sweep_{config.algorithm}_means.csv"] = (_write_sweep_means_csv, result, swspec)
+        outputs[f"sweep_{config.algorithm}_means.csv"] = (_write_sweep_means_csv, result)
         cutoffs = {}
         for metric in SWEEP_METRICS:
             by_size = {size: result.means[size][metric]["mean"] for size in result.means}
@@ -391,7 +391,7 @@ def cmd_sweep(args) -> int:
         algo_sections[config.algorithm] = {
             "model_count": len(result.records),
             "skipped_users": {str(size): n for size, n in result.skipped.items()},
-            "means": {str(size): result.means[size] for size in swspec.window_sizes},
+            "means": {str(size): means for size, means in result.means.items()},
             "cutoffs": cutoffs,
         }
         print(f"{config.algorithm:<6} {len(result.records)} models "
@@ -418,16 +418,15 @@ def cmd_sweep(args) -> int:
 
 def _write_sweep_rows_csv(path: Path, result) -> None:
     _write_csv(path, ["window_size", "window_index", "user_id", *SWEEP_METRICS, "elapsed_ms"],
-               ([rec.window_size, rec.window_index, rec.user_id,
+               ([rec.window_size, rec.window_index, rec.metrics.user_id,
                  *(_fmt(getattr(rec.metrics, m)) for m in SWEEP_METRICS),
                  f"{rec.elapsed_s * 1000:.3f}"] for rec in result.records))
 
 
-def _write_sweep_means_csv(path: Path, result, swspec: SlidingWindowSpec) -> None:
+def _write_sweep_means_csv(path: Path, result) -> None:
     _write_csv(path, ["window_size", "metric", "mean", "count"],
-               ([size, metric, _fmt(result.means[size][metric]["mean"]),
-                 result.means[size][metric]["count"]]
-                for size in swspec.window_sizes for metric in SWEEP_METRICS))
+               ([size, metric, _fmt(means[metric]["mean"]), means[metric]["count"]]
+                for size, means in result.means.items() for metric in SWEEP_METRICS))
 
 
 # ---------------------------------------------------------------- selftest

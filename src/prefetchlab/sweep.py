@@ -18,9 +18,9 @@ is trained, and ``forget`` runs once per slide.
 DG and MP with the same lookahead window read one arc table, and Naive's seen
 set is the key set of the same model's node counts: given DG and MP configs
 that agree on the window, ``sweep_user`` slides one DG model per size for DG,
-MP and, when it runs, Naive, and replays each window once. Each of the
-window's two or three records gets an even share of its time (train or
-forget, and replay). Every other config slides its own model.
+MP and, when it runs, Naive, and replays each window once. Every other config
+slides its own model. A user's sweep under a config is the tuple of its window
+records; a trace shorter than a size has no window, and no record, of it.
 """
 
 from __future__ import annotations
@@ -77,25 +77,19 @@ def enumerate_windows(n: int, x: int, y: int) -> list[tuple[int, int]]:
 
 
 class WindowRecord(NamedTuple):
-    """One model: its window coordinates, metrics, and timing.
+    """One model: its window coordinates, metrics (which name the user), and timing.
 
     The replay outcome is reduced to its metrics at once, so no window's
     hit and miss sets stay alive until the per-size means are taken.
     """
 
-    user_id: str
     window_size: int
     window_index: int
     metrics: MetricsReport
     elapsed_s: float
 
     def sort_key(self) -> tuple:
-        return (self.window_size, self.user_id, self.window_index)
-
-
-class UserSweep(NamedTuple):
-    records: tuple[WindowRecord, ...]
-    skipped_sizes: tuple[int, ...]  # sizes this trace is too short for
+        return (self.window_size, self.metrics.user_id, self.window_index)
 
 
 class SweepResult(NamedTuple):
@@ -106,8 +100,8 @@ class SweepResult(NamedTuple):
 
 
 def sweep_user(trace: UserTrace, configs: Sequence[PredictorConfig],
-               spec: SlidingWindowSpec) -> list[UserSweep]:
-    """Evaluate every window of every size on one trace; one sweep per config, in order.
+               spec: SlidingWindowSpec) -> list[tuple[WindowRecord, ...]]:
+    """Evaluate every window of every size on one trace; per config, in order, its records.
 
     One model per size slides along the trace (see the module docstring); its
     records equal those of a fresh model per window. A window's ``elapsed_s``
@@ -117,7 +111,7 @@ def sweep_user(trace: UserTrace, configs: Sequence[PredictorConfig],
     algorithms = _config_algorithms(configs)
     by_algorithm = dict(zip(algorithms, configs))
     dg, mp = by_algorithm.get("dg"), by_algorithm.get("mp")
-    sweeps: dict[str, UserSweep] = {}
+    sweeps: dict[str, tuple[WindowRecord, ...]] = {}
     if dg and mp and dg.lookahead_window == mp.lookahead_window:
         shared = ("dg", "mp", "naive") if "naive" in by_algorithm else ("dg", "mp")
 
@@ -139,24 +133,19 @@ def _replay(model: PredictionModel, test: Sequence[str], context: Sequence[str]
 def _slide(trace: UserTrace, config: PredictorConfig, spec: SlidingWindowSpec,
            algorithms: tuple[str, ...],
            replay: Callable[[PredictionModel, Sequence[str], Sequence[str]],
-                            tuple[TestOutcome, ...]]) -> tuple[UserSweep, ...]:
+                            tuple[TestOutcome, ...]]) -> list[tuple[WindowRecord, ...]]:
     """Slide one model of ``config`` per size along the trace, and replay each
     window once with ``replay(model, test, trigger context)``, which returns
-    the algorithms' outcomes in order, and maybe more; returns one ``UserSweep``
-    per algorithm. Each window's time is split evenly over its records."""
+    the algorithms' outcomes in order, and maybe more; returns each algorithm's
+    window records. Each window's time is split evenly over its records."""
     keys = trace.url_keys
     n = len(keys)
     depth = config.trigger_depth
     records: list[list[WindowRecord]] = [[] for _ in algorithms]
-    skipped: list[int] = []
     for size in spec.window_sizes:
         cut = spec.training_length(size)
         distance = size - cut  # the test-slice length
-        windows = enumerate_windows(n, size, distance)
-        if not windows:
-            skipped.append(size)
-            continue
-        for index, (start, end) in enumerate(windows):
+        for index, (start, end) in enumerate(enumerate_windows(n, size, distance)):
             split_at = start + cut
             started = time.perf_counter()
             if index:
@@ -168,22 +157,22 @@ def _slide(trace: UserTrace, config: PredictorConfig, spec: SlidingWindowSpec,
             elapsed = (time.perf_counter() - started) / len(algorithms)
             for algorithm, outcome, into in zip(algorithms, outcomes, records):
                 into.append(WindowRecord(
-                    user_id=trace.user_id,
                     window_size=size,
                     window_index=index,
                     metrics=metrics_report(trace.user_id, algorithm, outcome),
                     elapsed_s=elapsed,
                 ))
-    return tuple(UserSweep(records=tuple(r), skipped_sizes=tuple(skipped)) for r in records)
+    return [tuple(r) for r in records]
 
 
-def build_sweep_result(per_user: Iterable[UserSweep], spec: SlidingWindowSpec) -> SweepResult:
-    """Deterministic reduction: records sorted by (size, user, index) before averaging."""
+def build_sweep_result(per_user: Iterable[Sequence[WindowRecord]],
+                       spec: SlidingWindowSpec) -> SweepResult:
+    """Deterministic reduction of each user's records: sorted by (size, user, index)."""
     records: list[WindowRecord] = []
     skipped = {size: 0 for size in spec.window_sizes}
-    for user_sweep in per_user:
-        records.extend(user_sweep.records)
-        for size in user_sweep.skipped_sizes:
+    for user_records in per_user:
+        records.extend(user_records)
+        for size in skipped.keys() - {r.window_size for r in user_records}:
             skipped[size] += 1
     records.sort(key=WindowRecord.sort_key)
 
@@ -209,8 +198,10 @@ def cutoff_scan(means: Mapping[int, float | None],
     which every successive delta is <= epsilon in absolute value (the last
     size when the series never settles). Trend is the sign of last - first,
     flattened when within epsilon. Undefined means carry no signal and are
-    dropped before scanning.
+    dropped before scanning. A negative or NaN epsilon raises ValueError.
     """
+    if not epsilon >= 0:  # False for nan too
+        raise ValueError(f"cutoff_scan needs epsilon >= 0, got {epsilon}")
     points = sorted((size, value) for size, value in means.items() if value is not None)
     if len(points) < 2:
         raise ValueError("cutoff_scan needs at least 2 window sizes with defined means")

@@ -714,11 +714,17 @@ def test_workers_below_one_exit_2_before_the_input_is_read(tmp_path, capsys, com
     assert not (tmp_path / "o").exists()
 
 
-def test_workers_defaults_to_the_cpu_count():
+def test_workers_defaults_to_the_cpu_count(monkeypatch):
     parser = cli.build_parser()
     for command in ("evaluate", "sweep"):
         args = parser.parse_args([command, "--input", "log.csv", "--out", "o"])
         assert args.workers == (os.cpu_count() or 1)
+    # an unknown CPU count means one worker; the default is read as the parser is built
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    parser = cli.build_parser()
+    for command in ("evaluate", "sweep"):
+        args = parser.parse_args([command, "--input", "log.csv", "--out", "o"])
+        assert args.workers == 1
 
 
 def test_library_evaluate_rejects_workers_below_one(tmp_path):
@@ -886,6 +892,43 @@ def test_sweep_elapsed_time_leaves_out_loading_the_input(tmp_path, monkeypatch):
     assert main(["sweep", "--input", str(log), "--out", str(out), "--sizes", "5,10",
                  "--workers", "1"]) == 0
     assert _read_json(out / "sweep_summary.json")["runtime"]["elapsed_s"] < 0.3
+
+
+def _numbers(section) -> list:
+    """Every int or float in a JSON section, at any depth."""
+    if isinstance(section, dict):
+        return [n for value in section.values() for n in _numbers(value)]
+    return [section] if type(section) in (int, float) else []
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("command", [["evaluate"], ["evaluate", "--prune", "mor"],
+                                     ["sweep", "--sizes", "10,20,40"]],
+                         ids=["evaluate", "evaluate-prune", "sweep"])
+def test_runtime_is_bounded_by_the_wall_time_around_main(tmp_path, command, workers):
+    log = _golden_log(tmp_path)
+    out = tmp_path / "out"
+    started = time.perf_counter()
+    assert main([*command, "--input", str(log), "--out", str(out), "--workers", workers]) == 0
+    wall_s = time.perf_counter() - started
+    report = _read_json(out / ("sweep_summary.json" if command[0] == "sweep" else "report.json"))
+    runtime = report["runtime"]
+    assert all(math.isfinite(n) and n >= 0 for n in _numbers(runtime))
+    assert runtime["elapsed_s"] <= wall_s
+    elapsed_ms = runtime["elapsed_s"] * 1000
+    if command[0] == "evaluate":
+        per_model = runtime["per_model_ms"].values()
+        assert all(timing["max_ms"] <= elapsed_ms for timing in per_model)
+        if workers == "1":  # one process runs every model in turn
+            assert sum(timing["avg_ms"] * timing["models"] for timing in per_model) <= elapsed_ms
+    elif workers == "1":
+        rows = []
+        for a in report["config"]["algorithms"]:
+            with (out / f"sweep_{a}.csv").open(newline="", encoding="utf-8") as fh:
+                rows += csv.DictReader(fh)
+        assert rows
+        # each row's elapsed_ms is rounded to 0.001 ms
+        assert sum(float(row["elapsed_ms"]) for row in rows) <= elapsed_ms + 0.0005 * len(rows)
 
 
 def test_sweep_with_two_configs_for_one_algorithm_exits_2_and_writes_nothing(
@@ -1227,7 +1270,7 @@ def test_sweep_flags_reach_the_outputs(tmp_path, model, ratio):
         assert section["skipped_users"] == {str(s): n for s, n in result.skipped.items()}
         assert section["means"] == {str(s): m for s, m in result.means.items()}
         assert _sweep_rows(outs["flags"] / f"sweep_{a}.csv") == [
-            [str(r.window_size), str(r.window_index), r.user_id,
+            [str(r.window_size), str(r.window_index), r.metrics.user_id,
              *("" if v is None else repr(v) for v in (getattr(r.metrics, m)
                                                       for m in SWEEP_METRICS))]
             for r in result.records]

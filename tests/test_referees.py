@@ -11,15 +11,16 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _mutants():
-    spec = importlib.util.spec_from_file_location("referees_mutants",
-                                                  ROOT / "referees" / "mutants.py")
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"referees_{name}",
+                                                  ROOT / "referees" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.MUTANTS
+    return module
 
 
-MUTANTS = _mutants()
+MUTANTS = _load("mutants").MUTANTS
+EQUIVALENT = _load("equivalent").EQUIVALENT
 SOURCES = {path: path.read_text(encoding="utf-8") for path in (ROOT / "src").rglob("*.py")}
 
 
@@ -42,3 +43,10 @@ def test_each_mutant_names_tests_that_exist(mutant):
         file, name = test.split("::")
         source = (ROOT / file).read_text(encoding="utf-8")
         assert re.search(rf"^def {re.escape(name)}\(", source, re.MULTILINE), test
+
+
+@pytest.mark.parametrize("equivalent", EQUIVALENT, ids=lambda e: e.name)
+def test_each_equivalent_mutant_replaces_text_that_occurs_once_and_is_not_a_mutant(equivalent):
+    assert equivalent.new != equivalent.old and equivalent.why
+    assert (ROOT / equivalent.path).read_text(encoding="utf-8").count(equivalent.old) == 1
+    assert equivalent.name not in {m.name for m in MUTANTS}

@@ -88,8 +88,8 @@ def test_spec_training_length_and_distance():
     assert spec.training_length(5) == 4
     assert spec.training_length(10) == 8
     # windows slide by the test-slice length: 1 for size 5, 2 for size 10
-    result = sweep_user(_trace("u1", _urls(14)), [PredictorConfig(algorithm="naive")], spec)[0]
-    assert [(r.window_size, r.window_index) for r in result.records] == (
+    records = sweep_user(_trace("u1", _urls(14)), [PredictorConfig(algorithm="naive")], spec)[0]
+    assert [(r.window_size, r.window_index) for r in records] == (
         [(5, i) for i in range(10)] + [(10, i) for i in range(3)])
 
 
@@ -105,20 +105,20 @@ def test_sweep_user_emits_one_record_per_window():
     trace = _trace("u1", _urls(10))
     spec = SlidingWindowSpec(window_sizes=(5,))
     config = PredictorConfig(algorithm="naive")
-    result = sweep_user(trace, [config], spec)[0]
-    assert len(result.records) == 6
-    assert [r.window_index for r in result.records] == list(range(6))
-    assert all(r.window_size == 5 and r.user_id == "u1" for r in result.records)
-    assert result.skipped_sizes == ()
+    records = sweep_user(trace, [config], spec)[0]
+    assert len(records) == 6
+    assert [r.window_index for r in records] == list(range(6))
+    assert all(r.window_size == 5 and r.metrics.user_id == "u1" for r in records)
+    assert build_sweep_result([records], spec).skipped == {5: 0}
 
 
 def test_sweep_user_records_match_fresh_per_window_models():
     trace = _trace("u1", _urls(12, distinct=3))
     spec = SlidingWindowSpec(window_sizes=(5,))
     config = PredictorConfig(algorithm="dg")
-    result = sweep_user(trace, [config], spec)[0]
+    records = sweep_user(trace, [config], spec)[0]
     keys = trace.url_keys
-    record = result.records[2]
+    record = records[2]
     start, cut = 2, spec.training_length(5)
     training, test = keys[start:start + cut], keys[start + cut:start + 5]
     model = train(config, training)
@@ -144,30 +144,29 @@ def test_auto_distance_records_equal_fresh_training_at_that_distance(algorithm):
             outcome = run_test_engine(train(config, training), test, training[-depth:], depth)
             fresh.append((index, metrics_report("u1", algorithm, outcome)))
         assert fresh
-        assert [(r.window_index, r.metrics) for r in slid.records if r.window_size == size] == fresh
+        assert [(r.window_index, r.metrics) for r in slid if r.window_size == size] == fresh
 
 
 def test_sweep_user_skips_sizes_longer_than_trace():
     trace = _trace("u1", _urls(6))
     spec = SlidingWindowSpec(window_sizes=(5, 50))
-    result = sweep_user(trace, [PredictorConfig(algorithm="naive")], spec)[0]
-    assert result.skipped_sizes == (50,)
-    assert {r.window_size for r in result.records} == {5}
+    records = sweep_user(trace, [PredictorConfig(algorithm="naive")], spec)[0]
+    assert build_sweep_result([records], spec).skipped == {5: 0, 50: 1}
+    assert {r.window_size for r in records} == {5}
 
 
 def test_constant_trace_gets_perfect_dynamic_recall():
     trace = _trace("u1", ["https://a.example/only"] * 20)
     spec = SlidingWindowSpec(window_sizes=(5, 10))
-    result = sweep_user(trace, [PredictorConfig(algorithm="naive")], spec)[0]
-    assert result.records
-    assert all(r.metrics.dynamic_recall == 1.0 for r in result.records)
+    records = sweep_user(trace, [PredictorConfig(algorithm="naive")], spec)[0]
+    assert records
+    assert all(r.metrics.dynamic_recall == 1.0 for r in records)
 
 
 # ---------------------------------------------------------------- DG and MP in one pass
 
-def _without_time(user_sweep):
-    return ([(r.user_id, r.window_size, r.window_index, r.metrics) for r in user_sweep.records],
-            user_sweep.skipped_sizes)
+def _without_time(records):
+    return [(r.metrics.user_id, r.window_size, r.window_index, r.metrics) for r in records]
 
 
 @settings(max_examples=150)
@@ -216,9 +215,9 @@ def test_a_window_s_time_is_split_evenly_over_the_records_of_its_pass(monkeypatc
     spec = SlidingWindowSpec(window_sizes=(5, 10))
     dg, mp, naive, ppm = (PredictorConfig(a) for a in ("dg", "mp", "naive", "ppm"))
     for configs, share in (([dg, mp], 0.5), ([dg, mp, naive], 1 / 3), ([ppm], 1.0)):
-        for user_sweep in sweep_user(trace, configs, spec):
-            assert user_sweep.records
-            assert {r.elapsed_s for r in user_sweep.records} == {share}
+        for records in sweep_user(trace, configs, spec):
+            assert records
+            assert {r.elapsed_s for r in records} == {share}
 
 
 def test_sweep_user_rejects_two_configs_for_one_algorithm():
@@ -247,7 +246,8 @@ def test_default_sweep_trains_one_dg_and_one_ppm_model_per_size(monkeypatch):
     configs = [PredictorConfig(algorithm) for algorithm in ALGORITHMS]
     trace = _trace("u1", [f"https://site.example/p{(i * i) % 7}" for i in range(40)])
     user_sweeps = sweep_user(trace, configs, spec)
-    assert [s.skipped_sizes for s in user_sweeps] == [()] * len(configs)
+    assert [build_sweep_result([s], spec).skipped for s in user_sweeps] == (
+        [dict.fromkeys(spec.window_sizes, 0)] * len(configs))
     # the first window of each size is trained, so its training length names the size
     assert sorted(trained) == sorted((algorithm, spec.training_length(size))
                                      for algorithm in ("dg", "ppm")
@@ -288,6 +288,25 @@ def test_skipped_users_tallied_per_size():
     assert sizes_present == {5, 12}
 
 
+# lengths from 1 to 40 against sizes from 2 to 30: users shorter than every size,
+# longer than every size, and between
+@settings(max_examples=60)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=5),
+       st.lists(st.integers(2, 30), min_size=1, max_size=4, unique=True))
+@example([1, 3, 40], [4, 30])
+def test_skipped_counts_the_users_shorter_than_each_size(lengths, sizes):
+    spec = SlidingWindowSpec(window_sizes=sizes)
+    traces = [_trace(f"u{i}", _urls(n, distinct=3)) for i, n in enumerate(lengths)]
+    expected = {size: sum(n < size for n in lengths) for size in sizes}
+    # DG, MP and Naive share the DG model's pass; PPM slides its own model
+    for algorithms in (("dg", "mp", "naive"), ("ppm",)):
+        configs = [PredictorConfig(a) for a in algorithms]
+        per_user = [sweep_user(trace, configs, spec) for trace in traces]
+        for i in range(len(configs)):
+            result = build_sweep_result([sweeps[i] for sweeps in per_user], spec)
+            assert result.skipped == expected
+
+
 def test_means_keyed_by_size_with_counts():
     traces = {"u1": _trace("u1", _urls(10))}
     spec = SlidingWindowSpec(window_sizes=(5, 40))
@@ -316,6 +335,15 @@ def test_cutoff_scan_flat_series():
 def test_cutoff_scan_drops_undefined_means():
     means = {50: 0.2, 100: None, 200: 0.21}
     assert cutoff_scan(means, epsilon=0.05) == (50, "flat")
+
+
+@pytest.mark.parametrize("epsilon", [-0.01, -math.inf, math.nan])
+def test_cutoff_scan_rejects_a_negative_or_nan_epsilon(epsilon):
+    # a series that never moves has no trend: below 0, or as NaN, every total
+    # would fail the flat test, and equal means read as falling
+    with pytest.raises(ValueError, match="epsilon"):
+        cutoff_scan({50: 0.5, 100: 0.5}, epsilon=epsilon)
+    assert cutoff_scan({50: 0.5, 100: 0.5}, epsilon=0.0) == (50, "flat")
 
 
 def test_cutoff_scan_needs_two_defined_points():
