@@ -35,7 +35,11 @@ READ_CHILDREN = """\
             data = reader.read()
             if not data:
                 raise ChildProcessError(f"worker process {pid} ended without its results")
-            results, exc = pickle.loads(data)
+            try:
+                results, exc = pickle.loads(data)
+            except Exception as error:  # cut short, as when the child is killed mid-write
+                raise ChildProcessError(
+                    f"worker process {pid} sent results that cannot be read") from error
             if exc is not None:
                 raise exc
             merged += results
@@ -168,6 +172,67 @@ MUTANTS = (
         tests=("tests/test_ingest.py::test_jsonl_row_parses_as_json_loads_reads_it",),
     ),
     Mutant(
+        "csv-fast-path-takes-padded-user-ids", INGEST,
+        old="if (user_id == user_id.strip() and url == url.strip()",
+        new="if (url == url.strip()",
+        tests=("tests/test_ingest.py::test_csv_log_loads_as_every_row_through_build_record",
+               "tests/test_ingest.py::test_padded_fields_load_alike_from_csv_and_jsonl"),
+    ),
+    Mutant(
+        "csv-fast-path-takes-padded-urls", INGEST,
+        old="if (user_id == user_id.strip() and url == url.strip()",
+        new="if (user_id == user_id.strip()",
+        tests=("tests/test_ingest.py::test_csv_log_loads_as_every_row_through_build_record",
+               "tests/test_ingest.py::test_padded_fields_load_alike_from_csv_and_jsonl"),
+    ),
+    Mutant(
+        "csv-fast-path-takes-non-ascii-fields", INGEST,
+        old="and user_id.isascii() and url.isascii() and ts_raw.isascii()",
+        new="and ts_raw.isascii()",  # a lone surrogate reaches the store
+        tests=("tests/test_ingest.py::test_csv_log_loads_as_every_row_through_build_record",
+               "tests/test_ingest.py::test_invalid_utf8_byte_in_a_raw_log_is_a_malformed_row"),
+    ),
+    Mutant(
+        "csv-fast-path-takes-non-ascii-digits", INGEST,
+        old="url.isascii() and ts_raw.isascii()\n",
+        new="url.isascii()\n",
+        tests=("tests/test_ingest.py::test_csv_log_loads_as_every_row_through_build_record",
+               "tests/test_ingest.py::test_timestamp_text_must_be_ascii_digits"),
+    ),
+    Mutant(
+        "csv-fast-path-without-a-digit-bound", INGEST,
+        old="len(ts_raw) < 19",
+        new="len(ts_raw) < 10 ** 6",  # int() of 5,000 digits raises past the row rule
+        tests=("tests/test_ingest.py::test_csv_log_loads_as_every_row_through_build_record",),
+    ),
+    Mutant(
+        "csv-fast-path-takes-an-empty-user-id", INGEST,
+        old="and user_id and url and method",
+        new="and url and method",
+        tests=("tests/test_ingest.py::test_csv_log_loads_as_every_row_through_build_record",),
+    ),
+    Mutant(
+        "jsonl-fast-path-takes-padded-user-ids", INGEST,
+        old="and user_id == user_id.strip() and url == url.strip()):",
+        new="and url == url.strip()):",
+        tests=("tests/test_ingest.py::test_jsonl_log_loads_as_every_row_through_build_record",
+               "tests/test_ingest.py::test_padded_fields_load_alike_from_csv_and_jsonl"),
+    ),
+    Mutant(
+        "jsonl-fast-path-takes-bool-timestamps", INGEST,
+        old="type(ts) is int and",
+        new="isinstance(ts, int) and",
+        tests=("tests/test_ingest.py::test_jsonl_log_loads_as_every_row_through_build_record",
+               "tests/test_ingest.py::test_jsonl_field_of_wrong_type_is_malformed"),
+    ),
+    Mutant(
+        "build-keeps-unordered-columns", TRACES,
+        old="if ordered == timestamps:",
+        new="if ordered != timestamps:",  # ordered columns sort, unordered ones do not
+        tests=("tests/test_traces.py::test_user_trace_build_equals_a_stable_sort_of_the_rows",
+               "tests/test_traces.py::test_user_trace_build_sorts_by_timestamp_stably"),
+    ),
+    Mutant(
         "quartiles-swap-interpolation-weights", INGEST,
         old="(ordered[j] * (4 - delta) + ordered[j + 1] * delta) / 4",
         new="(ordered[j] * delta + ordered[j + 1] * (4 - delta)) / 4",
@@ -216,8 +281,9 @@ MUTANTS = (
     ),
     Mutant(
         "dead-private-function", CLI,
-        old="def _fmt(value: float | None) -> str:",
-        new="def _unused() -> None:\n    pass\n\n\ndef _fmt(value: float | None) -> str:",
+        old="def _write_csv(path: Path, header: list[str], rows) -> None:",
+        new=("def _unused() -> None:\n    pass\n\n\n"
+             "def _write_csv(path: Path, header: list[str], rows) -> None:"),
         tests=("tests/test_imports.py::test_every_private_function_and_class_is_referenced",),
     ),
     Mutant(

@@ -84,14 +84,11 @@ def _publish(out: Path, outputs: dict) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    # csv writes None as an empty field and a float as its repr
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _fmt(value: float | None) -> str:
-    return "" if value is None else repr(value)
 
 
 def _load_input(path_str: str, fmt: str, strict: bool) -> dict[str, UserTrace]:
@@ -353,8 +350,9 @@ def cmd_evaluate(args) -> int:
 
 
 def _write_metrics_csv(path: Path, report: dict) -> None:
+    # (user, algorithm, metric) is unique, so the sort never compares two values
     _write_csv(path, ["user_id", "algorithm", "metric", "value"],
-               sorted((uid, a, name, _fmt(entry["metrics"][name]))
+               sorted((uid, a, name, entry["metrics"][name])
                       for a, per_user in report["results"].items()
                       for uid, entry in per_user.items()
                       for name in ALL_METRIC_NAMES))
@@ -419,13 +417,13 @@ def cmd_sweep(args) -> int:
 def _write_sweep_rows_csv(path: Path, result) -> None:
     _write_csv(path, ["window_size", "window_index", "user_id", *SWEEP_METRICS, "elapsed_ms"],
                ([rec.window_size, rec.window_index, rec.metrics.user_id,
-                 *(_fmt(getattr(rec.metrics, m)) for m in SWEEP_METRICS),
+                 *(getattr(rec.metrics, m) for m in SWEEP_METRICS),
                  f"{rec.elapsed_s * 1000:.3f}"] for rec in result.records))
 
 
 def _write_sweep_means_csv(path: Path, result) -> None:
     _write_csv(path, ["window_size", "metric", "mean", "count"],
-               ([size, metric, _fmt(means[metric]["mean"]), means[metric]["count"]]
+               ([size, metric, means[metric]["mean"], means[metric]["count"]]
                 for size, means in result.means.items() for metric in SWEEP_METRICS))
 
 

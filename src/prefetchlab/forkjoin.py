@@ -7,6 +7,8 @@ payloads through the fork, so neither is pickled; it pickles only its outcome
 (its results, or the exception that stopped it) to its own pipe and exits
 with ``os._exit``, never returning into the caller's code. The parent reads
 the pipes in slice order, reaps every child, and concatenates the results.
+A pipe that is empty or does not unpickle, as when a child is killed
+part-way through its write, raises ``ChildProcessError`` naming the worker.
 
 A forked child holds a copy of every lock as it was at the fork, so call
 ``fork_map`` only from a process that runs no other threads, as the CLI
@@ -68,7 +70,11 @@ def fork_map(fn, payloads: list, shares: int) -> list:
             data = reader.read()
             if not data:
                 raise ChildProcessError(f"worker process {pid} ended without its results")
-            results, exc = pickle.loads(data)
+            try:
+                results, exc = pickle.loads(data)
+            except Exception as error:  # cut short, as when the child is killed mid-write
+                raise ChildProcessError(
+                    f"worker process {pid} sent results that cannot be read") from error
             if exc is not None:
                 raise exc
             merged += results

@@ -21,11 +21,20 @@ sign and ASCII digits; ``int()`` alone would also take ``1_000`` or ``١٢٣``.
 A UTF-8 byte order mark at the start of either format is dropped.
 
 Rows with a non-GET method are dropped (counted, not an error). A malformed
-row is a ``LogParseError`` carrying its line number, which ``iter_log_records``
-yields in the row's place; ``load_traces`` alone counts rows, and skips a
-malformed one in the default lenient mode or raises it under ``--strict``. A
-``user_id``, ``method`` or ``url`` that is not valid UTF-8 (bytes that do not
-decode, or a JSON escape of a lone surrogate) makes its row malformed.
+row is a ``LogParseError`` carrying its line number; ``load_traces`` counts
+rows, and skips a malformed one in the default lenient mode or raises it
+under ``--strict``. A ``user_id``, ``method`` or ``url`` that is not valid
+UTF-8 (bytes that do not decode, or a JSON escape of a lone surrogate) makes
+its row malformed.
+
+Most rows need none of this normalising and pass one test instead: a CSV
+row of exactly four fields with ``method`` exactly ``GET``, a non-empty ASCII
+``user_id`` and ``url`` without surrounding whitespace and a ``timestamp_ms``
+of 1 to 18 ASCII digits, or a JSONL object with such strings and an ``int``
+(not ``bool``) ``timestamp_ms``. The rules above would return such a row
+unchanged, as ``(user_id, int(timestamp_ms), "GET", url)``, so it goes straight
+to its user's columns; every other row goes through ``_build_record``. No
+record, count, message or output differs from the full rules alone.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ import csv
 import json
 from collections import defaultdict
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .traces import UserTrace
 
@@ -105,6 +114,12 @@ def _parse_jsonl_row(line_no: int, line: str) -> Record:
             raise LogParseError(line_no, f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise LogParseError(line_no, "row is not a JSON object")
+    # a canonical row, which the rules below would return as it is
+    user_id, url, ts = obj.get("user_id"), obj.get("url"), obj.get("timestamp_ms")
+    if (type(user_id) is type(url) is str and type(ts) is int and obj.get("method") == "GET"
+            and user_id.isascii() and url.isascii() and user_id and url
+            and user_id == user_id.strip() and url == url.strip()):
+        return user_id, ts, "GET", url
     if not _FIELDS <= obj.keys():
         missing = [k for k in CSV_HEADER if k not in obj]
         raise LogParseError(line_no, f"missing fields: {', '.join(missing)}")
@@ -149,11 +164,38 @@ def _build_record(line_no: int, user_id: str, ts_raw, method: str, url: str) -> 
     return user_id, timestamp, method.upper(), url
 
 
-def iter_log_records(path: str | Path, fmt: str = "csv") -> Iterator[Record | LogParseError]:
-    """Yield each non-blank row as a (user_id, timestamp_ms, method, url) record, or as
-    the LogParseError that makes it malformed; raise one only for an empty file or header."""
+def load_traces(path: str | Path, fmt: str = "csv", strict: bool = False,
+                ) -> tuple[dict[str, UserTrace], LoadSummary]:
+    """Parse a log file into one time-ordered UserTrace per user, counting every non-blank row.
+
+    Non-GET rows are dropped; a malformed one is raised under ``strict``, else skipped.
+    Requests are sorted by timestamp with input order preserved among ties, so
+    concatenating the returned traces reproduces exactly the GET subset of the input.
+    Raises LogParseError for an empty file or a bad CSV header.
+    """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
+    dropped_non_get = skipped_malformed = 0
+    errors: list[str] = []
+    timestamps: dict[str, list[int]] = defaultdict(list)
+    urls: dict[str, list[str]] = defaultdict(list)
+
+    def count(row: Record | LogParseError) -> None:
+        """The rule for every row that is not a canonical CSV row."""
+        nonlocal dropped_non_get, skipped_malformed
+        if type(row) is tuple:
+            if row[2] == "GET":
+                timestamps[row[0]].append(row[1])
+                urls[row[0]].append(row[3])
+            else:
+                dropped_non_get += 1
+        elif strict:
+            raise row
+        else:
+            skipped_malformed += 1
+            if len(errors) < MAX_RECORDED_ERRORS:
+                errors.append(str(row))
+
     with Path(path).open(newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         if fmt == "csv":
             reader = csv.reader(fh)
@@ -170,61 +212,41 @@ def iter_log_records(path: str | Path, fmt: str = "csv") -> Iterator[Record | Lo
             while True:
                 try:
                     for row in reader:
-                        if len(row) == 4:
-                            try:
-                                yield _build_record(reader.line_num, *row)
-                            except LogParseError as exc:
-                                yield exc
-                        elif row:  # a blank line reads as [] and is not a row
-                            yield LogParseError(reader.line_num,
-                                                f"expected 4 fields, got {len(row)}")
+                        if len(row) != 4:
+                            if row:  # a blank line reads as [] and is not a row
+                                count(LogParseError(reader.line_num,
+                                                    f"expected 4 fields, got {len(row)}"))
+                            continue
+                        user_id, ts_raw, method, url = row
+                        # a canonical row, which _build_record would return as it is but for
+                        # int(); padding is tested first, so that padded rows fail fast
+                        if (user_id == user_id.strip() and url == url.strip()
+                                and user_id and url and method == "GET"
+                                and user_id.isascii() and url.isascii() and ts_raw.isascii()
+                                and ts_raw.isdigit() and len(ts_raw) < 19):
+                            timestamps[user_id].append(int(ts_raw))
+                            urls[user_id].append(url)
+                            continue
+                        try:
+                            count(_build_record(reader.line_num, user_id, ts_raw, method, url))
+                        except LogParseError as exc:
+                            count(exc)
                     break
                 except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
                     # the reader moves on to the next row; the for loop starts again there
-                    yield LogParseError(reader.line_num, f"unreadable row: {exc}")
+                    count(LogParseError(reader.line_num, f"unreadable row: {exc}"))
         else:
-            any_line = False
             for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                any_line = True
-                try:
-                    yield _parse_jsonl_row(line_no, line)
-                except LogParseError as exc:
-                    yield exc
-            if not any_line:
-                raise LogParseError(1, "empty file")
-
-
-def load_traces(path: str | Path, fmt: str = "csv", strict: bool = False,
-                ) -> tuple[dict[str, UserTrace], LoadSummary]:
-    """Parse a log file into one time-ordered UserTrace per user, counting every row.
-
-    Non-GET rows are dropped; a malformed one is raised under ``strict``, else skipped.
-    Requests are sorted by timestamp with input order preserved among ties, so
-    concatenating the returned traces reproduces exactly the GET subset of the input.
-    """
-    rows_read = dropped_non_get = skipped_malformed = 0
-    errors: list[str] = []
-    timestamps: dict[str, list[int]] = defaultdict(list)
-    urls: dict[str, list[str]] = defaultdict(list)
-    for row in iter_log_records(path, fmt=fmt):
-        rows_read += 1
-        if isinstance(row, LogParseError):
-            if strict:
-                raise row
-            skipped_malformed += 1
-            if len(errors) < MAX_RECORDED_ERRORS:
-                errors.append(str(row))
-            continue
-        user_id, timestamp, method, url = row
-        if method != "GET":
-            dropped_non_get += 1
-            continue
-        timestamps[user_id].append(timestamp)
-        urls[user_id].append(url)
+                if not line.isspace():
+                    try:
+                        count(_parse_jsonl_row(line_no, line))
+                    except LogParseError as exc:
+                        count(exc)
+    kept = sum(map(len, timestamps.values()))
+    rows_read = kept + dropped_non_get + skipped_malformed
+    if fmt == "jsonl" and not rows_read:
+        raise LogParseError(1, "empty file")
     traces = {uid: UserTrace.build(uid, ts, urls[uid]) for uid, ts in timestamps.items()}
-    kept = rows_read - dropped_non_get - skipped_malformed
     return traces, LoadSummary(rows_read, kept, dropped_non_get, skipped_malformed, errors)
 
 

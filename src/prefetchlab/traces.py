@@ -79,15 +79,18 @@ class UserTrace:
         """Sort both columns by timestamp (stable: input order breaks ties).
 
         urls repeat within a trace, so the trace keeps one string per distinct
-        url, which shrinks it in memory and when pickled.
+        url, which shrinks it in memory and when pickled. Columns already in
+        timestamp order, as a store's and most logs' are, skip the index sort.
         """
         if len(timestamps) != len(url_keys):
             raise ValueError(f"trace {user_id!r}: {len(timestamps)} timestamps "
                              f"but {len(url_keys)} url_keys")
-        order = sorted(range(len(timestamps)), key=timestamps.__getitem__)
         shared = {url: url for url in url_keys}
-        return cls(user_id, [timestamps[i] for i in order],
-                   [shared[url_keys[i]] for i in order])
+        ordered = sorted(timestamps)
+        if ordered == timestamps:  # a stable sort of ordered columns is the identity
+            return cls(user_id, ordered, [shared[url] for url in url_keys])
+        order = sorted(range(len(timestamps)), key=timestamps.__getitem__)
+        return cls(user_id, ordered, [shared[url_keys[i]] for i in order])
 
     def __len__(self) -> int:
         return len(self.url_keys)

@@ -12,10 +12,11 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from prefetchlab import cli, engine
+from prefetchlab import cli, engine, forkjoin
 from prefetchlab.cli import _run_jobs, evaluate, main
 from prefetchlab.engine import SplitSpec
 from prefetchlab.ingest import LogParseError, load_traces
@@ -639,6 +640,35 @@ def test_run_jobs_child_that_dies_without_results_raises():
 
     with pytest.raises(ChildProcessError, match="ended without its results"):
         _run_jobs(job, [1, 2, 3, 4], 3)
+    _assert_no_child_left()
+
+
+def _children_write_half_their_results(monkeypatch):
+    # as a child killed part-way through its write leaves them
+    def dumps(obj):
+        data = pickle.dumps(obj)
+        return data[:len(data) // 2]
+    monkeypatch.setattr(forkjoin, "pickle", SimpleNamespace(dumps=dumps, loads=pickle.loads))
+
+
+def test_run_jobs_child_results_that_cannot_be_unpickled_raise(monkeypatch):
+    _children_write_half_their_results(monkeypatch)
+    with pytest.raises(ChildProcessError, match=r"^worker process \d+ sent results that "
+                                                r"cannot be read") as err:
+        _run_jobs(lambda p: p, [1, 2, 3, 4], 3)
+    assert isinstance(err.value.__cause__, (pickle.UnpicklingError, EOFError))
+    _assert_no_child_left()
+
+
+def test_unreadable_results_of_a_child_exit_1_with_one_error_line(tmp_path, capsys,
+                                                                  monkeypatch):
+    log = _make_log(tmp_path)
+    _children_write_half_their_results(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["evaluate", "--input", str(log), "--out", str(out), "--workers", "2"]) == 1
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith("error: worker process ")
+    assert not out.exists()
     _assert_no_child_left()
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import pickle
 import statistics
@@ -13,8 +15,8 @@ from hypothesis import strategies as st
 
 import prefetchlab
 from prefetchlab.cli import main
-from prefetchlab.ingest import (STORE_NAME, LogParseError, _build_record, _parse_jsonl_row,
-                                _quartiles, load_traces, read_trace_files,
+from prefetchlab.ingest import (MAX_RECORDED_ERRORS, STORE_NAME, LogParseError, _build_record,
+                                _parse_jsonl_row, _quartiles, load_traces, read_trace_files,
                                 remove_outlier_users, write_trace_files)
 from prefetchlab.synth import bursty_traces, write_log
 from prefetchlab.traces import UserTrace
@@ -366,6 +368,115 @@ GOOD_JSONL_LINE = json.dumps(GOOD_JSONL_ROW)
 @example("\ufeff" + GOOD_JSONL_LINE + "\n")  # a BOM
 def test_jsonl_row_parses_as_json_loads_reads_it(line):
     assert _row_or_message(_parse_jsonl_row, line) == _row_or_message(_json_loads_row, line)
+
+
+# canonical fields and the near-misses that must not take load_traces' one-check path
+NEAR_USER_IDS = [" u1", "u1 ", "\tu1", "u1\t", "\x1fu1", "u1\x1f", "\u00a0u1", "u1\u00a0", "",
+                 "   ", "ü1", "u\udcff"]
+NEAR_URLS = [" /a", "/a ", "\t/a", "/a\t", "\x1f/a", "/a\x1f", "\u00a0/a", "/a\u00a0", "", " ",
+             "/ä", "/\udcff"]
+NEAR_METHODS = ["get", "GET ", " GET", "POST", "Get", ""]
+NEAR_TIMESTAMPS = ["+12", "-5", "0012", "1_0", "١٢", "12²", "9" * 18, "9" * 19, "9" * 5000, "",
+                   " 12", "12 ", "1.0", "x"]
+
+
+@st.composite
+def log_rows(draw, jsonl: bool):
+    """One row as JSON-able fields: canonical, with zero to two fields made near-misses."""
+    row = {"user_id": draw(st.sampled_from(["u1", "u2", "10"])),
+           "timestamp_ms": draw(st.integers(0, 30)), "method": "GET",
+           "url": draw(st.sampled_from(["https://a.example/x", "/b?q=1", "/c"]))}
+    near = {"user_id": NEAR_USER_IDS, "timestamp_ms": NEAR_TIMESTAMPS, "method": NEAR_METHODS,
+            "url": NEAR_URLS}
+    if jsonl:  # values a JSON row may hold in place of a canonical one
+        near = {**near, "user_id": [*NEAR_USER_IDS, 10, 7],
+                "timestamp_ms": [*NEAR_TIMESTAMPS, "12", True, False, 1.0, 2 ** 70]}
+    for field in draw(st.lists(st.sampled_from(sorted(near)), max_size=2)):
+        row[field] = draw(st.sampled_from(near[field]))
+    return row
+
+
+def _jsonl_line(row: dict, extra: bool) -> str:
+    members = [f'"{key}": {json.dumps(value)}' for key, value in row.items()]
+    return "{" + ", ".join(members + ['"extra": [1]'] * extra) + "}"
+
+
+def _reference_load(rows, parse, strict):
+    """load_traces as every row through ``parse`` and one counting rule, with a sort."""
+    rows_read = dropped_non_get = skipped_malformed = 0
+    errors, columns = [], {}
+    for line_no, raw in rows:
+        rows_read += 1
+        try:
+            user_id, timestamp, method, url = parse(line_no, raw)
+        except LogParseError as exc:
+            if strict:
+                raise
+            skipped_malformed += 1
+            if len(errors) < MAX_RECORDED_ERRORS:
+                errors.append(str(exc))
+            continue
+        if method != "GET":
+            dropped_non_get += 1
+            continue
+        columns.setdefault(user_id, []).append((timestamp, url))
+    traces = {}
+    for user_id, pairs in columns.items():
+        pairs.sort(key=lambda pair: pair[0])  # stable: input order breaks ties
+        traces[user_id] = UserTrace(user_id, [ts for ts, _ in pairs], [url for _, url in pairs])
+    kept = rows_read - dropped_non_get - skipped_malformed
+    return traces, (rows_read, kept, dropped_non_get, skipped_malformed, errors)
+
+
+def _load_or_error(load, *args):
+    try:
+        traces, summary = load(*args)
+    except LogParseError as exc:
+        return str(exc), exc.line_no
+    return traces, tuple(summary)
+
+
+@given(rows=st.lists(log_rows(jsonl=False), max_size=30), ordered=st.booleans(),
+       strict=st.booleans())
+@example(rows=[{"user_id": user_id, "timestamp_ms": ts, "method": "GET", "url": "/c"}
+               for user_id, ts in (("u1", 2), ("", 1), ("u1", "9" * 5000), ("u1", "١٢"),
+                                   ("u\udcff", 3), (" u1", 0))], ordered=False, strict=False)
+def test_csv_log_loads_as_every_row_through_build_record(tmp_path_factory, rows, ordered,
+                                                         strict):
+    if ordered:  # most real logs are time-ordered, the near-misses among them
+        rows.sort(key=lambda row: str(row["timestamp_ms"]).zfill(6))
+    fields = [[str(row[key]) for key in ("user_id", "timestamp_ms", "method", "url")]
+              for row in rows]
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([CSV_HEADER.strip().split(","), *fields])
+    path = tmp_path_factory.mktemp("csv") / "log.csv"
+    path.write_bytes(text.getvalue().encode("utf-8", "surrogateescape"))
+    expected = _load_or_error(_reference_load, enumerate(fields, start=2),
+                              lambda line_no, row: _build_record(line_no, *row), strict)
+    assert _load_or_error(load_traces, path, "csv", strict) == expected
+
+
+@given(rows=st.lists(st.tuples(log_rows(jsonl=True), st.booleans()), min_size=1, max_size=30),
+       ordered=st.booleans(), strict=st.booleans(), huge_at=st.none() | st.integers(0, 30))
+@example(rows=[({"user_id": user_id, "timestamp_ms": ts, "method": "GET", "url": "/c"}, extra)
+               for user_id, ts, extra in (("u1", 2, False), ("u1", True, False), (7, 3, True),
+                                          ("7", "12", False), ("u\ud800", 4, False),
+                                          ("u1 ", 5, False), ("u1", 1.0, True))],
+         ordered=False, strict=False, huge_at=2)
+def test_jsonl_log_loads_as_every_row_through_build_record(tmp_path_factory, rows, ordered,
+                                                           strict, huge_at):
+    if ordered:
+        rows.sort(key=lambda pair: str(pair[0]["timestamp_ms"]).zfill(6))
+    lines = [_jsonl_line(row, extra) for row, extra in rows]
+    if huge_at is not None:  # an integer literal over int()'s digit limit, as no encoder writes
+        lines.insert(huge_at, '{"user_id": "u1", "timestamp_ms": ' + "9" * 5000
+                     + ', "method": "GET", "url": "/c"}')
+    path = tmp_path_factory.mktemp("jsonl") / "log.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # _json_loads_row sends every field through _build_record; _parse_jsonl_row, which
+    # has the one-check path in it, cannot be the reference here
+    expected = _load_or_error(_reference_load, enumerate(lines, start=1), _json_loads_row, strict)
+    assert _load_or_error(load_traces, path, "jsonl", strict) == expected
 
 
 @pytest.mark.parametrize("field", ["user_id", "method", "url"])

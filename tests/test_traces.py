@@ -60,6 +60,21 @@ def test_user_trace_build_sorts_by_timestamp_stably():
     ]
 
 
+@given(st.lists(st.integers(0, 6), max_size=30), st.sampled_from(["ordered", "reversed", "tied",
+                                                                   "drawn"]))
+@example([1, 2], "reversed")
+def test_user_trace_build_equals_a_stable_sort_of_the_rows(timestamps, shape):
+    timestamps = {"ordered": sorted(timestamps), "reversed": sorted(timestamps, reverse=True),
+                  "tied": [3] * len(timestamps), "drawn": timestamps}[shape]
+    urls = [f"https://a.example/{i % 4}" for i in range(len(timestamps))]
+    rows = sorted(zip(timestamps, urls, range(len(urls))), key=lambda row: row[0])
+    trace = UserTrace.build("u", timestamps, urls)
+    assert trace == UserTrace("u", [ts for ts, _, _ in rows], [url for _, url, _ in rows])
+    # equal urls share one string, and the caller's lists are not the trace's
+    assert len({id(url) for url in trace.url_keys}) == len(set(urls))
+    assert trace.timestamps is not timestamps and trace.url_keys is not urls
+
+
 def test_traces_that_differ_in_one_field_compare_unequal():
     trace = UserTrace("u", [1, 2], ["a", "b"])
     assert trace == UserTrace("u", [1, 2], ["a", "b"])
