@@ -9,26 +9,26 @@ history still teaches the model something new, then flatten; the size
 where they settle is the training cut-off point.
 """
 
-from prefetchlab import PredictorConfig, SlidingWindowSpec, cutoff_scan, run_sweep
+from prefetchlab import PredictorConfig, SlidingWindowSpec
+from prefetchlab.cli import sweep
 from prefetchlab.synth import bursty_traces
 
 traces = bursty_traces(seed=42, count=40, min_length=520, max_length=600,
                        repertoire_size=25, noise_rate=0.1)
 sizes = (25, 50, 100, 200, 300, 400, 500)
 
-result = run_sweep(traces, PredictorConfig(algorithm="naive"),
-                   SlidingWindowSpec(window_sizes=sizes))
+summary, (result,) = sweep(traces, [PredictorConfig(algorithm="naive")],
+                           SlidingWindowSpec(window_sizes=sizes))
 print(f"{len(result.records)} models trained across {len(traces)} users\n")
 
 print("window  models  dynamic recall")
-means = {}
 for size in sizes:
     cell = result.means[size]["dynamic_recall"]
     models = sum(1 for r in result.records if r.window_size == size)
-    means[size] = cell["mean"]
     print(f"{size:>6}  {models:>6}  {cell['mean']:.3f}")
 
-cutoff, trend = cutoff_scan(means, epsilon=0.005)
-print(f"\ntrend {trend}; means settle at window size {cutoff}")
+# the summary holds the cut-off of each metric's per-size means, as sweep_summary.json does
+found = summary["algorithms_results"]["naive"]["cutoffs"]["dynamic_recall"]
+print(f"\ntrend {found['trend']}; means settle at window size {found['cutoff']}")
 print("beyond that, bigger training windows buy nothing: the user's")
 print("repertoire is already fully represented")

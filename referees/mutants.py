@@ -19,12 +19,16 @@ class Mutant(NamedTuple):
     old: str
     new: str
     tests: tuple[str, ...]  # pytest node ids, at least one of which must fail
+    # only a CPython 3.12 or later, whose sum() of floats is compensated, runs its tests'
+    # failing cases; run.py skips the mutant where pyenv has none
+    needs_python_3_12: bool = False
 
 
 PREDICTORS = "src/prefetchlab/predictors.py"
 ENGINE = "src/prefetchlab/engine.py"
 SWEEP = "src/prefetchlab/sweep.py"
 CLI = "src/prefetchlab/cli.py"
+METRICS = "src/prefetchlab/metrics.py"
 INGEST = "src/prefetchlab/ingest.py"
 FORKJOIN = "src/prefetchlab/forkjoin.py"
 TRACES = "src/prefetchlab/traces.py"
@@ -388,8 +392,35 @@ MUTANTS = (
     ),
     Mutant(
         "evaluate-elapsed-adds-the-start", CLI,
-        old='"elapsed_s": time.perf_counter() - started,',  # the comma leaves out cmd_sweep's
+        old='"elapsed_s": time.perf_counter() - started,',  # the comma leaves out sweep()'s
         new='"elapsed_s": time.perf_counter() + started,',
         tests=("tests/test_cli.py::test_runtime_is_bounded_by_the_wall_time_around_main",),
+    ),
+    Mutant(
+        "sweep-elapsed-adds-the-start", CLI,
+        old='"elapsed_s": time.perf_counter() - started}',
+        new='"elapsed_s": time.perf_counter() + started}',
+        tests=("tests/test_cli.py::test_runtime_is_bounded_by_the_wall_time_around_main",),
+    ),
+    Mutant(
+        "sweep-results-zip-the-users-jobs", CLI,
+        old="[build_sweep_result([job[i] for job in jobs], spec) for i in range(len(configs))]",
+        new="[build_sweep_result(sweeps, spec) for sweeps in zip(*jobs)]",  # no user, no config
+        tests=("tests/test_cli.py::"
+               "test_library_sweep_without_a_window_gives_one_empty_section_per_config",),
+    ),
+    Mutant(
+        "sweep-leaves-the-configs-to-its-jobs", CLI,
+        old="algorithms = _config_algorithms(configs)\n    _check_options(None, workers)",
+        new="algorithms = [c.algorithm for c in configs]\n    _check_options(None, workers)",
+        tests=("tests/test_cli.py::"
+               "test_library_sweep_rejects_bad_configs_or_workers_without_users",),
+    ),
+    Mutant(
+        "means-with-builtin-sum", METRICS,
+        old='"mean": (_running_sum(defined) / len(defined)) if defined else None,',
+        new='"mean": (sum(defined) / len(defined)) if defined else None,',
+        tests=("tests/test_cli.py::test_outputs_match_recorded_digests_on_every_python",),
+        needs_python_3_12=True,
     ),
 )

@@ -7,9 +7,11 @@ The script copies ``src/``, ``tests/``, ``perfbench/``, ``referees/``,
 reads, into a temporary directory. There it first runs every mutant's tests
 on the unmutated copy, which must pass; then it applies each mutant alone,
 runs its tests, which must fail, and puts the file back. A mutant whose tests
-still pass survived. The exit status is 0 when every mutant is killed and 1
-otherwise. It runs pytest once per mutant, so it is not part of the tier-1
-suite.
+still pass survived. A mutant marked ``needs_python_3_12`` is skipped, with
+its reason printed, where ``~/.pyenv/versions`` has neither a 3.12 nor a 3.13:
+its tests' failing cases skip there, so it would survive. The exit status is
+0 when every mutant that ran is killed and 1 otherwise. It runs pytest once
+per mutant, so it is not part of the tier-1 suite.
 """
 
 from __future__ import annotations
@@ -26,6 +28,16 @@ from mutants import MUTANTS
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "perfbench", "referees", "demos", "pyproject.toml", "conftest.py")
 TESTS_FAILED = 1  # pytest's exit code when tests ran and some failed
+PYENV_VERSIONS = Path.home() / ".pyenv" / "versions"
+LATER_MINORS = ("3.12", "3.13")  # as tests/test_cli.py looks them up
+
+
+def _skip_reason(mutant, versions: Path = PYENV_VERSIONS) -> str | None:
+    """Why ``mutant`` cannot be killed here, or None when it can."""
+    found = [p for minor in LATER_MINORS for p in versions.glob(f"{minor}.*/bin/python{minor}")]
+    if mutant.needs_python_3_12 and not found:
+        return f"needs CPython 3.12 or later under {versions}"
+    return None
 
 
 def _pytest(copy: Path, tests: list[str]) -> int:
@@ -58,6 +70,10 @@ def main() -> int:
                 print(f"error: {mutant.name}: the text to replace does not occur exactly once "
                       f"in {mutant.path}", file=sys.stderr)
                 return 1
+            reason = _skip_reason(mutant)
+            if reason:
+                print(f"skipped {mutant.name}: {reason}")
+                continue
             path.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
             try:
                 code = _pytest(copy, list(mutant.tests))

@@ -18,7 +18,7 @@ from .predictors import (ALGORITHMS, PredictionModel, PredictorConfig, empty_mod
                          model_to_dict, model_to_json, train)
 from .pruning import PruneResult, PruneSpec, STRATEGIES, domain_cutoff_filter, prune
 from .sweep import (SlidingWindowSpec, SweepResult, WindowRecord, cutoff_scan,
-                    enumerate_windows, run_sweep, sweep_user)
+                    enumerate_windows, sweep_user)
 from .traces import (InvalidURLError, RepetitionStats, Request, UserTrace,
                      parse_domain, repetition_stats)
 
@@ -62,7 +62,6 @@ __all__ = [
     "read_trace_files",
     "remove_outlier_users",
     "repetition_stats",
-    "run_sweep",
     "run_test_engine",
     "run_user",
     "split",

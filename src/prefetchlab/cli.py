@@ -20,10 +20,10 @@ once), and scores the runs. With more than one worker the command forks
 (``forkjoin``): the user ids are cut into one contiguous slice per worker,
 the command's own process maps the first slice and a forked child each
 other slice, and the slices' results are joined in user order, so the
-worker count never changes any output outside "runtime". ``evaluate()`` is
-the library form of the evaluate command: it checks its options, sends the
-jobs and builds the report.json dict from their results; ``cmd_evaluate``
-only loads the input and writes the files.
+worker count never changes any output outside "runtime". Both analysis
+commands are a library call plus publishing: ``evaluate()`` and ``sweep()``
+check their options, send the jobs and build the report dict from the results;
+``cmd_evaluate`` and ``cmd_sweep`` only load the input, call them and publish.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .predictors import (ALGORITHMS, DEFAULT_LOOKAHEAD_WINDOW, DEFAULT_PPM_ORDER
                          DEFAULT_TOP_N, PredictorConfig, _config_algorithms)
 from .pruning import STRATEGIES, PruneSpec, domain_cutoff_filter
 from .sweep import (DEFAULT_CUTOFF_EPSILON, DEFAULT_WINDOW_SIZES, SWEEP_METRICS,
-                    SlidingWindowSpec, build_sweep_result, cutoff_scan, sweep_user)
+                    SlidingWindowSpec, SweepResult, build_sweep_result, cutoff_scan, sweep_user)
 from .traces import UserTrace, _running_sum, population_summary, repetition_stats
 
 REPORT_FORMAT = "prefetchlab-report/v1"
@@ -360,54 +360,65 @@ def _write_metrics_csv(path: Path, report: dict) -> None:
 
 # ---------------------------------------------------------------- sweep
 
-def cmd_sweep(args) -> int:
-    swspec = SlidingWindowSpec(args.sizes or DEFAULT_WINDOW_SIZES, args.ratio)
-    configs = _configs(args)
-    _check_options(None, args.workers)
-    traces = _load_input(args.input, args.format, args.strict)
-    started = time.perf_counter()  # as in evaluate, the input's loading is not timed
+def sweep(traces: dict[str, UserTrace], configs: list[PredictorConfig], spec: SlidingWindowSpec,
+          workers: int = 1) -> tuple[dict, list[SweepResult]]:
+    """The sweep command's sweep_summary.json and, per config in order, its ``SweepResult``."""
+    started = time.perf_counter()
+    algorithms = _config_algorithms(configs)
+    _check_options(None, workers)
     users = sorted(traces)
-    smallest = min(swspec.window_sizes)
-    if not any(len(traces[uid]) >= smallest for uid in users):  # then no window at all
-        raise NothingToReport(f"no user to sweep: {len(users)} loaded, none of "
-                              f"{smallest} requests or more")
-    jobs = _run_jobs(lambda uid: sweep_user(traces[uid], configs, swspec), users, args.workers)
-    results = [build_sweep_result(sweeps, swspec) for sweeps in zip(*jobs)]  # one per config
-    algo_sections, outputs = {}, {}
-    for config, result in zip(configs, results):
-        outputs[f"sweep_{config.algorithm}.csv"] = (_write_sweep_rows_csv, result)
-        outputs[f"sweep_{config.algorithm}_means.csv"] = (_write_sweep_means_csv, result)
-        cutoffs = {}
+    jobs = _run_jobs(lambda uid: sweep_user(traces[uid], configs, spec), users, workers)
+    # by config index: zip(*jobs) would give no config at all when there is no user
+    results = [build_sweep_result([job[i] for job in jobs], spec) for i in range(len(configs))]
+    sections = {}
+    for a, result in zip(algorithms, results):
+        cutoffs = dict.fromkeys(SWEEP_METRICS)
         for metric in SWEEP_METRICS:
-            by_size = {size: result.means[size][metric]["mean"] for size in result.means}
+            by_size = {size: means[metric]["mean"] for size, means in result.means.items()}
             try:
                 cutoff, trend = cutoff_scan(by_size, DEFAULT_CUTOFF_EPSILON)
-                cutoffs[metric] = {"cutoff": cutoff, "trend": trend,
-                                   "epsilon": DEFAULT_CUTOFF_EPSILON}
-            except ValueError:
-                cutoffs[metric] = None
-        algo_sections[config.algorithm] = {
+            except ValueError:  # fewer than two sizes with a mean: no cut-off
+                continue
+            cutoffs[metric] = {"cutoff": cutoff, "trend": trend, "epsilon": DEFAULT_CUTOFF_EPSILON}
+        sections[a] = {
             "model_count": len(result.records),
             "skipped_users": {str(size): n for size, n in result.skipped.items()},
             "means": {str(size): means for size, means in result.means.items()},
             "cutoffs": cutoffs,
         }
-        print(f"{config.algorithm:<6} {len(result.records)} models "
-              f"({sum(result.skipped.values())} per-size user skips)")
-
-    outputs["sweep_summary.json"] = (_write_json, {
+    summary = {
         "format": SWEEP_FORMAT,
         "command": "sweep",
         "config": {
-            "algorithms": [c.algorithm for c in configs],
+            "algorithms": algorithms,
             # every window slides by its test-slice length; the key keeps report bytes
-            "window": {**swspec._asdict(), "sliding_distance": "auto"},
+            "window": {**spec._asdict(), "sliding_distance": "auto"},
             "predictors": {c.algorithm: c.to_dict() for c in configs},
         },
         "users": len(users),
-        "algorithms_results": algo_sections,
-        "runtime": {"workers": args.workers, "elapsed_s": time.perf_counter() - started},
-    })
+        "algorithms_results": sections,
+        "runtime": {"workers": workers, "elapsed_s": time.perf_counter() - started},
+    }
+    return summary, results
+
+
+def cmd_sweep(args) -> int:
+    spec = SlidingWindowSpec(args.sizes or DEFAULT_WINDOW_SIZES, args.ratio)
+    configs = _configs(args)
+    _check_options(None, args.workers)
+    traces = _load_input(args.input, args.format, args.strict)
+    smallest = min(spec.window_sizes)
+    if not any(len(trace) >= smallest for trace in traces.values()):  # then no window at all
+        raise NothingToReport(f"no user to sweep: {len(traces)} loaded, none of "
+                              f"{smallest} requests or more")
+    summary, results = sweep(traces, configs, spec, args.workers)
+    outputs = {}
+    for config, result in zip(configs, results):
+        outputs[f"sweep_{config.algorithm}.csv"] = (_write_sweep_rows_csv, result)
+        outputs[f"sweep_{config.algorithm}_means.csv"] = (_write_sweep_means_csv, result)
+        print(f"{config.algorithm:<6} {len(result.records)} models "
+              f"({sum(result.skipped.values())} per-size user skips)")
+    outputs["sweep_summary.json"] = (_write_json, summary)
     out = Path(args.out)  # made only now: a job that fails leaves no directory behind
     _publish(out, outputs)
     print(f"sweep summary: {out / 'sweep_summary.json'}")

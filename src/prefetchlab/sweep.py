@@ -184,12 +184,6 @@ def build_sweep_result(per_user: Iterable[Sequence[WindowRecord]],
     return SweepResult(records=tuple(records), means=means, skipped=skipped)
 
 
-def run_sweep(traces: Mapping[str, UserTrace], config: PredictorConfig,
-              spec: SlidingWindowSpec) -> SweepResult:
-    per_user = (sweep_user(traces[user_id], [config], spec)[0] for user_id in sorted(traces))
-    return build_sweep_result(per_user, spec)
-
-
 def cutoff_scan(means: Mapping[int, float | None],
                 epsilon: float = DEFAULT_CUTOFF_EPSILON) -> tuple[int, str]:
     """Locate where successive per-size mean deltas settle within epsilon.

@@ -16,7 +16,7 @@ import math
 import time
 from contextlib import contextmanager
 
-from prefetchlab.cli import main
+from prefetchlab.cli import main, sweep
 from prefetchlab.engine import SplitSpec, run_test_engine, run_user
 from prefetchlab.metrics import metrics_report
 from prefetchlab.predictors import ALGORITHMS, PredictorConfig, train
@@ -24,8 +24,7 @@ from prefetchlab.pruning import STRATEGIES, PruneSpec, prune
 from prefetchlab.selftest import (check_naive_dominance, check_normalization_identity,
                                   check_oracle_equivalence, check_train_fold)
 from prefetchlab.sweep import (DEFAULT_CUTOFF_EPSILON, DEFAULT_WINDOW_SIZES,
-                               SlidingWindowSpec, cutoff_scan, enumerate_windows,
-                               run_sweep)
+                               SlidingWindowSpec, enumerate_windows)
 from prefetchlab.synth import bursty_traces, uniform_traces, write_log
 from prefetchlab.traces import UserTrace
 
@@ -221,14 +220,15 @@ def test_criterion_09_training_size_cutoff_trend():
     with criterion(9, "sweep means rise then flatten; cut-off lands below the largest size"):
         started = time.perf_counter()
         traces = bursty_traces(seed=9, count=500)
-        result = run_sweep(traces, PredictorConfig("naive"),
-                           SlidingWindowSpec(window_sizes=DEFAULT_WINDOW_SIZES))
+        summary, (result,) = sweep(traces, [PredictorConfig("naive")],
+                                   SlidingWindowSpec(window_sizes=DEFAULT_WINDOW_SIZES))
         elapsed = time.perf_counter() - started
 
         sizes = list(DEFAULT_WINDOW_SIZES)
         means = {size: result.means[size]["dynamic_recall"]["mean"] for size in sizes}
         assert all(v is not None for v in means.values())
-        cutoff, trend = cutoff_scan(means, DEFAULT_CUTOFF_EPSILON)
+        found = summary["algorithms_results"]["naive"]["cutoffs"]["dynamic_recall"]
+        cutoff, trend = found["cutoff"], found["trend"]
         assert trend == "positive"
         assert cutoff < max(sizes), f"cut-off {cutoff} not below {max(sizes)}"
         assert means[sizes[-1]] - means[sizes[0]] > 0.1

@@ -1195,6 +1195,61 @@ def test_library_evaluate_rejects_an_empty_config_list(prune_spec):
         evaluate(traces, [], SplitSpec(), prune_spec)
 
 
+# (command flags, the configs and window spec they must become)
+LIBRARY_SWEEP_CASES = {
+    "default": ([], [PredictorConfig(a) for a in ALGORITHMS], SlidingWindowSpec()),
+    "flags": (["--sizes", "10,20,40", "--algo", "ppm", "--algo", "dg", "--window", "2",
+               "--top-n", "2", "--ratio", "0.6"],
+              [PredictorConfig(a, lookahead_window=2, top_n=2) for a in ("dg", "ppm")],
+              SlidingWindowSpec([10, 20, 40], 0.6)),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", sorted(LIBRARY_SWEEP_CASES))
+def test_library_sweep_returns_the_summary_the_command_writes(tmp_path, case, workers):
+    flags, configs, spec = LIBRARY_SWEEP_CASES[case]
+    log = _golden_log(tmp_path)
+    out = tmp_path / "out"
+    assert main(["sweep", "--input", str(log), "--out", str(out), "--workers", str(workers),
+                 *flags]) == 0
+    written = _read_json(out / "sweep_summary.json")
+    traces, _ = load_traces(log)
+    summary, results = cli.sweep(traces, configs, spec, workers)
+    assert summary["runtime"]["workers"] == workers
+    assert [len(r.records) for r in results] == [
+        s["model_count"] for s in summary["algorithms_results"].values()]
+    written.pop("runtime")
+    summary.pop("runtime")
+    assert json.loads(json.dumps(summary)) == written  # the window sizes are a tuple
+
+
+@pytest.mark.parametrize("lengths", [[], [1, 4, 9]], ids=["no-user", "all-short"])
+def test_library_sweep_without_a_window_gives_one_empty_section_per_config(lengths):
+    # built with zip(*jobs) over the users' jobs, no user gave no section and no result
+    traces = {f"u{n}": UserTrace.build(f"u{n}", list(range(n)), ["https://a.example/"] * n)
+              for n in lengths}
+    configs = [PredictorConfig(a) for a in ("ppm", "mp", "naive")]
+    summary, results = cli.sweep(traces, configs, SlidingWindowSpec([10, 20]))
+    assert [r.records for r in results] == [(), (), ()]
+    assert list(summary["algorithms_results"]) == ["ppm", "mp", "naive"]
+    for section in summary["algorithms_results"].values():
+        assert section["model_count"] == 0
+        assert section["skipped_users"] == {"10": len(lengths), "20": len(lengths)}
+        assert section["cutoffs"] == dict.fromkeys(SWEEP_METRICS)
+
+
+@pytest.mark.parametrize("configs, workers, message", [
+    ([], 1, "at least one config is required"),
+    ([PredictorConfig("dg"), PredictorConfig("dg", top_n=2)], 1, "one config per algorithm"),
+    ([PredictorConfig("dg")], 0, "workers must be >= 1"),
+], ids=["no-config", "two-dg", "no-worker"])
+def test_library_sweep_rejects_bad_configs_or_workers_without_users(configs, workers, message):
+    # checked up front: with no user, sweep_user, which also checks the configs, never runs
+    with pytest.raises(ValueError, match=message):
+        cli.sweep({}, configs, SlidingWindowSpec([10]), workers)
+
+
 def test_evaluate_prune_prunes_each_user_once_for_all_algorithms(tmp_path, monkeypatch):
     # the prune result depends on the user and the regime alone, not on the algorithm
     calls = []

@@ -50,3 +50,30 @@ def test_each_equivalent_mutant_replaces_text_that_occurs_once_and_is_not_a_muta
     assert equivalent.new != equivalent.old and equivalent.why
     assert (ROOT / equivalent.path).read_text(encoding="utf-8").count(equivalent.old) == 1
     assert equivalent.name not in {m.name for m in MUTANTS}
+
+
+def test_only_mutants_of_the_sum_order_need_python_3_12():
+    # the every-Python digest cases are the tests that read 3.12's compensated sum()
+    assert all(type(m.needs_python_3_12) is bool for m in MUTANTS)
+    later = {m.name: m.tests for m in MUTANTS if m.needs_python_3_12}
+    assert later == {"means-with-builtin-sum": (
+        "tests/test_cli.py::test_outputs_match_recorded_digests_on_every_python",)}
+
+
+@pytest.mark.parametrize("installed, skipped", [
+    ([], True), (["3.11.7/bin/python3.11"], True),
+    (["3.12.1/bin/python3.12"], False), (["3.13.0/bin/python3.13"], False),
+])
+def test_run_skips_a_mutant_needing_python_3_12_where_pyenv_has_none(tmp_path, monkeypatch,
+                                                                   installed, skipped):
+    monkeypatch.syspath_prepend(str(ROOT / "referees"))  # run.py imports mutants as a top module
+    run = _load("run")
+    for name in installed:
+        (tmp_path / name).parent.mkdir(parents=True)
+        (tmp_path / name).touch()
+    for mutant in MUTANTS:
+        reason = run._skip_reason(mutant, tmp_path)
+        if mutant.needs_python_3_12 and skipped:
+            assert reason == f"needs CPython 3.12 or later under {tmp_path}"
+        else:
+            assert reason is None

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from prefetchlab import sweep
+from prefetchlab import cli, sweep
 from prefetchlab.predictors import ALGORITHMS, PredictorConfig, train
 from prefetchlab.engine import run_test_engine
 from prefetchlab.metrics import metrics_report
@@ -17,7 +17,6 @@ from prefetchlab.sweep import (
     build_sweep_result,
     cutoff_scan,
     enumerate_windows,
-    run_sweep,
     sweep_user,
 )
 from prefetchlab.traces import UserTrace
@@ -271,7 +270,7 @@ def test_build_sweep_result_is_user_order_invariant():
 def test_sweep_result_records_sorted_and_counted():
     traces = {u: _trace(u, _urls(11)) for u in ("u2", "u1")}
     spec = SlidingWindowSpec(window_sizes=(10, 5))
-    result = run_sweep(traces, PredictorConfig(algorithm="naive"), spec)
+    _, (result,) = cli.sweep(traces, [PredictorConfig(algorithm="naive")], spec)
     keys = [r.sort_key() for r in result.records]
     assert keys == sorted(keys)
     # size 5: 7 windows per trace; size 10: 1 window per trace
@@ -282,7 +281,7 @@ def test_sweep_result_records_sorted_and_counted():
 def test_skipped_users_tallied_per_size():
     traces = {"short": _trace("short", _urls(4)), "long": _trace("long", _urls(12))}
     spec = SlidingWindowSpec(window_sizes=(5, 12))
-    result = run_sweep(traces, PredictorConfig(algorithm="naive"), spec)
+    _, (result,) = cli.sweep(traces, [PredictorConfig(algorithm="naive")], spec)
     assert result.skipped == {5: 1, 12: 1}
     sizes_present = {r.window_size for r in result.records}
     assert sizes_present == {5, 12}
@@ -310,7 +309,7 @@ def test_skipped_counts_the_users_shorter_than_each_size(lengths, sizes):
 def test_means_keyed_by_size_with_counts():
     traces = {"u1": _trace("u1", _urls(10))}
     spec = SlidingWindowSpec(window_sizes=(5, 40))
-    result = run_sweep(traces, PredictorConfig(algorithm="naive"), spec)
+    _, (result,) = cli.sweep(traces, [PredictorConfig(algorithm="naive")], spec)
     five = result.means[5]["dynamic_recall"]
     assert five["count"] + five["excluded"] == 6
     empty = result.means[40]["dynamic_recall"]
