@@ -2,9 +2,10 @@
 
 Each entry replaces the one occurrence of ``old`` in ``path`` with ``new``,
 as in ``mutants.py``, and says why no test can fail under it. ``run.py``
-does not run them. ``tests/test_referees.py`` checks that each ``old`` still
-occurs exactly once, so a change to the code it names turns up as a failing
-test, and the entry is then read again. A mutant belongs here only when no
+does not run them. ``tests/test_referees.py`` holds them to the rule of
+``mutants.py``: each ``old`` still occurs exactly once in ``src/``, and no
+name is in both lists. So a change to the code an entry names turns up as a
+failing test, and the entry is then read again. A mutant belongs here only when no
 input the program accepts can kill it; one that merely survives the suite
 needs a test instead.
 """
@@ -36,5 +37,34 @@ EQUIVALENT = (
         new="os._exit(1)",
         why=("fork_map reaps each child with os.waitpid and never reads its exit "
              "status; a child's results and errors reach the parent through its pipe."),
+    ),
+    Equivalent(
+        "forkjoin-one-bound-past-the-last", "src/prefetchlab/forkjoin.py",
+        old="range(shares + 1)",
+        new="range(shares + 2)",
+        why=("the last slice ends at bounds[shares], so the bound after it is never read."),
+    ),
+    Equivalent(
+        "table-dg-all-pass-strict", "src/prefetchlab/engine.py",
+        old="1 / seen >= threshold",
+        new="1 / seen > threshold",
+        why=("every stored count is at least 1, so when 1 / seen equals the threshold "
+             "the per-key filter it falls through to keeps the whole row, as the "
+             "all-pass branch does: division by seen is monotonic in the count."),
+    ),
+    Equivalent(
+        "ppm-pass-all-pass-strict", "src/prefetchlab/engine.py",
+        old="1 / total >= threshold",
+        new="1 / total > threshold",
+        why=("every child's count is at least 1, so when 1 / total equals the threshold "
+             "the per-child filter it falls through to keeps every child, as the "
+             "all-pass branch does."),
+    ),
+    Equivalent(
+        "table-mp-ranks-a-row-of-top-n", "src/prefetchlab/engine.py",
+        old="len(row) <= top_n",
+        new="len(row) < top_n",
+        why=("a row of exactly top_n keys then falls through to the ranking, whose "
+             "first top_n keys are the whole row: MP's cache takes the same set."),
     ),
 )

@@ -116,19 +116,83 @@ MUTANTS = (
     ),
     Mutant(
         "table-cuts-mp-one-short", ENGINE,
-        old="mp_cache.update(ranked[:top_n])",
-        new="mp_cache.update(ranked[:top_n - 1])",
+        old="_ranked(list(row), row.__getitem__)[:top_n])",
+        new="_ranked(list(row), row.__getitem__)[:top_n - 1])",
         tests=("tests/test_engine.py::"
+               "test_dg_table_pass_keeps_weights_at_the_threshold_and_cuts_a_row_one_over_top_n",
+               "tests/test_engine.py::"
                "test_dg_table_pass_equals_dg_mp_and_naive_each_replayed_alone",
                "tests/test_sweep.py::test_dg_and_mp_in_one_pass_equal_their_own_sweeps"),
     ),
     Mutant(
         "table-dg-threshold-cut-inclusive", ENGINE,
-        old="if row[key] / seen < threshold:",
-        new="if row[key] / seen <= threshold:",
+        old="if n / seen >= threshold]",
+        new="if n / seen > threshold]",
         tests=("tests/test_engine.py::"
+               "test_dg_table_pass_keeps_weights_at_the_threshold_and_cuts_a_row_one_over_top_n",
+               "tests/test_engine.py::"
                "test_dg_table_pass_equals_dg_mp_and_naive_each_replayed_alone",
                "tests/test_sweep.py::test_dg_and_mp_in_one_pass_equal_their_own_sweeps"),
+    ),
+    Mutant(
+        "table-dg-all-pass-at-two-over-seen", ENGINE,
+        old="1 / seen >= threshold",
+        new="2 / seen >= threshold",  # a count-1 key passes where 2 / seen reaches the threshold
+        tests=("tests/test_engine.py::"
+               "test_dg_table_pass_keeps_weights_at_the_threshold_and_cuts_a_row_one_over_top_n",
+               "tests/test_engine.py::"
+               "test_dg_table_pass_equals_dg_mp_and_naive_each_replayed_alone",
+               "tests/test_sweep.py::test_dg_and_mp_in_one_pass_equal_their_own_sweeps"),
+    ),
+    Mutant(
+        "table-mp-takes-a-row-one-over-top-n", ENGINE,
+        old="len(row) <= top_n",
+        new="len(row) <= top_n + 1",
+        tests=("tests/test_engine.py::"
+               "test_dg_table_pass_keeps_weights_at_the_threshold_and_cuts_a_row_one_over_top_n",
+               "tests/test_engine.py::"
+               "test_dg_table_pass_equals_dg_mp_and_naive_each_replayed_alone",
+               "tests/test_sweep.py::test_dg_and_mp_in_one_pass_equal_their_own_sweeps"),
+    ),
+    Mutant(
+        "ppm-pass-threshold-strict", ENGINE,
+        old="if child.count / total >= threshold])",
+        new="if child.count / total > threshold])",
+        tests=("tests/test_engine.py::"
+               "test_ppm_pass_equals_the_engine_from_the_model_s_recent_context",
+               "tests/test_sweep.py::test_ppm_sweep_records_equal_fresh_replays_of_each_window"),
+    ),
+    Mutant(
+        "ppm-pass-threshold-by-multiplication", ENGINE,
+        old="if child.count / total >= threshold])",
+        new="if child.count >= threshold * total])",  # 7 >= 0.28 * 25 fails
+        tests=("tests/test_engine.py::"
+               "test_ppm_pass_equals_the_engine_from_the_model_s_recent_context",
+               "tests/test_sweep.py::test_ppm_sweep_records_equal_fresh_replays_of_each_window"),
+    ),
+    Mutant(
+        "ppm-pass-adds-shorter-suffixes-too", ENGINE,
+        old="threshold])\n                break\n",
+        new="threshold])\n",
+        tests=("tests/test_engine.py::"
+               "test_ppm_pass_equals_the_engine_from_the_model_s_recent_context",
+               "tests/test_sweep.py::test_ppm_sweep_records_equal_fresh_replays_of_each_window"),
+    ),
+    Mutant(
+        "ppm-pass-reads-the-root", ENGINE,
+        old="model._suffixes[:0:-1]",
+        new="model._suffixes[::-1]",
+        tests=("tests/test_engine.py::"
+               "test_ppm_pass_equals_the_engine_from_the_model_s_recent_context",
+               "tests/test_sweep.py::test_ppm_sweep_records_equal_fresh_replays_of_each_window"),
+    ),
+    Mutant(
+        "ppm-pass-all-pass-at-two-over-the-count", ENGINE,
+        old="1 / total >= threshold",
+        new="2 / total >= threshold",
+        tests=("tests/test_engine.py::"
+               "test_ppm_pass_equals_the_engine_from_the_model_s_recent_context",
+               "tests/test_sweep.py::test_ppm_sweep_records_equal_fresh_replays_of_each_window"),
     ),
     Mutant(
         "table-naive-cache-counts-the-last-request", ENGINE,
@@ -415,6 +479,12 @@ MUTANTS = (
         new="algorithms = [c.algorithm for c in configs]\n    _check_options(None, workers)",
         tests=("tests/test_cli.py::"
                "test_library_sweep_rejects_bad_configs_or_workers_without_users",),
+    ),
+    Mutant(
+        "sweep-defaults-to-two-workers", CLI,
+        old="workers: int = 1) -> tuple[dict, list[SweepResult]]:",
+        new="workers: int = 2) -> tuple[dict, list[SweepResult]]:",
+        tests=("tests/test_cli.py::test_library_sweep_runs_one_worker_unless_told_otherwise",),
     ),
     Mutant(
         "means-with-builtin-sum", METRICS,

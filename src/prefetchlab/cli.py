@@ -7,8 +7,10 @@ dedicated "runtime" section (JSON) or column (CSV) that consumers and
 golden-file comparisons can drop. A command with no user to report on (none
 kept by ``ingest``, none evaluated, none long enough for a sweep window)
 raises ``NothingToReport`` and writes nothing; only ``main`` prints an error,
-as one ``error:`` line. Every command writes all of its files or none: each
-goes through ``_publish``, the only code that creates ``--out``.
+as one ``error:`` line. Every file goes through ``_publish``, the only code
+that creates ``--out``: a command that an exception stops writes all of its
+files or none. A process killed between two of its renames leaves some files
+new, the rest old, and a stray ``.<name>.<pid>.tmp``.
 
 The unit of work is the user. ``evaluate`` and ``sweep`` map a job over the
 sorted user ids that closes over the command's inputs and does all of one

@@ -20,8 +20,9 @@ readings.
 
 When DG and MP share a lookahead window, MP is DG's arc counts cut at top-n,
 and Naive's seen set is the key set of DG's node counts, so
-``run_dg_table_engine`` replays one DG model as all three: one ranking of the
-row, two caches, one membership test, one update per step.
+``run_dg_table_engine`` replays one DG model as all three: two caches filled
+from one row, one membership test, one update per step. It and ``run_ppm_pass``
+score only which keys reach the cache, without the ranked list ``predict`` builds.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from itertools import compress
 from operator import not_
 from typing import NamedTuple, Sequence
 
-from .predictors import DGModel, PredictorConfig, PredictionModel, _ranked, train
+from .predictors import DGModel, PPMModel, PredictorConfig, PredictionModel, _ranked, train
 from .pruning import PruneSpec, PruneResult, prune
 from .traces import UserTrace
 
@@ -126,10 +127,10 @@ def run_dg_table_engine(model: DGModel, top_n: int, test: Sequence[str],
                         ) -> tuple[TestOutcome, TestOutcome, TestOutcome]:
     """Replay one DG model as DG, MP and Naive at once; returns their three outcomes.
 
-    At each step the successor row of the request just seen is ranked once.
-    MP's cache gets its first ``top_n`` keys; DG's cache gets the leading keys
-    whose weight count / occurrences reaches the model's threshold, a prefix
-    of the same ranking because the weight grows with the count. Naive
+    At each step the caches take keys of the successor row of the request just
+    seen: MP's its ``top_n`` best-ranked keys, ranked only when the row is longer,
+    and DG's the keys whose weight count / occurrences reaches the model's
+    threshold, the whole row when 1 / occurrences does. Naive
     predicts every key seen so far, which are the keys of the node counts, so
     a request is a Naive hit when it is one of them; its cache is that key set
     at the last step's prediction. Then the model is updated once. The
@@ -146,15 +147,11 @@ def run_dg_table_engine(model: DGModel, top_n: int, test: Sequence[str],
     for current in test:
         row = arcs.get(source)
         if row:
-            ranked = _ranked(list(row), row.__getitem__)
-            mp_cache.update(ranked[:top_n])
-            seen = occurrences[source]
-            for kept, key in enumerate(ranked):
-                if row[key] / seen < threshold:
-                    dg_cache.update(ranked[:kept])
-                    break
-            else:
-                dg_cache.update(ranked)
+            mp_cache.update(row if len(row) <= top_n else
+                            _ranked(list(row), row.__getitem__)[:top_n])
+            seen = occurrences[source]  # every count is at least 1: 1 / seen is the least weight
+            dg_cache.update(row if 1 / seen >= threshold else
+                            [key for key, n in row.items() if n / seen >= threshold])
         dg_hits.append(current in dg_cache)
         mp_hits.append(current in mp_cache)
         naive_hits.append(current in occurrences)
@@ -165,6 +162,26 @@ def run_dg_table_engine(model: DGModel, top_n: int, test: Sequence[str],
     naive_cache = len(occurrences) - (occurrences[test[-1]] == 1) if test else 0
     return (_outcome(len(dg_cache), test, dg_hits), _outcome(len(mp_cache), test, mp_hits),
             _outcome(naive_cache, test, naive_hits))
+
+
+def run_ppm_pass(model: PPMModel, test: Sequence[str]) -> TestOutcome:
+    """Replay a PPM model from its own recent context; returns the outcome, which equals
+    ``run_test_engine(model, test, model.recent_context, ppm_order)``. Each step adds,
+    unranked, the passing children of the longest suffix node with children, read from
+    the nodes that ``update`` keeps. The model is mutated."""
+    threshold, update = model.config.effective_threshold, model.update
+    cache, hits = set(), []
+    for current in test:
+        for node in model._suffixes[:0:-1]:  # longest suffix first, the root left out
+            if node:  # neither missing nor childless
+                total = node.count  # every child's count is at least 1
+                cache.update(node if 1 / total >= threshold else
+                             [key for key, child in node.items()
+                              if child.count / total >= threshold])
+                break
+        hits.append(current in cache)
+        update(current)
+    return _outcome(len(cache), test, hits)
 
 
 def _outcome(cache_size: int, test: Sequence[str], hits: list[bool]) -> TestOutcome:

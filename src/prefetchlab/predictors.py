@@ -216,7 +216,7 @@ class PPMModel:
     childless. When the context equals ``recent_context``, as in replay of a
     model trained on the unpruned front of the trace, prediction walks the
     suffix nodes that ``update`` keeps, longest first, instead of looking each
-    path up from the root.
+    path up from the root. ``engine.run_ppm_pass`` reads the same nodes.
     """
 
     algorithm = "ppm"

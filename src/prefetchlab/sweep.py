@@ -18,9 +18,12 @@ is trained, and ``forget`` runs once per slide.
 DG and MP with the same lookahead window read one arc table, and Naive's seen
 set is the key set of the same model's node counts: given DG and MP configs
 that agree on the window, ``sweep_user`` slides one DG model per size for DG,
-MP and, when it runs, Naive, and replays each window once. Every other config
-slides its own model. A user's sweep under a config is the tuple of its window
-records; a trace shorter than a size has no window, and no record, of it.
+MP and, when it runs, Naive, and replays each window once through
+``run_dg_table_engine``. Every other config slides its own model; a PPM model
+replays through ``run_ppm_pass``, since a trained or slid window model's recent
+context is always that window's trigger context. Both rank only the rows MP cuts. A
+user's sweep under a config is the tuple of its window records; a trace shorter
+than a size has no window, and no record, of it.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import time
 from collections import namedtuple
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .engine import SplitSpec, TestOutcome, run_dg_table_engine, run_test_engine
+from .engine import SplitSpec, TestOutcome, run_dg_table_engine, run_ppm_pass, run_test_engine
 from .metrics import MetricsReport, aggregate_reports, metrics_report
 from .predictors import PredictionModel, PredictorConfig, _config_algorithms, train
 from .traces import UserTrace
@@ -127,6 +130,8 @@ def sweep_user(trace: UserTrace, configs: Sequence[PredictorConfig],
 
 def _replay(model: PredictionModel, test: Sequence[str], context: Sequence[str]
             ) -> tuple[TestOutcome]:
+    if model.algorithm == "ppm":  # a window's model holds its trigger context as recent_context
+        return (run_ppm_pass(model, test),)
     return (run_test_engine(model, test, context, model.config.trigger_depth),)
 
 

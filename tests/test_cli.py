@@ -1250,6 +1250,13 @@ def test_library_sweep_rejects_bad_configs_or_workers_without_users(configs, wor
         cli.sweep({}, configs, SlidingWindowSpec([10]), workers)
 
 
+def test_library_sweep_runs_one_worker_unless_told_otherwise():
+    # as evaluate does; every other call of sweep passes workers
+    traces = bursty_traces(seed=3, count=2, min_length=20, max_length=20)
+    summary, _ = cli.sweep(traces, [PredictorConfig("naive")], SlidingWindowSpec([10]))
+    assert summary["runtime"]["workers"] == 1
+
+
 def test_evaluate_prune_prunes_each_user_once_for_all_algorithms(tmp_path, monkeypatch):
     # the prune result depends on the user and the regime alone, not on the algorithm
     calls = []

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prefetchlab.engine import (SplitSpec, TestOutcome, TraceTooShortError,
-                                run_dg_table_engine, run_test_engine, run_user, split)
+                                run_dg_table_engine, run_ppm_pass, run_test_engine, run_user,
+                                split)
 from prefetchlab.oracle import oracle_run
 from prefetchlab.predictors import ALGORITHMS, PredictorConfig, model_to_json, train
 from prefetchlab.pruning import STRATEGIES, PruneSpec, prune
@@ -165,6 +166,40 @@ def test_dg_table_pass_equals_dg_mp_and_naive_each_replayed_alone(training, pre_
     alone = tuple(run_test_engine(train(config, training), test, pre_context, 1)
                   for config in configs)
     assert run_dg_table_engine(train(configs[0], training), top_n, test, pre_context) == alone
+
+
+def test_dg_table_pass_keeps_weights_at_the_threshold_and_cuts_a_row_one_over_top_n():
+    # p0 occurs eight times and is followed by p2 four times, p1 twice and p3 once: at DG's
+    # 1/4, p1 weighs exactly the threshold though 1/8 does not reach it, and the row is one
+    # key longer than MP's top 2
+    training = ["p0", "p2"] * 4 + ["p0", "p1"] * 2 + ["p0", "p3", "p0"]
+    test = ["p1", "p3", "p2", "p0"]
+    configs = [PredictorConfig("dg", 1), PredictorConfig("mp", 1, top_n=2),
+               PredictorConfig("naive")]
+    alone = tuple(run_test_engine(train(config, training), test, training[-1:], 1)
+                  for config in configs)
+    assert run_dg_table_engine(train(configs[0], training), 2, test, training[-1:]) == alone
+
+
+@settings(max_examples=150)
+@given(pages_st, pages_st, st.integers(1, 3), st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]),
+       st.integers(0, 40))
+# a fresh model, and one slid past all but the last key, whose suffix nodes are looked up
+@example(["p0", "p1", "p0", "p2", "p0"], ["p1", "p0", "p3"], 2, 0.1, 0)
+@example(["p0", "p1", "p0", "p2", "p0"], ["p1", "p0", "p3"], 2, 0.1, 4)
+def test_ppm_pass_equals_the_engine_from_the_model_s_recent_context(training, test, order,
+                                                                    threshold, dropped):
+    config = PredictorConfig("ppm", confidence_threshold=threshold, ppm_order=order)
+
+    def trained():
+        model = train(config, training)
+        model.forget(training, min(dropped, len(training)))  # a no-op for 0: freshly trained
+        return model
+
+    engine_model, pass_model = trained(), trained()
+    expected = run_test_engine(engine_model, test, engine_model.recent_context, order)
+    assert run_ppm_pass(pass_model, test) == expected
+    assert model_to_json(pass_model) == model_to_json(engine_model)
 
 
 # ---------------------------------------------------------------- properties

@@ -146,6 +146,41 @@ def test_auto_distance_records_equal_fresh_training_at_that_distance(algorithm):
         assert [(r.window_index, r.metrics) for r in slid if r.window_size == size] == fresh
 
 
+# a PPM node "p0" of count 8 whose children are p2 4, p1 2 and p3 1: p1's share is 1/4,
+# the threshold, which 1 / 8 does not reach, so the per-child test decides
+TWO_OF_EIGHT = [0, 2] * 4 + [0, 1] * 2 + [0, 3, 0]
+# a node "p0" of count 25 whose child p1 has 7: 7 / 25 reaches 0.28, though 7 >= 0.28 * 25
+# fails, since 0.28 * 25 is 7.000000000000001
+SEVEN_OF_TWENTY_FIVE = [0, 2] * 17 + [0, 1] * 7 + [0]
+
+
+@settings(max_examples=150)
+@given(st.lists(st.integers(0, 5), min_size=2, max_size=70),
+       st.lists(st.integers(2, 30), min_size=1, max_size=3, unique=True),
+       st.sampled_from([0.3, 0.5, 0.75, 0.8, 0.95]),
+       st.integers(1, 3),
+       st.sampled_from([0.0, 0.1, 0.25, 0.28, 1.0]))
+@example(TWO_OF_EIGHT + [1, 3, 4, 0, 2], [20], 0.75, 1, 0.25)  # the first test request is p1
+@example(SEVEN_OF_TWENTY_FIVE + [1, 2, 1], [52], 0.95, 1, 0.28)
+def test_ppm_sweep_records_equal_fresh_replays_of_each_window(pages, sizes, ratio, order,
+                                                              threshold):
+    # sweep_user replays PPM windows through run_ppm_pass; the reference trains
+    # a model afresh on every window and replays it through run_test_engine
+    assume(all(math.floor(ratio * size) >= 1 for size in sizes))
+    spec = SlidingWindowSpec(window_sizes=sizes, training_ratio=ratio)
+    trace = _trace("u1", [f"https://site.example/p{page}" for page in pages])
+    keys = trace.url_keys
+    config = PredictorConfig("ppm", confidence_threshold=threshold, ppm_order=order)
+    fresh = []
+    for size in sizes:
+        cut = spec.training_length(size)
+        for index, (start, end) in enumerate(enumerate_windows(len(keys), size, size - cut)):
+            training, test = keys[start:start + cut], keys[start + cut:end]
+            outcome = run_test_engine(train(config, training), test, training[-order:], order)
+            fresh.append(("u1", size, index, metrics_report("u1", "ppm", outcome)))
+    assert _without_time(sweep_user(trace, [config], spec)[0]) == fresh
+
+
 def test_sweep_user_skips_sizes_longer_than_trace():
     trace = _trace("u1", _urls(6))
     spec = SlidingWindowSpec(window_sizes=(5, 50))
