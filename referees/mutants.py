@@ -32,6 +32,7 @@ METRICS = "src/prefetchlab/metrics.py"
 INGEST = "src/prefetchlab/ingest.py"
 FORKJOIN = "src/prefetchlab/forkjoin.py"
 TRACES = "src/prefetchlab/traces.py"
+SELFTEST = "src/prefetchlab/selftest.py"
 
 # fork_map's loop over the children's pipes, which follows the parent's own slice
 READ_CHILDREN = """\
@@ -122,7 +123,8 @@ MUTANTS = (
                "test_dg_table_pass_keeps_weights_at_the_threshold_and_cuts_a_row_one_over_top_n",
                "tests/test_engine.py::"
                "test_dg_table_pass_equals_dg_mp_and_naive_each_replayed_alone",
-               "tests/test_sweep.py::test_dg_and_mp_in_one_pass_equal_their_own_sweeps"),
+               "tests/test_sweep.py::test_dg_and_mp_in_one_pass_equal_their_own_sweeps",
+               "tests/test_acceptance.py::test_criterion_01_oracle_equivalence"),
     ),
     Mutant(
         "table-dg-threshold-cut-inclusive", ENGINE,
@@ -132,7 +134,8 @@ MUTANTS = (
                "test_dg_table_pass_keeps_weights_at_the_threshold_and_cuts_a_row_one_over_top_n",
                "tests/test_engine.py::"
                "test_dg_table_pass_equals_dg_mp_and_naive_each_replayed_alone",
-               "tests/test_sweep.py::test_dg_and_mp_in_one_pass_equal_their_own_sweeps"),
+               "tests/test_sweep.py::test_dg_and_mp_in_one_pass_equal_their_own_sweeps",
+               "tests/test_acceptance.py::test_criterion_01_oracle_equivalence"),
     ),
     Mutant(
         "table-dg-all-pass-at-two-over-seen", ENGINE,
@@ -142,7 +145,8 @@ MUTANTS = (
                "test_dg_table_pass_keeps_weights_at_the_threshold_and_cuts_a_row_one_over_top_n",
                "tests/test_engine.py::"
                "test_dg_table_pass_equals_dg_mp_and_naive_each_replayed_alone",
-               "tests/test_sweep.py::test_dg_and_mp_in_one_pass_equal_their_own_sweeps"),
+               "tests/test_sweep.py::test_dg_and_mp_in_one_pass_equal_their_own_sweeps",
+               "tests/test_acceptance.py::test_criterion_01_oracle_equivalence"),
     ),
     Mutant(
         "table-mp-takes-a-row-one-over-top-n", ENGINE,
@@ -152,7 +156,8 @@ MUTANTS = (
                "test_dg_table_pass_keeps_weights_at_the_threshold_and_cuts_a_row_one_over_top_n",
                "tests/test_engine.py::"
                "test_dg_table_pass_equals_dg_mp_and_naive_each_replayed_alone",
-               "tests/test_sweep.py::test_dg_and_mp_in_one_pass_equal_their_own_sweeps"),
+               "tests/test_sweep.py::test_dg_and_mp_in_one_pass_equal_their_own_sweeps",
+               "tests/test_acceptance.py::test_criterion_01_oracle_equivalence"),
     ),
     Mutant(
         "ppm-pass-threshold-strict", ENGINE,
@@ -160,7 +165,8 @@ MUTANTS = (
         new="if child.count / total > threshold])",
         tests=("tests/test_engine.py::"
                "test_ppm_pass_equals_the_engine_from_the_model_s_recent_context",
-               "tests/test_sweep.py::test_ppm_sweep_records_equal_fresh_replays_of_each_window"),
+               "tests/test_sweep.py::test_ppm_sweep_records_equal_fresh_replays_of_each_window",
+               "tests/test_acceptance.py::test_criterion_01_oracle_equivalence"),
     ),
     Mutant(
         "ppm-pass-threshold-by-multiplication", ENGINE,
@@ -176,7 +182,8 @@ MUTANTS = (
         new="threshold])\n",
         tests=("tests/test_engine.py::"
                "test_ppm_pass_equals_the_engine_from_the_model_s_recent_context",
-               "tests/test_sweep.py::test_ppm_sweep_records_equal_fresh_replays_of_each_window"),
+               "tests/test_sweep.py::test_ppm_sweep_records_equal_fresh_replays_of_each_window",
+               "tests/test_acceptance.py::test_criterion_01_oracle_equivalence"),
     ),
     Mutant(
         "ppm-pass-reads-the-root", ENGINE,
@@ -184,7 +191,8 @@ MUTANTS = (
         new="model._suffixes[::-1]",
         tests=("tests/test_engine.py::"
                "test_ppm_pass_equals_the_engine_from_the_model_s_recent_context",
-               "tests/test_sweep.py::test_ppm_sweep_records_equal_fresh_replays_of_each_window"),
+               "tests/test_sweep.py::test_ppm_sweep_records_equal_fresh_replays_of_each_window",
+               "tests/test_acceptance.py::test_criterion_01_oracle_equivalence"),
     ),
     Mutant(
         "ppm-pass-all-pass-at-two-over-the-count", ENGINE,
@@ -192,7 +200,8 @@ MUTANTS = (
         new="2 / total >= threshold",
         tests=("tests/test_engine.py::"
                "test_ppm_pass_equals_the_engine_from_the_model_s_recent_context",
-               "tests/test_sweep.py::test_ppm_sweep_records_equal_fresh_replays_of_each_window"),
+               "tests/test_sweep.py::test_ppm_sweep_records_equal_fresh_replays_of_each_window",
+               "tests/test_acceptance.py::test_criterion_01_oracle_equivalence"),
     ),
     Mutant(
         "table-naive-cache-counts-the-last-request", ENGINE,
@@ -200,7 +209,8 @@ MUTANTS = (
         new="naive_cache = len(occurrences)",
         tests=("tests/test_engine.py::"
                "test_dg_table_pass_equals_dg_mp_and_naive_each_replayed_alone",
-               "tests/test_sweep.py::test_dg_and_mp_in_one_pass_equal_their_own_sweeps"),
+               "tests/test_sweep.py::test_dg_and_mp_in_one_pass_equal_their_own_sweeps",
+               "tests/test_acceptance.py::test_criterion_01_oracle_equivalence"),
     ),
     Mutant(
         "sweep-shares-unequal-windows", SWEEP,
@@ -485,6 +495,39 @@ MUTANTS = (
         old="workers: int = 1) -> tuple[dict, list[SweepResult]]:",
         new="workers: int = 2) -> tuple[dict, list[SweepResult]]:",
         tests=("tests/test_cli.py::test_library_sweep_runs_one_worker_unless_told_otherwise",),
+    ),
+    Mutant(
+        "selftest-counts-no-case", SELFTEST,
+        old="            done += 1\n",
+        new="",
+        tests=("tests/test_acceptance.py::test_criterion_02_train_equals_fold",
+               "tests/test_selftest.py::test_a_check_reports_its_first_failing_case"),
+    ),
+    Mutant(
+        "oracle-check-replays-through-the-engine-alone", SELFTEST,
+        old='for path, actual in (("engine", run.outcome), by_pass):',
+        new='for path, actual in (("engine", run.outcome),):',
+        tests=("tests/test_selftest.py::test_a_check_reports_its_first_failing_case",),
+    ),
+    Mutant(
+        "publish-leaves-stray-temporaries", CLI,
+        old="if stray.fullmatch(path.name):",
+        new="if stray.fullmatch(path.name) and False:",
+        tests=("tests/test_cli.py::"
+               "test_publish_removes_the_temporaries_that_a_killed_publish_left",),
+    ),
+    Mutant(
+        "publish-removes-temporaries-of-any-pid", CLI,
+        old=r'\.[0-9]+\.tmp")',
+        new=r'\..+\.tmp")',
+        tests=("tests/test_cli.py::"
+               "test_publish_removes_no_file_but_a_stray_temporary_of_its_own_names",),
+    ),
+    Mutant(
+        "run-jobs-forks-past-the-cpu-count", CLI,
+        old="min(workers, len(users), os.cpu_count() or 1)",
+        new="min(workers, len(users))",
+        tests=("tests/test_cli.py::test_run_jobs_forks_at_most_one_process_per_cpu",),
     ),
     Mutant(
         "means-with-builtin-sum", METRICS,

@@ -10,7 +10,8 @@ raises ``NothingToReport`` and writes nothing; only ``main`` prints an error,
 as one ``error:`` line. Every file goes through ``_publish``, the only code
 that creates ``--out``: a command that an exception stops writes all of its
 files or none. A process killed between two of its renames leaves some files
-new, the rest old, and a stray ``.<name>.<pid>.tmp``.
+new, the rest old, and a stray ``.<name>.<pid>.tmp``, which the next publish
+of ``<name>`` there removes; a publish removes no other file.
 
 The unit of work is the user. ``evaluate`` and ``sweep`` map a job over the
 sorted user ids that closes over the command's inputs and does all of one
@@ -19,10 +20,10 @@ call; an evaluate job, ``_evaluate_job``, applies the domain cut-off, names
 the user's skip reason or calls ``run_user`` once per prune regime (for
 ``evaluate --prune``, unpruned, then pruned, with the training slice pruned
 once), and scores the runs. With more than one worker the command forks
-(``forkjoin``): the user ids are cut into one contiguous slice per worker,
-the command's own process maps the first slice and a forked child each
-other slice, and the slices' results are joined in user order, so the
-worker count never changes any output outside "runtime". Both analysis
+(``forkjoin``): the user ids are cut into one contiguous slice per worker, at
+most one per CPU; the command's own process maps the first slice and a forked
+child each other slice, and the slices' results are joined in user order, so
+the worker count never changes any output outside "runtime". Both analysis
 commands are a library call plus publishing: ``evaluate()`` and ``sweep()``
 check their options, send the jobs and build the report dict from the results;
 ``cmd_evaluate`` and ``cmd_sweep`` only load the input, call them and publish.
@@ -34,6 +35,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -69,8 +71,13 @@ def _write_json(path: Path, obj: dict) -> None:
 
 def _publish(out: Path, outputs: dict) -> None:
     """Make ``out`` and write each ``outputs[name] = (writer, *args)`` as ``writer(temporary,
-    *args)`` under a temporary name there; rename all into place once all are written, or none."""
+    *args)`` under a temporary name there; rename all into place once all are written, or none.
+    First remove the ``.<name>.<pid>.tmp`` files that a process killed mid-publish left."""
     out.mkdir(parents=True, exist_ok=True)
+    stray = re.compile(rf"\.(?:{'|'.join(map(re.escape, outputs))})\.[0-9]+\.tmp")
+    for path in out.iterdir():
+        if stray.fullmatch(path.name):
+            path.unlink()
     staged = {out / name: out / f".{name}.{os.getpid()}.tmp" for name in outputs}
     try:
         for (write, *args), temporary in zip(outputs.values(), staged.values()):
@@ -112,11 +119,11 @@ def _configs(args) -> list[PredictorConfig]:
 def _run_jobs(job, users: list[str], workers: int) -> list:
     """``[job(uid) for uid in users]`` over up to ``workers`` processes, in-process for one.
 
-    ``job`` closes over the command's inputs, which forked children inherit:
-    only its results are pickled. Each process maps one contiguous slice of
-    ``users`` (``forkjoin``); without ``os.fork`` the map runs in-process.
+    ``job`` closes over the command's inputs, which forked children inherit: only its results
+    are pickled. Each process, at most one per CPU, maps one contiguous slice of ``users``
+    (``forkjoin``); without ``os.fork`` the map runs in-process.
     """
-    shares = min(workers, len(users)) if hasattr(os, "fork") else 1
+    shares = min(workers, len(users), os.cpu_count() or 1) if hasattr(os, "fork") else 1
     if shares <= 1:
         return [job(uid) for uid in users]
     # imported here: only a run with more than one worker compiles and loads it

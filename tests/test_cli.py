@@ -8,6 +8,7 @@ import json
 import math
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import time
@@ -522,13 +523,19 @@ def test_evaluate_worker_count_changes_nothing_but_runtime(tmp_path):
     assert csvs[0] == csvs[1]
 
 
+def _eight_cpus(monkeypatch):
+    # _run_jobs forks at most one share per CPU; eight cover every share these tests ask for
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
-def test_run_jobs_equals_the_serial_map(workers):
+def test_run_jobs_equals_the_serial_map(workers, monkeypatch):
+    _eight_cpus(monkeypatch)
     for n in range(8):
         payloads = [f"p{i}" for i in range(n)]
         results = _run_jobs(lambda p: (p * 2, os.getpid()), payloads, workers)
@@ -537,6 +544,22 @@ def test_run_jobs_equals_the_serial_map(workers):
         assert len({r[1] for r in results}) == min(workers, n)
         assert os.getpid() in {r[1] for r in results} or n == 0
         _assert_no_child_left()
+
+
+def test_run_jobs_forks_at_most_one_process_per_cpu(monkeypatch):
+    shares = []
+
+    def fork_map(job, payloads, count):
+        shares.append(count)
+        return [job(p) for p in payloads]
+
+    monkeypatch.setattr(forkjoin, "fork_map", fork_map)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert _run_jobs(lambda p: p * 2, list(range(50)), 5000) == [p * 2 for p in range(50)]
+    assert shares == [2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # an unknown count allows one process
+    assert _run_jobs(lambda p: p * 2, list(range(50)), 5000) == [p * 2 for p in range(50)]
+    assert shares == [2]
 
 
 def test_run_jobs_without_fork_maps_in_process(monkeypatch):
@@ -548,7 +571,9 @@ def test_run_jobs_without_fork_maps_in_process(monkeypatch):
 # slices of 8 payloads: [0, 4) [4, 8) at 2 shares, [0, 2) [2, 5) [5, 8) at 3;
 # of 7 payloads at 3 shares: [0, 2) [2, 4) [4, 7)
 @pytest.mark.parametrize("failing", [{3, 4}, {2, 5}, {5}, {1, 6}, {1, 2}])
-def test_run_jobs_raises_the_earliest_payloads_exception(failing):
+def test_run_jobs_raises_the_earliest_payloads_exception(failing, monkeypatch):
+    _eight_cpus(monkeypatch)
+
     def job(p):
         if p in failing:
             raise ValueError(f"payload {p}")
@@ -561,6 +586,7 @@ def test_run_jobs_raises_the_earliest_payloads_exception(failing):
 
 def test_value_error_in_a_childs_share_exits_2_as_with_one_worker(tmp_path, capsys,
                                                                  monkeypatch):
+    _eight_cpus(monkeypatch)
     log = _make_log(tmp_path)
     run_user = cli.run_user
     users = sorted(load_traces(log)[0])
@@ -582,6 +608,7 @@ def test_value_error_in_a_childs_share_exits_2_as_with_one_worker(tmp_path, caps
 
 def test_log_parse_error_in_a_childs_share_reaches_the_parent_intact(tmp_path, capsys,
                                                                      monkeypatch):
+    _eight_cpus(monkeypatch)
     def job(p):
         if p == 3:  # the first payload of the child's slice
             raise LogParseError(3, "bad")
@@ -608,7 +635,9 @@ def test_log_parse_error_in_a_childs_share_reaches_the_parent_intact(tmp_path, c
     _assert_no_child_left()
 
 
-def test_run_jobs_result_that_cannot_be_pickled_raises_in_the_parent_alone(tmp_path):
+def test_run_jobs_result_that_cannot_be_pickled_raises_in_the_parent_alone(tmp_path,
+                                                                          monkeypatch):
+    _eight_cpus(monkeypatch)
     after = tmp_path / "after"
     with pytest.raises((pickle.PicklingError, AttributeError)):
         _run_jobs(lambda p: lambda: p, [1, 2, 3], 2)
@@ -619,7 +648,9 @@ def test_run_jobs_result_that_cannot_be_pickled_raises_in_the_parent_alone(tmp_p
     _assert_no_child_left()
 
 
-def test_run_jobs_exception_that_cannot_be_pickled_raises_its_pickling_error():
+def test_run_jobs_exception_that_cannot_be_pickled_raises_its_pickling_error(monkeypatch):
+    _eight_cpus(monkeypatch)
+
     def job(p):
         if p == 3:  # the first payload of the child's slice
             raise ValueError(lambda: p)
@@ -630,7 +661,8 @@ def test_run_jobs_exception_that_cannot_be_pickled_raises_its_pickling_error():
     _assert_no_child_left()
 
 
-def test_run_jobs_child_that_dies_without_results_raises():
+def test_run_jobs_child_that_dies_without_results_raises(monkeypatch):
+    _eight_cpus(monkeypatch)
     parent = os.getpid()
 
     def job(p):
@@ -652,6 +684,7 @@ def _children_write_half_their_results(monkeypatch):
 
 
 def test_run_jobs_child_results_that_cannot_be_unpickled_raise(monkeypatch):
+    _eight_cpus(monkeypatch)
     _children_write_half_their_results(monkeypatch)
     with pytest.raises(ChildProcessError, match=r"^worker process \d+ sent results that "
                                                 r"cannot be read") as err:
@@ -662,6 +695,7 @@ def test_run_jobs_child_results_that_cannot_be_unpickled_raise(monkeypatch):
 
 def test_unreadable_results_of_a_child_exit_1_with_one_error_line(tmp_path, capsys,
                                                                   monkeypatch):
+    _eight_cpus(monkeypatch)
     log = _make_log(tmp_path)
     _children_write_half_their_results(monkeypatch)
     out = tmp_path / "out"
@@ -812,6 +846,53 @@ def test_failed_write_leaves_no_partial_outputs(tmp_path, capsys, command, block
     assert sorted(p.name for p in out.iterdir()) == sorted([blocked, "earlier.txt"])
     assert not any((out / blocked).iterdir())
     assert (out / "earlier.txt").read_text(encoding="utf-8") == "an earlier file\n"
+
+
+def _write_text(path, text):
+    path.write_text(text, encoding="utf-8")
+
+
+def _contents(out):
+    return {path.name: path.read_text(encoding="utf-8") for path in out.iterdir()}
+
+
+def test_publish_removes_the_temporaries_that_a_killed_publish_left(tmp_path):
+    out = tmp_path / "o"
+    names = ("a.json", "b.csv")
+    cli._publish(out, {name: (_write_text, "old\n") for name in names})
+    (out / ".keep").write_text("unrelated\n", encoding="utf-8")
+    pid = os.fork()
+    if pid == 0:
+        try:  # the child is killed right after its first rename
+            replace = Path.replace
+
+            def replace_then_die(path, target):
+                replace(path, target)
+                os.kill(os.getpid(), signal.SIGKILL)
+
+            Path.replace = replace_then_die
+            cli._publish(out, {name: (_write_text, "new\n") for name in names})
+        finally:
+            os._exit(1)
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+    assert _contents(out) == {"a.json": "new\n", "b.csv": "old\n", f".b.csv.{pid}.tmp": "new\n",
+                              ".keep": "unrelated\n"}
+
+    cli._publish(out, {name: (_write_text, "new\n") for name in names})
+    assert _contents(out) == {"a.json": "new\n", "b.csv": "new\n", ".keep": "unrelated\n"}
+
+
+def test_publish_removes_no_file_but_a_stray_temporary_of_its_own_names(tmp_path):
+    out = tmp_path / "o"
+    out.mkdir()
+    kept = [".c.csv.17.tmp", ".a.json.x17.tmp", ".a.json..tmp", "a.json.17.tmp",
+            ".a.json.17.tmp.bak", ".xa.json.17.tmp", ".a.json.\u0661.tmp"]
+    for name in kept + [".a.json.17.tmp", ".b.csv.4242.tmp"]:
+        (out / name).write_text("stray\n", encoding="utf-8")
+    cli._publish(out, {name: (_write_text, "new\n") for name in ("a.json", "b.csv")})
+    assert _contents(out) == {"a.json": "new\n", "b.csv": "new\n",
+                              **{name: "stray\n" for name in kept}}
 
 
 @pytest.mark.parametrize("cutoff", ["0", "1"])
