@@ -219,6 +219,13 @@ MUTANTS = (
         tests=("tests/test_sweep.py::test_unequal_lookahead_windows_sweep_dg_and_mp_apart",),
     ),
     Mutant(
+        "sweep-replays-ppm-windows-through-the-engine", SWEEP,
+        old='elif config.algorithm == "ppm":',
+        new='elif config.algorithm == "ppm" and False:',  # equal outcomes, another pass
+        tests=("tests/test_sweep.py::"
+               "test_each_window_replays_through_the_pass_its_model_serves",),
+    ),
+    Mutant(
         "run-user-triggers-from-the-pruned-tail", ENGINE,
         old="training[-depth:], depth)",
         new="model_input[-depth:], depth)",
@@ -379,6 +386,12 @@ MUTANTS = (
         tests=("tests/test_cli.py::test_run_jobs_raises_the_earliest_payloads_exception",),
     ),
     Mutant(
+        "forkjoin-joins-the-slices-out-of-order", FORKJOIN,
+        old="merged += results",
+        new="merged[:0] = results",  # each child's slice goes before those read earlier
+        tests=("tests/test_acceptance.py::test_criterion_08_determinism_under_parallelism",),
+    ),
+    Mutant(
         "main-misses-nothing-to-report", CLI,
         old="except (OSError, ValueError, NothingToReport) as exc:",
         new="except (OSError, ValueError) as exc:",  # a traceback instead of one error line
@@ -439,6 +452,18 @@ MUTANTS = (
         new="None if after is None and before is None else after - before",
         tests=("tests/test_cli.py::"
                "test_prune_delta_is_none_where_a_mean_is_none_in_one_regime_only",),
+    ),
+    Mutant(
+        "store-keeps-the-last-of-a-repeated-key", INGEST,
+        old="json.load(fh, object_pairs_hook=_unique_keys)",
+        new="json.load(fh)",
+        tests=("tests/test_cli.py::test_hostile_store_exits_2_with_error_line",),
+    ),
+    Mutant(
+        "store-takes-an-empty-user-id", INGEST,
+        old="if not user_id:  # as load_traces",
+        new="if False:  # as load_traces",
+        tests=("tests/test_cli.py::test_hostile_store_exits_2_with_error_line",),
     ),
     Mutant(
         "bad-header-on-line-2", INGEST,

@@ -35,6 +35,11 @@ of 1 to 18 ASCII digits, or a JSONL object with such strings and an ``int``
 unchanged, as ``(user_id, int(timestamp_ms), "GET", url)``, so it goes straight
 to its user's columns; every other row goes through ``_build_record``. No
 record, count, message or output differs from the full rules alone.
+
+The store is refused, as a ``ValueError``, when an object in it names a key
+twice, such as a user named twice (``json.load`` alone keeps the last), or
+when a user id is empty, as a log row's may not be. A JSONL row keeps
+``json.loads``' values, so there the last of two equal keys wins.
 """
 
 from __future__ import annotations
@@ -310,8 +315,19 @@ def write_trace_files(path: str | Path, traces: dict[str, UserTrace]) -> None:
                             separators=(",", ":")))
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A store object; json.load alone would keep the last of two equal keys."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"key {next(k for k in obj if keys.count(k) > 1)!r} is repeated")
+    return obj
+
+
 def _trace_from_columns(user_id: str, columns) -> UserTrace:
     """One user's store entry as a UserTrace; ValueError names what is wrong."""
+    if not user_id:  # as load_traces refuses an empty user_id in a log
+        raise ValueError("user '': empty user id")
     if not isinstance(columns, dict):
         raise ValueError(f"user {user_id!r}: entry is not an object")
     for key in ("timestamp_ms", "url"):
@@ -349,7 +365,7 @@ def read_trace_files(in_dir: str | Path) -> dict[str, UserTrace]:
             f"no trace store under {in_dir!s} (expected {STORE_NAME}; run 'ingest' first)")
     try:
         with path.open(encoding="utf-8") as fh:
-            store = json.load(fh)
+            store = json.load(fh, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: not a readable trace store ({exc})") from None
     if not isinstance(store, dict) or store.get("format") != STORE_FORMAT:

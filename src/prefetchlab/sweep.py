@@ -18,23 +18,24 @@ is trained, and ``forget`` runs once per slide.
 DG and MP with the same lookahead window read one arc table, and Naive's seen
 set is the key set of the same model's node counts: given DG and MP configs
 that agree on the window, ``sweep_user`` slides one DG model per size for DG,
-MP and, when it runs, Naive, and replays each window once through
-``run_dg_table_engine``. Every other config slides its own model; a PPM model
+MP and, when it runs, Naive, and replays its windows through
+``run_dg_table_engine``. Every other config slides its own model: a PPM model
 replays through ``run_ppm_pass``, since a trained or slid window model's recent
-context is always that window's trigger context. Both rank only the rows MP cuts. A
-user's sweep under a config is the tuple of its window records; a trace shorter
-than a size has no window, and no record, of it.
+context is its window's trigger context, and a lone DG, MP or Naive model
+through ``run_test_engine``. Both passes rank only the rows MP cuts. A user's
+sweep under a config is the tuple of its window records; a trace shorter than a
+size has no window, and no record, of it.
 """
 
 from __future__ import annotations
 
 import time
 from collections import namedtuple
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .engine import SplitSpec, TestOutcome, run_dg_table_engine, run_ppm_pass, run_test_engine
+from .engine import SplitSpec, run_dg_table_engine, run_ppm_pass, run_test_engine
 from .metrics import MetricsReport, aggregate_reports, metrics_report
-from .predictors import PredictionModel, PredictorConfig, _config_algorithms, train
+from .predictors import PredictorConfig, _config_algorithms, train
 from .traces import UserTrace
 
 DEFAULT_WINDOW_SIZES = (50, 100, 200, 300, 400, 500, 600, 700, 800, 900, 1000)
@@ -117,40 +118,26 @@ def sweep_user(trace: UserTrace, configs: Sequence[PredictorConfig],
     sweeps: dict[str, tuple[WindowRecord, ...]] = {}
     if dg and mp and dg.lookahead_window == mp.lookahead_window:
         shared = ("dg", "mp", "naive") if "naive" in by_algorithm else ("dg", "mp")
-
-        def replay_table(model, test, context):
-            return run_dg_table_engine(model, mp.top_n, test, context)
-
-        sweeps.update(zip(shared, _slide(trace, dg, spec, shared, replay_table)))
+        sweeps.update(_slide(trace, dg, spec, shared, mp.top_n))
     for config in configs:
         if config.algorithm not in sweeps:
-            sweeps[config.algorithm], = _slide(trace, config, spec, (config.algorithm,), _replay)
+            sweeps.update(_slide(trace, config, spec, (config.algorithm,)))
     return [sweeps[algorithm] for algorithm in algorithms]
 
 
-def _replay(model: PredictionModel, test: Sequence[str], context: Sequence[str]
-            ) -> tuple[TestOutcome]:
-    if model.algorithm == "ppm":  # a window's model holds its trigger context as recent_context
-        return (run_ppm_pass(model, test),)
-    return (run_test_engine(model, test, context, model.config.trigger_depth),)
-
-
 def _slide(trace: UserTrace, config: PredictorConfig, spec: SlidingWindowSpec,
-           algorithms: tuple[str, ...],
-           replay: Callable[[PredictionModel, Sequence[str], Sequence[str]],
-                            tuple[TestOutcome, ...]]) -> list[tuple[WindowRecord, ...]]:
-    """Slide one model of ``config`` per size along the trace, and replay each
-    window once with ``replay(model, test, trigger context)``, which returns
-    the algorithms' outcomes in order, and maybe more; returns each algorithm's
-    window records. Each window's time is split evenly over its records."""
+           algorithms: tuple[str, ...], top_n: int | None = None
+           ) -> dict[str, tuple[WindowRecord, ...]]:
+    """Slide one model of ``config`` per size along the trace, replay each window once
+    (through the table pass, given MP's ``top_n``) and return each algorithm's window
+    records. Each window's time is split evenly over its records."""
     keys = trace.url_keys
-    n = len(keys)
     depth = config.trigger_depth
-    records: list[list[WindowRecord]] = [[] for _ in algorithms]
+    records: dict[str, list[WindowRecord]] = {algorithm: [] for algorithm in algorithms}
     for size in spec.window_sizes:
         cut = spec.training_length(size)
         distance = size - cut  # the test-slice length
-        for index, (start, end) in enumerate(enumerate_windows(n, size, distance)):
+        for index, (start, end) in enumerate(enumerate_windows(len(keys), size, distance)):
             split_at = start + cut
             started = time.perf_counter()
             if index:
@@ -158,16 +145,22 @@ def _slide(trace: UserTrace, config: PredictorConfig, spec: SlidingWindowSpec,
                 model.forget(keys[start - distance:end - distance], distance)
             else:
                 model = train(config, keys[start:split_at])
-            outcomes = replay(model, keys[split_at:end], keys[max(start, split_at - depth):split_at])
+            test, context = keys[split_at:end], keys[max(start, split_at - depth):split_at]
+            if top_n is not None:
+                outcomes = run_dg_table_engine(model, top_n, test, context)
+            elif config.algorithm == "ppm":  # the model holds its trigger context as recent_context
+                outcomes = (run_ppm_pass(model, test),)
+            else:
+                outcomes = (run_test_engine(model, test, context, depth),)
             elapsed = (time.perf_counter() - started) / len(algorithms)
-            for algorithm, outcome, into in zip(algorithms, outcomes, records):
+            for (algorithm, into), outcome in zip(records.items(), outcomes):
                 into.append(WindowRecord(
                     window_size=size,
                     window_index=index,
                     metrics=metrics_report(trace.user_id, algorithm, outcome),
                     elapsed_s=elapsed,
                 ))
-    return [tuple(r) for r in records]
+    return {algorithm: tuple(r) for algorithm, r in records.items()}
 
 
 def build_sweep_result(per_user: Iterable[Sequence[WindowRecord]],

@@ -16,6 +16,8 @@ import math
 import time
 from contextlib import contextmanager
 
+import pytest
+
 from prefetchlab.cli import main, sweep
 from prefetchlab.engine import SplitSpec, run_test_engine, run_user
 from prefetchlab.metrics import metrics_report
@@ -180,6 +182,7 @@ def _load_without_runtime(path):
     return obj
 
 
+@pytest.mark.usefixtures("eight_cpus")  # so 4 and 8 workers fork 4 and 6 shares on any host
 def test_criterion_08_determinism_under_parallelism(tmp_path):
     with criterion(8, "evaluate and sweep outputs are identical for 1, 4, and 8 workers"):
         log = write_log(

@@ -233,6 +233,9 @@ HOSTILE_STORES = {
     # "\ud800" escapes load as lone surrogates, which no UTF-8 output can hold
     "surrogate_user_id": lambda store: store["users"].update({"\ud800": store["users"]["u1"]}),
     "surrogate_url": _edit_u1("url", ["https://x.example/\ud800"] + ["https://x.example/p0"] * 11),
+    # a dict holds a key once, so the repeat is raw text; json.load alone keeps the second
+    "repeated_user_id": json.dumps(_valid_store()).replace('"u2"', '"u1"'),
+    "empty_user_id": lambda store: store["users"].update({"": store["users"]["u1"]}),
 }
 
 STORE_COMMANDS = {
@@ -473,6 +476,7 @@ def test_prune_delta_is_none_where_a_mean_is_none_in_one_regime_only():
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.usefixtures("eight_cpus")
 def test_evaluate_skips_ineligible_users(tmp_path, workers):
     lines = [HEADER]
     # u1: one domain, no repeated requests at all
@@ -506,6 +510,7 @@ def test_evaluate_skips_ineligible_users(tmp_path, workers):
     assert report["users"]["skipped"] == {"u3": "too short to split"}
 
 
+@pytest.mark.usefixtures("eight_cpus")
 def test_evaluate_worker_count_changes_nothing_but_runtime(tmp_path):
     log = _make_log(tmp_path)
     reports, csvs = [], []
@@ -523,19 +528,14 @@ def test_evaluate_worker_count_changes_nothing_but_runtime(tmp_path):
     assert csvs[0] == csvs[1]
 
 
-def _eight_cpus(monkeypatch):
-    # _run_jobs forks at most one share per CPU; eight cover every share these tests ask for
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-
-
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
-def test_run_jobs_equals_the_serial_map(workers, monkeypatch):
-    _eight_cpus(monkeypatch)
+@pytest.mark.usefixtures("eight_cpus")
+def test_run_jobs_equals_the_serial_map(workers):
     for n in range(8):
         payloads = [f"p{i}" for i in range(n)]
         results = _run_jobs(lambda p: (p * 2, os.getpid()), payloads, workers)
@@ -571,9 +571,8 @@ def test_run_jobs_without_fork_maps_in_process(monkeypatch):
 # slices of 8 payloads: [0, 4) [4, 8) at 2 shares, [0, 2) [2, 5) [5, 8) at 3;
 # of 7 payloads at 3 shares: [0, 2) [2, 4) [4, 7)
 @pytest.mark.parametrize("failing", [{3, 4}, {2, 5}, {5}, {1, 6}, {1, 2}])
-def test_run_jobs_raises_the_earliest_payloads_exception(failing, monkeypatch):
-    _eight_cpus(monkeypatch)
-
+@pytest.mark.usefixtures("eight_cpus")
+def test_run_jobs_raises_the_earliest_payloads_exception(failing):
     def job(p):
         if p in failing:
             raise ValueError(f"payload {p}")
@@ -584,9 +583,9 @@ def test_run_jobs_raises_the_earliest_payloads_exception(failing, monkeypatch):
         _assert_no_child_left()
 
 
+@pytest.mark.usefixtures("eight_cpus")
 def test_value_error_in_a_childs_share_exits_2_as_with_one_worker(tmp_path, capsys,
                                                                  monkeypatch):
-    _eight_cpus(monkeypatch)
     log = _make_log(tmp_path)
     run_user = cli.run_user
     users = sorted(load_traces(log)[0])
@@ -606,9 +605,9 @@ def test_value_error_in_a_childs_share_exits_2_as_with_one_worker(tmp_path, caps
     assert errors[0] == errors[1] == f"error: cannot evaluate {users[2]}\n"
 
 
+@pytest.mark.usefixtures("eight_cpus")
 def test_log_parse_error_in_a_childs_share_reaches_the_parent_intact(tmp_path, capsys,
                                                                      monkeypatch):
-    _eight_cpus(monkeypatch)
     def job(p):
         if p == 3:  # the first payload of the child's slice
             raise LogParseError(3, "bad")
@@ -635,9 +634,8 @@ def test_log_parse_error_in_a_childs_share_reaches_the_parent_intact(tmp_path, c
     _assert_no_child_left()
 
 
-def test_run_jobs_result_that_cannot_be_pickled_raises_in_the_parent_alone(tmp_path,
-                                                                          monkeypatch):
-    _eight_cpus(monkeypatch)
+@pytest.mark.usefixtures("eight_cpus")
+def test_run_jobs_result_that_cannot_be_pickled_raises_in_the_parent_alone(tmp_path):
     after = tmp_path / "after"
     with pytest.raises((pickle.PicklingError, AttributeError)):
         _run_jobs(lambda p: lambda: p, [1, 2, 3], 2)
@@ -648,9 +646,8 @@ def test_run_jobs_result_that_cannot_be_pickled_raises_in_the_parent_alone(tmp_p
     _assert_no_child_left()
 
 
-def test_run_jobs_exception_that_cannot_be_pickled_raises_its_pickling_error(monkeypatch):
-    _eight_cpus(monkeypatch)
-
+@pytest.mark.usefixtures("eight_cpus")
+def test_run_jobs_exception_that_cannot_be_pickled_raises_its_pickling_error():
     def job(p):
         if p == 3:  # the first payload of the child's slice
             raise ValueError(lambda: p)
@@ -661,8 +658,8 @@ def test_run_jobs_exception_that_cannot_be_pickled_raises_its_pickling_error(mon
     _assert_no_child_left()
 
 
-def test_run_jobs_child_that_dies_without_results_raises(monkeypatch):
-    _eight_cpus(monkeypatch)
+@pytest.mark.usefixtures("eight_cpus")
+def test_run_jobs_child_that_dies_without_results_raises():
     parent = os.getpid()
 
     def job(p):
@@ -683,8 +680,8 @@ def _children_write_half_their_results(monkeypatch):
     monkeypatch.setattr(forkjoin, "pickle", SimpleNamespace(dumps=dumps, loads=pickle.loads))
 
 
+@pytest.mark.usefixtures("eight_cpus")
 def test_run_jobs_child_results_that_cannot_be_unpickled_raise(monkeypatch):
-    _eight_cpus(monkeypatch)
     _children_write_half_their_results(monkeypatch)
     with pytest.raises(ChildProcessError, match=r"^worker process \d+ sent results that "
                                                 r"cannot be read") as err:
@@ -693,9 +690,9 @@ def test_run_jobs_child_results_that_cannot_be_unpickled_raise(monkeypatch):
     _assert_no_child_left()
 
 
+@pytest.mark.usefixtures("eight_cpus")
 def test_unreadable_results_of_a_child_exit_1_with_one_error_line(tmp_path, capsys,
                                                                   monkeypatch):
-    _eight_cpus(monkeypatch)
     log = _make_log(tmp_path)
     _children_write_half_their_results(monkeypatch)
     out = tmp_path / "out"
@@ -1178,6 +1175,7 @@ GOLDEN_RUNS = {
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("run", sorted(GOLDEN_RUNS))
+@pytest.mark.usefixtures("eight_cpus")
 def test_outputs_match_recorded_digests(tmp_path, run, workers):
     log = _golden_log(tmp_path)
     out = tmp_path / "out"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 
@@ -252,6 +253,36 @@ def test_a_window_s_time_is_split_evenly_over_the_records_of_its_pass(monkeypatc
         for records in sweep_user(trace, configs, spec):
             assert records
             assert {r.elapsed_s for r in records} == {share}
+
+
+def test_each_window_replays_through_the_pass_its_model_serves(monkeypatch):
+    # DG and MP sharing a window share the table pass, PPM takes its own pass,
+    # and a DG, MP or Naive model alone replays through the engine
+    calls = collections.Counter()
+    for name in ("run_test_engine", "run_ppm_pass", "run_dg_table_engine"):
+        def counted(*args, name=name, original=getattr(sweep, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(sweep, name, counted)
+    trace = _trace("u1", [f"https://site.example/p{(i * i + i // 3) % 7}" for i in range(60)])
+    spec = SlidingWindowSpec(window_sizes=(5, 12), training_ratio=0.7)
+    windows = sum(len(enumerate_windows(60, size, size - spec.training_length(size)))
+                  for size in spec.window_sizes)
+
+    def replays(*configs):
+        calls.clear()
+        sweep_user(trace, configs, spec)
+        return dict(calls)
+
+    assert replays(*(PredictorConfig(a) for a in ALGORITHMS)) == {
+        "run_dg_table_engine": windows, "run_ppm_pass": windows}
+    assert replays(PredictorConfig("mp"), PredictorConfig("dg")) == {
+        "run_dg_table_engine": windows}
+    assert replays(PredictorConfig("ppm")) == {"run_ppm_pass": windows}
+    for algorithm in ("dg", "mp", "naive"):
+        assert replays(PredictorConfig(algorithm)) == {"run_test_engine": windows}
+    assert replays(PredictorConfig("dg", lookahead_window=1),
+                   PredictorConfig("mp", lookahead_window=3)) == {"run_test_engine": 2 * windows}
 
 
 def test_sweep_user_rejects_two_configs_for_one_algorithm():
