@@ -25,6 +25,13 @@ class Equivalent(NamedTuple):
 
 EQUIVALENT = (
     Equivalent(
+        "evaluate-checks-keep-fraction-with-the-second-strategy", "src/prefetchlab/cli.py",
+        old="args.prune or STRATEGIES[0]",
+        new="args.prune or STRATEGIES[1]",
+        why=("without --prune the spec only checks --keep-fraction and is never used, and "
+             "PruneSpec checks the fraction alike, with the same message, for every strategy."),
+    ),
+    Equivalent(
         "cutoff-zero-total-trends-positive", "src/prefetchlab/sweep.py",
         old="elif total > 0:",
         new="elif total >= 0:",
@@ -43,6 +50,13 @@ EQUIVALENT = (
         old="range(shares + 1)",
         new="range(shares + 2)",
         why=("the last slice ends at bounds[shares], so the bound after it is never read."),
+    ),
+    Equivalent(
+        "csv-fast-path-takes-19-digits", "src/prefetchlab/ingest.py",
+        old="len(ts_raw) < 19",
+        new="len(ts_raw) <= 19",
+        why=("the bound only keeps int() under its digit limit; a row of 19 ASCII digits "
+             "that skips the fast path gets the same int() from _build_record."),
     ),
     Equivalent(
         "table-dg-all-pass-strict", "src/prefetchlab/engine.py",

@@ -73,6 +73,13 @@ MUTANTS = (
                "tests/test_acceptance.py::test_criterion_01_oracle_equivalence"),
     ),
     Mutant(
+        "config-gives-every-algorithm-dgs-threshold", PREDICTORS,
+        old='DEFAULT_DG_THRESHOLD if algorithm == "dg"',
+        new="DEFAULT_DG_THRESHOLD if True",
+        tests=("tests/test_specs.py::test_specs_keep_their_defaults_and_normalisations",
+               "tests/test_predictors.py::test_config_defaults_per_algorithm"),
+    ),
+    Mutant(
         "configs-ignore-threshold-order-and-top-n", CLI,
         old="PredictorConfig(a, args.window, args.threshold, args.ppm_order, args.top_n)",
         new="PredictorConfig(a, args.window)",
@@ -460,9 +467,27 @@ MUTANTS = (
         tests=("tests/test_cli.py::test_hostile_store_exits_2_with_error_line",),
     ),
     Mutant(
+        "store-names-the-wrong-repeated-key", INGEST,
+        old="keys.count(k) > 1",
+        new="keys.count(k) >= 1",  # names an object's first key
+        tests=("tests/test_cli.py::test_hostile_store_exits_2_with_error_line",),
+    ),
+    Mutant(
         "store-takes-an-empty-user-id", INGEST,
-        old="if not user_id:  # as load_traces",
-        new="if False:  # as load_traces",
+        old="if not user_id or user_id",
+        new="if user_id",
+        tests=("tests/test_cli.py::test_hostile_store_exits_2_with_error_line",),
+    ),
+    Mutant(
+        "store-takes-a-padded-user-id", INGEST,
+        old="or user_id != user_id.strip():",
+        new=":",
+        tests=("tests/test_cli.py::test_hostile_store_exits_2_with_error_line",),
+    ),
+    Mutant(
+        "store-takes-a-padded-url", INGEST,
+        old="and url and url == url.strip() for",
+        new="and url for",
         tests=("tests/test_cli.py::test_hostile_store_exits_2_with_error_line",),
     ),
     Mutant(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -40,25 +41,40 @@ def _skip_reason(mutant, versions: Path = PYENV_VERSIONS) -> str | None:
     return None
 
 
-def _pytest(copy: Path, tests: list[str]) -> int:
+def copy_repository(copy: Path) -> None:
+    """Copy everything the test suite reads into the directory ``copy``."""
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    copy.mkdir(exist_ok=True)
+    for name in COPIED:
+        source = ROOT / name
+        if source.is_dir():
+            shutil.copytree(source, copy / name, ignore=ignore)
+        else:
+            shutil.copy2(source, copy / name)
+
+
+def pytest_exit(copy: Path, args: list[str], timeout: float | None = None) -> int | None:
+    """pytest's exit code for ``args`` in ``copy``, stopping at the first failure; None
+    when the run outlasts ``timeout`` seconds, and then it and its children are killed."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                           *tests], cwd=copy, env=env, stdout=subprocess.DEVNULL).returncode
+    with subprocess.Popen([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                           *args], cwd=copy, env=env, stdout=subprocess.DEVNULL,
+                          start_new_session=True) as process:
+        try:
+            return process.wait(timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.wait()
+            return None
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="referees-") as tmp:
         copy = Path(tmp)
-        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-        for name in COPIED:
-            source = ROOT / name
-            if source.is_dir():
-                shutil.copytree(source, copy / name, ignore=ignore)
-            else:
-                shutil.copy2(source, copy / name)
+        copy_repository(copy)
 
         every_test = sorted({test for m in MUTANTS for test in m.tests})
-        if _pytest(copy, every_test) != 0:
+        if pytest_exit(copy, every_test) != 0:
             print("error: the unmutated copy fails the mutants' tests", file=sys.stderr)
             return 1
 
@@ -76,7 +92,7 @@ def main() -> int:
                 continue
             path.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
             try:
-                code = _pytest(copy, list(mutant.tests))
+                code = pytest_exit(copy, list(mutant.tests))
             finally:
                 path.write_text(original, encoding="utf-8")
             killed = code == TESTS_FAILED

@@ -312,7 +312,7 @@ def evaluate(traces: dict[str, UserTrace], configs: list[PredictorConfig], spec:
             "algorithms": algorithms,
             # the depth is per model (PredictorConfig.trigger_depth); the key keeps report bytes
             "split": {**spec._asdict(), "trigger_depth": None},
-            "predictors": {c.algorithm: c.to_dict() for c in configs},
+            "predictors": {c.algorithm: c._asdict() for c in configs},
             "prune": prune_spec._asdict() if prune_spec else None,
             "domain_cutoff": domain_cutoff,
         },
@@ -402,7 +402,7 @@ def sweep(traces: dict[str, UserTrace], configs: list[PredictorConfig], spec: Sl
             "algorithms": algorithms,
             # every window slides by its test-slice length; the key keeps report bytes
             "window": {**spec._asdict(), "sliding_distance": "auto"},
-            "predictors": {c.algorithm: c.to_dict() for c in configs},
+            "predictors": {c.algorithm: c._asdict() for c in configs},
         },
         "users": len(users),
         "algorithms_results": sections,

@@ -139,7 +139,7 @@ def run_dg_table_engine(model: DGModel, top_n: int, test: Sequence[str],
     Naive model, each trained on the same requests. The model is mutated.
     """
     arcs, occurrences, update = model.arc_counts, model.node_counts, model.update
-    threshold = model.config.effective_threshold
+    threshold = model.config.confidence_threshold
     dg_cache, mp_cache = set(), set()
     dg_hits, mp_hits, naive_hits = [], [], []
     source = pre_context[-1] if pre_context else None
@@ -169,7 +169,7 @@ def run_ppm_pass(model: PPMModel, test: Sequence[str]) -> TestOutcome:
     ``run_test_engine(model, test, model.recent_context, ppm_order)``. Each step adds,
     unranked, the passing children of the longest suffix node with children, read from
     the nodes that ``update`` keeps. The model is mutated."""
-    threshold, update = model.config.effective_threshold, model.update
+    threshold, update = model.config.confidence_threshold, model.update
     cache, hits = set(), []
     for current in test:
         for node in model._suffixes[:0:-1]:  # longest suffix first, the root left out

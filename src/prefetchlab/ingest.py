@@ -37,9 +37,9 @@ to its user's columns; every other row goes through ``_build_record``. No
 record, count, message or output differs from the full rules alone.
 
 The store is refused, as a ``ValueError``, when an object in it names a key
-twice, such as a user named twice (``json.load`` alone keeps the last), or
-when a user id is empty, as a log row's may not be. A JSONL row keeps
-``json.loads``' values, so there the last of two equal keys wins.
+twice (``json.load`` alone keeps the last) or it holds what no log yields:
+an empty user id, or a user id or url with surrounding whitespace. A JSONL
+row keeps ``json.loads``' values, so there the last of two equal keys wins.
 """
 
 from __future__ import annotations
@@ -326,8 +326,8 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 def _trace_from_columns(user_id: str, columns) -> UserTrace:
     """One user's store entry as a UserTrace; ValueError names what is wrong."""
-    if not user_id:  # as load_traces refuses an empty user_id in a log
-        raise ValueError("user '': empty user id")
+    if not user_id or user_id != user_id.strip():  # a log's ids are stripped, never empty
+        raise ValueError(f"user {user_id!r}: the user id is empty or padded")
     if not isinstance(columns, dict):
         raise ValueError(f"user {user_id!r}: entry is not an object")
     for key in ("timestamp_ms", "url"):
@@ -342,8 +342,8 @@ def _trace_from_columns(user_id: str, columns) -> UserTrace:
     # type(), not isinstance(): JSON true/false load as bool, a subclass of int
     if not all(type(ts) is int for ts in timestamps):
         raise ValueError(f"user {user_id!r}: a timestamp_ms is not an integer")
-    if not all(type(url) is str and url for url in urls):
-        raise ValueError(f"user {user_id!r}: a url is empty or not a string")
+    if not all(type(url) is str and url and url == url.strip() for url in urls):
+        raise ValueError(f"user {user_id!r}: a url is empty, padded or not a string")
     # a "\ud800" escape loads as a lone surrogate, which no UTF-8 output can hold
     for what, text in (("the user id", user_id), ("a url", "".join(urls))):
         try:

@@ -44,7 +44,7 @@ def predict_dg(config: PredictorConfig, hist: Sequence[str], context: Sequence[s
     if not followers or not occurrences:
         return []
     weights = {key: count / occurrences for key, count in followers.items()}
-    return _rank(weights, config.effective_threshold)
+    return _rank(weights, config.confidence_threshold)
 
 
 def predict_mp(config: PredictorConfig, hist: Sequence[str], context: Sequence[str]) -> list[str]:
@@ -74,7 +74,7 @@ def predict_ppm(config: PredictorConfig, hist: Sequence[str], context: Sequence[
         if occurrences == 0 or not followers:
             continue  # shorter-context fallback, as in the trie walk
         probs = {key: count / occurrences for key, count in followers.items()}
-        return _rank(probs, config.effective_threshold)
+        return _rank(probs, config.confidence_threshold)
     return []
 
 

@@ -61,9 +61,10 @@ class PredictorConfig(namedtuple("PredictorConfig", "algorithm lookahead_window 
                                  "confidence_threshold ppm_order top_n")):
     """Algorithm choice plus its thresholds.
 
-    ``confidence_threshold`` of None means the per-algorithm default
-    (0.25 for DG arc weights, 0.1 for PPM branch probabilities). Fields
-    irrelevant to the chosen algorithm are validated but ignored.
+    A ``confidence_threshold`` of None is replaced when the config is made by
+    the per-algorithm default (0.25 for DG arc weights, 0.1 for the others),
+    so the field always holds the threshold the model uses. Fields irrelevant
+    to the chosen algorithm are validated but ignored.
     """
 
     __slots__ = ()
@@ -77,7 +78,10 @@ class PredictorConfig(namedtuple("PredictorConfig", "algorithm lookahead_window 
             raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
         if lookahead_window < 1:
             raise ValueError("lookahead_window must be >= 1")
-        if confidence_threshold is not None and not 0.0 <= confidence_threshold <= 1.0:
+        if confidence_threshold is None:
+            confidence_threshold = (DEFAULT_DG_THRESHOLD if algorithm == "dg"
+                                    else DEFAULT_PPM_THRESHOLD)
+        if not 0.0 <= confidence_threshold <= 1.0:
             raise ValueError("confidence_threshold must lie in [0, 1]")
         if ppm_order < 1:
             raise ValueError("ppm_order must be >= 1")
@@ -87,20 +91,10 @@ class PredictorConfig(namedtuple("PredictorConfig", "algorithm lookahead_window 
                                ppm_order, top_n)
 
     @property
-    def effective_threshold(self) -> float:
-        if self.confidence_threshold is not None:
-            return self.confidence_threshold
-        return DEFAULT_DG_THRESHOLD if self.algorithm == "dg" else DEFAULT_PPM_THRESHOLD
-
-    @property
     def trigger_depth(self) -> int:
         """How many trailing previous requests trigger a prediction in replay:
         ``ppm_order`` for PPM (context-sensitive), 1 for the others."""
         return self.ppm_order if self.algorithm == "ppm" else 1
-
-    def to_dict(self) -> dict:
-        """The fields, with the threshold the model uses in place of None."""
-        return {**self._asdict(), "confidence_threshold": self.effective_threshold}
 
 
 def _config_algorithms(configs: Sequence[PredictorConfig]) -> list[str]:
@@ -138,7 +132,7 @@ class DGModel:
 
     def __init__(self, config: PredictorConfig):
         self.config = config
-        self._threshold = config.effective_threshold  # read on every step
+        self._threshold = config.confidence_threshold  # read on every step
         self.node_counts: dict[str, int] = {}
         self.arc_counts: dict[str, dict[str, int]] = {}
         self.pending_window: deque[str] = deque(maxlen=config.lookahead_window)
@@ -223,7 +217,7 @@ class PPMModel:
 
     def __init__(self, config: PredictorConfig):
         self.config = config
-        self._order, self._threshold = config.ppm_order, config.effective_threshold  # per step
+        self._order, self._threshold = config.ppm_order, config.confidence_threshold  # per step
         self.root = _TrieNode()
         self.recent_context: deque[str] = deque(maxlen=config.ppm_order)
         self._suffixes = [self.root]  # nodes of recent_context's suffixes, root first
@@ -366,7 +360,7 @@ def model_to_dict(model: PredictionModel) -> dict:
     return {
         "format": MODEL_FORMAT,
         "algorithm": model.algorithm,
-        "config": model.config.to_dict(),
+        "config": model.config._asdict(),
         "state": model.state_dict(),
     }
 

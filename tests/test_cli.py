@@ -230,12 +230,24 @@ HOSTILE_STORES = {
     "bool_timestamp": _edit_u1("timestamp_ms", [True] + list(range(1001, 1012))),
     "empty_url": _edit_u1("url", [""] + ["https://x.example/p0"] * 11),
     "non_string_url": _edit_u1("url", [7] + ["https://x.example/p0"] * 11),
+    "unhashable_url": _edit_u1("url", [["x"]] + ["https://x.example/p0"] * 11),
     # "\ud800" escapes load as lone surrogates, which no UTF-8 output can hold
     "surrogate_user_id": lambda store: store["users"].update({"\ud800": store["users"]["u1"]}),
     "surrogate_url": _edit_u1("url", ["https://x.example/\ud800"] + ["https://x.example/p0"] * 11),
     # a dict holds a key once, so the repeat is raw text; json.load alone keeps the second
     "repeated_user_id": json.dumps(_valid_store()).replace('"u2"', '"u1"'),
+    "repeated_users_key": json.dumps(_valid_store())[:-1] + ', "users": {}}',
     "empty_user_id": lambda store: store["users"].update({"": store["users"]["u1"]}),
+    # a log's fields are stripped, so no log gives a store a padded id or url
+    "blank_user_id": lambda store: store["users"].update({" ": store["users"]["u1"]}),
+    "padded_user_id": lambda store: store["users"].update({"u1 ": store["users"]["u1"]}),
+    "padded_url": _edit_u1("url", ["https://x.example/p0 "] + ["https://x.example/p0"] * 11),
+}
+# the error line of these cases names what is wrong
+HOSTILE_STORE_ERRORS = {
+    "repeated_user_id": "key 'u1' is repeated",
+    "repeated_users_key": "key 'users' is repeated",  # the repeat, not the first key
+    "unequal_columns": "user 'u1': 12 timestamps but 11 urls",
 }
 
 STORE_COMMANDS = {
@@ -262,6 +274,7 @@ def test_hostile_store_exits_2_with_error_line(tmp_path, capsys, case, command):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "traces.json" in err
+    assert HOSTILE_STORE_ERRORS.get(case, "") in err
     assert not (tmp_path / "out").exists()  # rejected before any output is written
 
 
@@ -1397,7 +1410,7 @@ def test_evaluate_flags_reach_the_report(tmp_path, model, ratio, strategy, keep)
                               "--keep-fraction", str(keep))
     configs = _flag_configs(model)
     prune_spec = PruneSpec(strategy, keep)
-    assert report["config"]["predictors"] == {c.algorithm: c.to_dict() for c in configs}
+    assert report["config"]["predictors"] == {c.algorithm: c._asdict() for c in configs}
     assert report["config"]["prune"] == {"strategy": strategy, "keep_fraction": keep}
     assert report["config"]["split"]["training_ratio"] == ratio
 
@@ -1428,7 +1441,7 @@ def test_sweep_flags_reach_the_outputs(tmp_path, model, ratio):
                      "--workers", "1", *flags]) == 0
     summary = _read_json(outs["flags"] / "sweep_summary.json")
     configs = _flag_configs(model)
-    assert summary["config"]["predictors"] == {c.algorithm: c.to_dict() for c in configs}
+    assert summary["config"]["predictors"] == {c.algorithm: c._asdict() for c in configs}
     assert summary["config"]["window"]["training_ratio"] == ratio
 
     traces, _ = load_traces(log)

@@ -35,9 +35,9 @@ def test_config_rejects_bad_values():
 
 
 def test_config_defaults_per_algorithm():
-    assert PredictorConfig("dg").effective_threshold == 0.25
-    assert PredictorConfig("ppm").effective_threshold == 0.1
-    assert PredictorConfig("dg", confidence_threshold=0.4).effective_threshold == 0.4
+    assert PredictorConfig("dg").confidence_threshold == 0.25
+    assert PredictorConfig("ppm").confidence_threshold == 0.1
+    assert PredictorConfig("dg", confidence_threshold=0.4).confidence_threshold == 0.4
     assert PredictorConfig("DG").algorithm == "dg"  # case-insensitive
 
 

@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from prefetchlab.engine import SplitSpec
-from prefetchlab.predictors import PredictorConfig
+from prefetchlab.predictors import ALGORITHMS, PredictorConfig
 from prefetchlab.pruning import PruneSpec
 from prefetchlab.sweep import SlidingWindowSpec
 
@@ -72,8 +72,13 @@ def test_spec_replace_checks_the_new_fields(cls):
 def test_specs_keep_their_defaults_and_normalisations():
     assert SplitSpec() == SplitSpec(0.8)
     assert PredictorConfig("DG") == PredictorConfig("dg", 4, None, 2, 5)
-    assert PredictorConfig("dg").effective_threshold == 0.25
-    assert PredictorConfig("ppm").effective_threshold == 0.1
+    assert PredictorConfig("dg").confidence_threshold == 0.25
+    assert PredictorConfig("ppm").confidence_threshold == 0.1
+    assert PredictorConfig("mp").confidence_threshold == 0.1
+    assert PredictorConfig("dg") == PredictorConfig("dg", confidence_threshold=0.25)
+    for c in map(PredictorConfig, ALGORITHMS):  # the config holds the threshold its model uses
+        assert PredictorConfig(**c._asdict()) == c
+        assert c._replace(confidence_threshold=None) == c
     assert PruneSpec("MOR") == PruneSpec("mor", 0.2)
     assert SlidingWindowSpec(window_sizes=[5, 10]).window_sizes == (5, 10)
     assert SlidingWindowSpec().training_ratio == 0.8
