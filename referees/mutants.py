@@ -351,11 +351,41 @@ MUTANTS = (
     ),
     Mutant(
         "run-user-drops-its-last-config", ENGINE,
-        old="    for config in configs:\n        depth = config.trigger_depth",
-        new="    for config in configs[:-1]:\n        depth = config.trigger_depth",
+        old="for config, (model, train_s) in zip(configs, models):",
+        new="for config, (model, train_s) in zip(configs[:-1], models):",
         tests=("tests/test_engine.py::"
                "test_run_user_prunes_once_and_runs_each_config_on_the_pruned_input",
                "tests/test_engine.py::test_run_user_returns_timing_and_outcome"),
+    ),
+    Mutant(
+        "train-like-shares-the-copied-rows", PREDICTORS,
+        old="{source: dict(row) for source, row in like.arc_counts.items()}",
+        new="{source: row for source, row in like.arc_counts.items()}",
+        tests=("tests/test_predictors.py::test_train_like_a_dg_or_mp_fold_equals_its_own_fold",
+               "tests/test_engine.py::"
+               "test_run_user_prunes_once_and_runs_each_config_on_the_pruned_input"),
+    ),
+    Mutant(
+        "train-like-copies-a-table-of-another-window", PREDICTORS,
+        old="elif config.lookahead_window != like.config.lookahead_window:",
+        new="elif False:",
+        tests=("tests/test_predictors.py::test_train_refuses_a_like_it_cannot_copy",),
+    ),
+    Mutant(
+        "run-user-shares-a-fold-across-windows", ENGINE,
+        old="like = folds.get(config.lookahead_window)",
+        new="like = next(iter(folds.values()), None)",
+        tests=("tests/test_engine.py::"
+               "test_run_user_prunes_once_and_runs_each_config_on_the_pruned_input",
+               "tests/test_engine.py::"
+               "test_run_user_trains_each_config_once_and_replays_each_model_once"),
+    ),
+    Mutant(
+        "train-like-sorts-naive-keys", PREDICTORS,
+        old="model.seen = dict.fromkeys(like.node_counts)",
+        new="model.seen = dict.fromkeys(sorted(like.node_counts))",
+        tests=("tests/test_predictors.py::test_train_like_a_dg_or_mp_fold_equals_its_own_fold",
+               "tests/test_cli.py::test_selftest_passes_and_writes_report"),
     ),
     Mutant(
         "ppm-suffix-walk-root-first", PREDICTORS,

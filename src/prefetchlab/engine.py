@@ -205,21 +205,42 @@ class RunResult(NamedTuple):
 
 def run_user(trace: UserTrace, configs: Sequence[PredictorConfig], spec: SplitSpec,
              prune_spec: PruneSpec | None = None) -> list[RunResult]:
-    """Split one user and prune its training slice once, then train and replay
-    each config; returns one result per config, in order. Each result times its
-    own train + replay and holds the user's one PruneResult (None unpruned or
-    when the training slice is empty). Only the models' training input is
-    pruned: the trigger context is the tail of the unpruned training slice."""
+    """Split one user and prune its training slice once, then train every config
+    and replay each; returns one result per config, in order. Each result times
+    its own train + replay and holds the user's one PruneResult (None unpruned
+    or when the training slice is empty). Only the models' training input is
+    pruned: the trigger context is the tail of the unpruned training slice.
+
+    DG, MP and Naive share one fold: the first DG or MP config of each lookahead
+    window folds the input, and the later DG and MP configs of that window and
+    any Naive config pass the first such model to ``train`` as ``like``. Every
+    config trains before any replays, since a replay updates its model."""
     training, test = split(trace, spec)
     prune_result, model_input = None, training
     if prune_spec is not None and training:
         prune_result = prune(training, prune_spec)
         model_input = prune_result.kept_training
 
+    models = [None] * len(configs)
+    folds: dict[int, DGModel] = {}  # lookahead window -> its first DG or MP model
+    # Naive last, so that it copies a DG or MP model that comes after it
+    for index in sorted(range(len(configs)), key=lambda i: configs[i].algorithm == "naive"):
+        config = configs[index]
+        like = None
+        if config.algorithm == "naive":
+            like = next(iter(folds.values()), None)
+        elif config.algorithm != "ppm":
+            like = folds.get(config.lookahead_window)
+        started = time.perf_counter()
+        model = train(config, model_input, like=like)
+        models[index] = model, time.perf_counter() - started
+        if config.algorithm in ("dg", "mp"):
+            folds.setdefault(config.lookahead_window, model)
+
     results = []
-    for config in configs:
+    for config, (model, train_s) in zip(configs, models):
         depth = config.trigger_depth
         started = time.perf_counter()
-        outcome = run_test_engine(train(config, model_input), test, training[-depth:], depth)
-        results.append(RunResult(outcome, time.perf_counter() - started, prune_result))
+        outcome = run_test_engine(model, test, training[-depth:], depth)
+        results.append(RunResult(outcome, train_s + time.perf_counter() - started, prune_result))
     return results

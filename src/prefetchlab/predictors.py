@@ -5,7 +5,7 @@ observed request into the model (the dynamic update the replay engine
 performs after scoring each test request), ``model.predict(context)`` ranks
 candidate next requests, and ``train(config, sequence)`` is nothing more
 than ``update`` folded over the sequence from an empty model, so there is
-one update path.
+one update path; given ``like``, ``train`` copies a sibling's fold (below).
 
 ``model.forget(stream, count)`` is the exact inverse of folding a prefix:
 given the key sequence the model was folded over, oldest first, it removes
@@ -23,7 +23,10 @@ its path's count in its one slot.
 DG and MP are two readings of one table: ``arc_counts[a][b]`` counts how
 often b followed a within the lookahead window. They share ``update`` and
 ``forget``. DG keeps the arcs whose weight count / occurrences(a) reaches the
-threshold; MP is DG's arc counts, ranked and cut at top-n.
+threshold; MP is DG's arc counts, ranked and cut at top-n. Naive's seen
+keys are the table's node keys. So one fold serves all three: ``train``
+given a DG or MP model as ``like`` copies its table, or for Naive its node
+keys, instead of folding the sequence again.
 
 Ranking is deterministic: candidates sort by score descending, then
 lexicographically by url_key; DG, PPM and MP rank by the integer count,
@@ -347,11 +350,30 @@ def empty_model(config: PredictorConfig) -> PredictionModel:
     return _MODEL_CLASSES[config.algorithm](config)
 
 
-def train(config: PredictorConfig, training: Iterable[str]) -> PredictionModel:
-    """Fold ``update`` over a (possibly empty) training sequence from an empty model."""
+def train(config: PredictorConfig, training: Iterable[str],
+          like: DGModel | None = None) -> PredictionModel:
+    """Fold ``update`` over a (possibly empty) training sequence from an empty model.
+
+    ``like``, a DG or MP model that ``train`` folded over the same ``training``,
+    gives the same model without the fold: a DG or MP config of its lookahead
+    window copies its table, and a Naive config takes its node keys, which a
+    fold keeps in first-seen order. Any other ``like`` raises ValueError.
+    """
     model = empty_model(config)
-    for key in training:
-        model.update(key)
+    if like is None:
+        for key in training:
+            model.update(key)
+    elif not isinstance(like, DGModel) or config.algorithm == "ppm":
+        raise ValueError(f"a {config.algorithm} config cannot copy a {type(like).__name__}")
+    elif config.algorithm == "naive":
+        model.seen = dict.fromkeys(like.node_counts)
+    elif config.lookahead_window != like.config.lookahead_window:
+        raise ValueError(f"lookahead window {config.lookahead_window} cannot copy a table "
+                         f"of window {like.config.lookahead_window}")
+    else:
+        model.node_counts = dict(like.node_counts)
+        model.arc_counts = {source: dict(row) for source, row in like.arc_counts.items()}
+        model.pending_window.extend(like.pending_window)
     return model
 
 

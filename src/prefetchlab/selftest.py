@@ -5,7 +5,8 @@ Each check fuzzes one load-bearing equivalence on freshly generated traces:
 * every replay path against the brute-force reference: the replay engine
   (``run_test_engine``, through ``run_user``), the DG/MP/Naive table pass
   (``run_dg_table_engine``) and the PPM pass (``run_ppm_pass``),
-* training against folding single-request updates (one update path),
+* training against folding single-request updates (one update path), and
+  training like a DG or MP fold against the same fold,
 * ``forget`` of a prefix against fresh training on what remains,
 * the baseline's guaranteed dominance over every other predictor,
 * the normalization identity (a run normalized against itself is 1).
@@ -75,7 +76,8 @@ def check_oracle_equivalence(seed: int, trace_count: int) -> CheckResult:
 
 
 def check_train_fold(seed: int, sequence_count: int) -> CheckResult:
-    """train(seq) and folding model.update over seq must serialize identically."""
+    """train(seq) and folding model.update over seq must serialize identically, and so
+    must DG, MP and Naive trained like a DG or MP fold of seq in the config's window."""
     def cases(rng, index):
         length = rng.randint(0, 60)  # 0: folding nothing over an empty model
         pool = url_pool(rng.randint(2, 10))
@@ -85,8 +87,14 @@ def check_train_fold(seed: int, sequence_count: int) -> CheckResult:
             folded = empty_model(config)
             for key in keys:
                 folded.update(key)
-            yield (None if model_to_json(train(config, keys)) == model_to_json(folded) else
-                   f"sequence={index} algorithm={algorithm} length={length}")
+            trained = {None: train(config, keys)}
+            if algorithm != "ppm":
+                sibling = config._replace(algorithm="mp" if algorithm == "dg" else "dg")
+                trained[sibling.algorithm] = train(config, keys, like=train(sibling, keys))
+            wrong = [like for like, model in trained.items()
+                     if model_to_json(model) != model_to_json(folded)]
+            yield (f"sequence={index} algorithm={algorithm} length={length} like={wrong[0]}"
+                   if wrong else None)
     return _run_check("train-equals-fold", seed, sequence_count, cases)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from prefetchlab import engine
 from prefetchlab.engine import (SplitSpec, TestOutcome, TraceTooShortError,
                                 run_dg_table_engine, run_ppm_pass, run_test_engine, run_user,
                                 split)
@@ -125,15 +126,19 @@ def test_run_user_returns_timing_and_outcome():
                 unique=True),
        st.sampled_from([0.3, 0.5, 0.8]),
        st.one_of(st.none(), st.builds(PruneSpec, st.sampled_from(STRATEGIES),
-                                      st.sampled_from([0.2, 0.5, 1.0]))))
+                                      st.sampled_from([0.2, 0.5, 1.0]))),
+       st.lists(st.integers(1, 3), min_size=len(ALGORITHMS), max_size=len(ALGORITHMS)))
 # pruning drops the training slice's last request, a3: DG triggered from the
 # pruned tail, a2, would prefetch a2, and from the unpruned tail nothing
 @example([f"https://a.example/{page}" for page in (2, 2, 3, 1)], ["dg"], 0.8,
-         PruneSpec("mor", 0.2))
+         PruneSpec("mor", 0.2), [2] * len(ALGORITHMS))
 def test_run_user_prunes_once_and_runs_each_config_on_the_pruned_input(keys, algorithms,
-                                                                       ratio, prune_spec):
-    # a ratio of 0.3 leaves an empty training slice for 2 or 3 requests
-    configs = [PredictorConfig(a, lookahead_window=2, ppm_order=3) for a in algorithms]
+                                                                       ratio, prune_spec,
+                                                                       windows):
+    # a ratio of 0.3 leaves an empty training slice for 2 or 3 requests; DG and MP
+    # share a fold only when their windows are equal
+    configs = [PredictorConfig(a, lookahead_window=w, ppm_order=3)
+               for a, w in zip(algorithms, windows)]
     trace = _trace(keys)
     spec = SplitSpec(ratio)
     training, test = split(trace, spec)
@@ -147,6 +152,48 @@ def test_run_user_prunes_once_and_runs_each_config_on_the_pruned_input(keys, alg
                                                  training[-depth:], depth)
         assert result.prune_result is results[0].prune_result
     assert results[0].prune_result == pruned
+
+
+# the configs run_user takes, and for each the index of the config whose model
+# train copies: the first DG or MP config of its window, or for Naive, wherever
+# it stands, the first DG or MP config of any window
+SHARED_FOLDS = [
+    ([("naive", 4), ("mp", 2), ("ppm", 4), ("dg", 2)], [1, None, None, 1]),
+    ([("dg", 1), ("mp", 3), ("naive", 3)], [None, None, 0]),
+    ([("mp", 3), ("dg", 3), ("naive", 1), ("ppm", 3)], [None, 0, 0, None]),
+    ([("ppm", 4), ("naive", 4)], [None, None]),
+    ([("naive", 4)], [None]),
+]
+
+
+@pytest.mark.parametrize("pairs, copied", SHARED_FOLDS)
+def test_run_user_trains_each_config_once_and_replays_each_model_once(monkeypatch, pairs,
+                                                                     copied):
+    # the benchmark's tracer counts models, and wraps predict, at engine.train
+    trained, replayed = {}, []
+
+    def recording_train(config, training, like=None):
+        model = train(config, training, like=like)
+        trained[config] = (model, like)
+        return model
+
+    def recording_replay(model, *args):
+        replayed.append(model)
+        return run_test_engine(model, *args)
+
+    monkeypatch.setattr(engine, "train", recording_train)
+    monkeypatch.setattr(engine, "run_test_engine", recording_replay)
+    configs = [PredictorConfig(a, lookahead_window=w) for a, w in pairs]
+    keys = [f"p{i % 5}" for i in range(30)]
+    results = run_user(_trace(keys), configs, SplitSpec())
+    assert list(trained) == sorted(configs, key=lambda c: c.algorithm == "naive")
+    for config, source in zip(configs, copied):
+        like = trained[config][1]
+        assert like is (None if source is None else trained[configs[source]][0])
+    assert replayed == [trained[config][0] for config in configs]
+    training, test = split(_trace(keys), SplitSpec())
+    for config, result in zip(configs, results):
+        assert result.outcome == oracle_run(config, training, test)
 
 
 pages_st = st.lists(st.sampled_from([f"p{i}" for i in range(6)]), max_size=40)

@@ -236,6 +236,39 @@ def test_train_equals_folded_updates(keys, algorithm):
     assert model_to_json(batch) == model_to_json(folded)
 
 
+@given(sequences, st.lists(st.sampled_from(KEYS), max_size=20),
+       st.sampled_from(["dg", "mp", "naive"]), st.sampled_from(["dg", "mp"]),
+       st.integers(1, 4), st.integers(1, 4))
+def test_train_like_a_dg_or_mp_fold_equals_its_own_fold(keys, more, algorithm, sibling, window,
+                                                        naive_window):
+    # Naive reads no window, so its config may name any
+    config = _config(algorithm, lookahead_window=naive_window if algorithm == "naive" else window)
+    like_config = _config(sibling, lookahead_window=window)
+    like = train(like_config, keys)
+    copied, fresh = train(config, keys, like=like), train(config, keys)
+    assert model_to_json(copied) == model_to_json(fresh)
+    # the copy shares no state: its updates leave the sibling as its fold left it
+    for key in more:
+        copied.update(key)
+        fresh.update(key)
+    assert model_to_json(copied) == model_to_json(fresh)
+    assert model_to_json(like) == model_to_json(train(like_config, keys))
+
+
+def test_train_refuses_a_like_it_cannot_copy():
+    keys = [A, B, A, C]
+    dg = train(_config("dg", lookahead_window=2), keys)
+    with pytest.raises(ValueError, match="a naive config cannot copy a PPMModel"):
+        train(_config("naive"), keys, like=train(_config("ppm"), keys))
+    with pytest.raises(ValueError, match="a dg config cannot copy a NaiveModel"):
+        train(_config("dg", lookahead_window=2), keys, like=train(_config("naive"), keys))
+    with pytest.raises(ValueError, match="a ppm config cannot copy a DGModel"):
+        train(_config("ppm"), keys, like=dg)
+    for algorithm in ("dg", "mp"):
+        with pytest.raises(ValueError, match="lookahead window 3 cannot copy a table of window 2"):
+            train(_config(algorithm, lookahead_window=3), keys, like=dg)
+
+
 @given(sequences, st.sampled_from(ALGORITHMS))
 def test_predictions_unique_and_deterministic(keys, algorithm):
     config = _config(algorithm)

@@ -10,6 +10,7 @@ import pytest
 
 from prefetchlab import selftest
 from prefetchlab.engine import TestOutcome
+from prefetchlab.predictors import empty_model, train
 
 # no replay of a non-empty test sequence has this outcome: it scores no request
 NOTHING = TestOutcome(0, frozenset(), frozenset(), 0, 0, 0)
@@ -17,6 +18,10 @@ NOTHING = TestOutcome(0, frozenset(), frozenset(), 0, 0, 0)
 
 def _always_new(model):
     return object()  # equal to no other serialization
+
+
+def _copies_nothing(config, training, like=None):
+    return empty_model(config) if like is not None else train(config, training)
 
 
 def _normalized_to_half(report, naive):
@@ -33,6 +38,8 @@ FAILURES = [
      "seed=5 trace=0 algorithm=ppm: ppm-pass="),
     (selftest.check_train_fold, 6, "model_to_json", _always_new, 1,
      "seed=6 sequence=0 algorithm=dg length="),
+    (selftest.check_train_fold, 6, "train", _copies_nothing, 1,
+     "seed=6 sequence=0 algorithm=dg length=50 like=mp"),
     (selftest.check_forget_equals_fresh, 7, "model_to_json", _always_new, 1,
      "seed=7 sequence=0 algorithm=dg length="),
     (selftest.check_naive_dominance, 8, "count_previously_seen", lambda training, test: -1, 1,
