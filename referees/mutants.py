@@ -605,9 +605,37 @@ MUTANTS = (
     ),
     Mutant(
         "run-jobs-forks-past-the-cpu-count", CLI,
-        old="min(workers, len(users), os.cpu_count() or 1)",
+        old="min(workers, len(users), _usable_cpus())",
         new="min(workers, len(users))",
         tests=("tests/test_cli.py::test_run_jobs_forks_at_most_one_process_per_cpu",),
+    ),
+    Mutant(
+        "usable-cpus-ignore-the-affinity-mask", CLI,
+        old="return len(os.sched_getaffinity(0))",
+        new="return os.cpu_count() or 1",
+        tests=("tests/test_cli.py::test_run_jobs_forks_only_onto_the_cpus_of_the_affinity_mask",),
+    ),
+    Mutant(
+        "usable-cpus-two-without-a-cpu-count", CLI,
+        old="return os.cpu_count() or 1",
+        new="return os.cpu_count() or 2",
+        tests=("tests/test_cli.py::test_usable_cpus_without_an_affinity_mask_is_the_cpu_count",),
+    ),
+    Mutant(
+        "run-exits-without-flushing-stdout", CLI,
+        old="for stream in (sys.stdout, sys.stderr):",
+        new="for stream in (sys.stderr,):",
+        tests=("tests/test_cli.py::"
+               "test_cli_process_prints_every_line_and_writes_what_main_writes",),
+    ),
+    Mutant(
+        "run-exits-0-after-a-failed-flush", CLI,
+        old="""    except Exception:
+        sys.exit(code)""",
+        new="""    except Exception:
+        os._exit(0)""",
+        tests=("tests/test_cli.py::"
+               "test_cli_process_into_a_closed_pipe_exits_as_an_interpreter_teardown_would",),
     ),
     Mutant(
         "means-with-builtin-sum", METRICS,

@@ -3,8 +3,8 @@
     python referees/run.py
 
 The script copies ``src/``, ``tests/``, ``perfbench/``, ``referees/``,
-``demos/``, ``pyproject.toml`` and ``conftest.py``, everything the test suite
-reads, into a temporary directory. There it first runs every mutant's tests
+``demos/``, ``pyproject.toml``, ``conftest.py`` and the ``BENCH_*.json``
+files, everything the test suite reads, into a temporary directory. There it first runs every mutant's tests
 on the unmutated copy, which must pass; then it applies each mutant alone,
 runs its tests, which must fail, and puts the file back. A mutant whose tests
 still pass survived. A mutant marked ``needs_python_3_12`` is skipped, with
@@ -27,7 +27,8 @@ from pathlib import Path
 from mutants import MUTANTS
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "perfbench", "referees", "demos", "pyproject.toml", "conftest.py")
+COPIED = ("src", "tests", "perfbench", "referees", "demos", "pyproject.toml", "conftest.py",
+          *sorted(path.name for path in ROOT.glob("BENCH_*.json")))
 TESTS_FAILED = 1  # pytest's exit code when tests ran and some failed
 PYENV_VERSIONS = Path.home() / ".pyenv" / "versions"
 LATER_MINORS = ("3.12", "3.13")  # as tests/test_cli.py looks them up

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 
 @pytest.fixture
 def eight_cpus(monkeypatch):
-    """Eight CPUs: ``_run_jobs`` forks at most one share per CPU, so on any host
-    a test that asks for up to eight workers forks what it names."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    """Eight usable CPUs: ``_run_jobs`` forks at most one share per CPU the process may run
+    on, so on any host, whatever its affinity mask, a test that asks for up to eight workers
+    forks what it names."""
+    # named, not imported: a module that fails to import fails its tests, not this file
+    monkeypatch.setattr("prefetchlab.cli._usable_cpus", lambda: 8)

@@ -567,12 +567,33 @@ def test_run_jobs_forks_at_most_one_process_per_cpu(monkeypatch):
         return [job(p) for p in payloads]
 
     monkeypatch.setattr(forkjoin, "fork_map", fork_map)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     assert _run_jobs(lambda p: p * 2, list(range(50)), 5000) == [p * 2 for p in range(50)]
     assert shares == [2]
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    assert _run_jobs(lambda p: p * 2, list(range(50)), 5000) == [p * 2 for p in range(50)]
+    assert shares == [2]
+
+
+def test_run_jobs_forks_only_onto_the_cpus_of_the_affinity_mask(monkeypatch):
+    def fork_map(job, payloads, count):
+        raise AssertionError(f"forked {count} shares")
+
+    monkeypatch.setattr(forkjoin, "fork_map", fork_map)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    # the mask of this process (pid 0) alone
+    monkeypatch.setattr(os, "sched_getaffinity", {0: {0}}.__getitem__, raising=False)
+    assert cli._usable_cpus() == 1
+    assert _run_jobs(lambda p: (p, os.getpid()), list(range(8)), 4) == [
+        (p, os.getpid()) for p in range(8)]
+
+
+def test_usable_cpus_without_an_affinity_mask_is_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert cli._usable_cpus() == 8
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # an unknown count allows one process
-    assert _run_jobs(lambda p: p * 2, list(range(50)), 5000) == [p * 2 for p in range(50)]
-    assert shares == [2]
+    assert cli._usable_cpus() == 1
 
 
 def test_run_jobs_without_fork_maps_in_process(monkeypatch):
@@ -1256,6 +1277,111 @@ def test_outputs_match_recorded_digests_on_every_python(tmp_path, minor):
                        env=env, check=True, capture_output=True)
     assert {run: _output_digests(tmp_path / run) for run in GOLDEN_RUNS} == GOLDEN_DIGESTS
     assert _sha((tmp_path / "stats" / "stats.json").read_bytes()) == STATS_GOLDEN_DIGEST
+
+
+def _cli_process(args, cwd, **kwargs):
+    """``python -m prefetchlab.cli *args`` in a fresh process, with ``PYTHONUNBUFFERED`` unset
+    so that stdout is block-buffered when it is not a terminal."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.run([sys.executable, "-m", "prefetchlab.cli", *args], cwd=cwd, env=env,
+                          timeout=60, **kwargs)
+
+
+def test_cli_process_prints_every_line_and_writes_what_main_writes(tmp_path, capsys,
+                                                                   monkeypatch):
+    log = _make_log(tmp_path)
+    steps = [["ingest", "--input", str(log), "--out", "ingest"],
+             ["evaluate", "--input", "ingest", "--out", "evaluate", "--workers", "2"]]
+    for side in ("process", "library"):
+        (tmp_path / side).mkdir()
+    monkeypatch.chdir(tmp_path / "library")  # relative --out paths, so both print alike
+    for args in steps:
+        with (tmp_path / "stdout.txt").open("w") as stdout:
+            done = _cli_process(args, tmp_path / "process", stdout=stdout,
+                                stderr=subprocess.PIPE, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert main(args) == 0
+        printed = capsys.readouterr()
+        assert printed.err == ""
+        assert (tmp_path / "stdout.txt").read_text() == printed.out
+        assert printed.out.count("\n") >= 3
+    for step in ("ingest", "evaluate"):
+        written = [{path.name: path.read_bytes() for path in (tmp_path / side / step).iterdir()}
+                   for side in ("process", "library")]
+        reports = [json.loads(files.pop("report.json", b"{}")) for files in written]
+        for report in reports:
+            report.pop("runtime", None)
+        assert reports[0] == reports[1]
+        assert written[0] == written[1]
+
+
+def test_cli_process_exits_with_mains_error_status_and_line(tmp_path):
+    cases = {("evaluate", "--input", str(tmp_path / "nope.csv"), "--out", "o"):
+             (1, f"error: [Errno 2] No such file or directory: '{tmp_path / 'nope.csv'}'\n"),
+             ("evaluate", "--input", "log.csv", "--out", "o", "--workers", "0"):
+             (2, "error: workers must be >= 1, got 0\n")}
+    for args, expected in cases.items():
+        done = _cli_process(args, tmp_path, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == expected
+        assert done.stdout == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_process_with_stdout_closed_exits_0(tmp_path):
+    log = _make_log(tmp_path)
+    done = _cli_process(["ingest", "--input", str(log), "--out", "o"], tmp_path,
+                        stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert (tmp_path / "o" / "traces.json").is_file()
+
+
+def test_cli_process_into_a_closed_pipe_exits_as_an_interpreter_teardown_would(tmp_path):
+    # a failed flush of stdout is the interpreter's to report: the same status and stderr as
+    # sys.exit(main()), which leaves the flush to the interpreter's teardown
+    log = _make_log(tmp_path)
+    args = ["ingest", "--input", str(log), "--out", "o"]
+    statuses = []
+    for argv in (["-m", "prefetchlab.cli"],
+                 ["-c", "import sys; from prefetchlab.cli import main; sys.exit(main())"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = _cli_process(args, tmp_path, stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        statuses.append((done.returncode, done.stderr))
+    assert statuses[0] == statuses[1]
+    assert statuses[0][0] != 0 and b"BrokenPipeError" in statuses[0][1]
+
+
+def test_run_flushes_both_streams_then_exits_with_mains_status(monkeypatch):
+    calls = []
+
+    class Stream:
+        def __init__(self, name, error=None):
+            self.name, self.error = name, error
+
+        def flush(self):
+            calls.append(self.name)
+            if self.error:
+                raise self.error
+
+    monkeypatch.setattr(cli, "main", lambda: 2)
+    monkeypatch.setattr(os, "_exit", lambda status: calls.append(status))
+    monkeypatch.setattr(sys, "stdout", Stream("stdout"))
+    monkeypatch.setattr(sys, "stderr", Stream("stderr"))
+    cli.run()
+    assert calls == ["stdout", "stderr", 2]
+    calls.clear()
+    monkeypatch.setattr(sys, "stdout", None)  # as when the process started with stdout closed
+    cli.run()
+    assert calls == ["stderr", 2]
+    calls.clear()
+    monkeypatch.setattr(sys, "stdout", Stream("stdout", BrokenPipeError(32, "Broken pipe")))
+    with pytest.raises(SystemExit) as exited:
+        cli.run()
+    assert exited.value.code == 2 and calls == ["stdout"]
 
 
 def test_library_evaluate_returns_the_report_the_command_writes(tmp_path):
